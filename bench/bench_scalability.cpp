@@ -7,28 +7,11 @@
 // fat-trees and show per-switch NetSeer overhead stays flat (events
 // scale with traffic, not with topology size); (2) analytic — the
 // paper's own production extrapolation from the per-switch ceiling.
-// Part (3), behind --shards=N: the parallel-engine figure. A 128-switch
-// testbed is partitioned pod-aware (fabric::partition_testbed), tokens
-// hop switch-to-switch through sim::ParallelSimulator with per-shard
-// packet pools and telemetry registries, and the serial (1-shard,
-// unthreaded) run gates the N-shard run: identical per-switch hop counts
-// (determinism) and, against BENCH_parallel.json, an absolute serial
-// events/sec floor plus a hardware-aware speedup floor. Results go
-// through the --metrics-out telemetry snapshot, not stdout scraping.
-#include <chrono>
-#include <cstring>
-#include <thread>
-
 #include "core/netseer_app.h"
 #include "fabric/fat_tree.h"
-#include "fabric/partition.h"
 #include "experiment.h"
-#include "packet/builder.h"
-#include "packet/pool.h"
 #include "scenarios/harness.h"
-#include "sim/parallel.h"
 #include "table.h"
-#include "telemetry/collect.h"
 #include "traffic/generator.h"
 
 using namespace netseer;
@@ -93,318 +76,11 @@ ScaleResult run_scale(int k_or_testbed, util::SimTime duration,
   return result;
 }
 
-// ---- Parallel engine figure (--shards=N) ----------------------------------
-
-/// 128 switches: 8 pods x (4 agg + 8 ToR) + 32 cores, 1 us links — the
-/// "datacenter-scale" topology of the ISSUE acceptance criteria.
-fabric::TestbedConfig parallel_topology() {
-  fabric::TestbedConfig config;
-  config.num_pods = 8;
-  config.aggs_per_pod = 4;
-  config.tors_per_pod = 8;
-  config.num_cores = 32;
-  config.hosts_per_tor = 1;
-  return config;
-}
-
-/// Token-hop workload on the parallel engine: every switch is an actor;
-/// a fixed token population hops along real topology links (arrival ->
-/// pipeline-latency egress -> link-delay send), with each hop carrying a
-/// pooled Packet so cross-shard handoffs exercise the pools' remote
-/// release path. All mutable state is per-actor or per-shard, so the
-/// engine's determinism contract applies: per-switch hop counts must be
-/// identical for every shard count.
-struct ParallelBench {
-  struct alignas(64) ActorState {
-    std::uint64_t rng = 0;
-    std::uint64_t hops = 0;
-  };
-
-  fabric::TestbedConfig topo;
-  fabric::Testbed bed;  // topology source only; its own simulator is unused
-  fabric::PartitionPlan plan;
-  // Declared before the engine: events still queued at teardown hold
-  // PooledPacket handles, so the pools must outlive the shards' slabs.
-  std::vector<std::unique_ptr<packet::Pool>> pools;     // by shard
-  std::vector<std::unique_ptr<telemetry::Registry>> registries;  // by shard
-  sim::ParallelSimulator engine;
-  std::vector<sim::ActorId> ids;                        // by switch index
-  std::vector<std::vector<std::uint32_t>> neighbors;    // by switch index
-  std::vector<ActorState> state;                        // by switch index
-
-  ParallelBench(std::uint32_t shards, bool use_threads, std::uint64_t seed)
-      : topo(parallel_topology()),
-        bed(fabric::make_testbed(topo, /*seed=*/3)),
-        plan(fabric::partition_testbed(bed, topo, shards)),
-        engine(sim::ParallelConfig{shards, plan.lookahead, use_threads, 1024}) {
-    const auto switches = bed.all_switches();
-    state.resize(switches.size());
-    std::unordered_map<util::NodeId, std::uint32_t> index_of;
-    ids.reserve(switches.size());
-    for (std::uint32_t i = 0; i < switches.size(); ++i) {
-      index_of.emplace(switches[i]->id(), i);
-      ids.push_back(engine.add_actor(plan.shard_of(switches[i]->id())));
-      state[i].rng = seed * 0x9e3779b97f4a7c15ull + i;
-    }
-    neighbors.resize(switches.size());
-    for (const auto& link : bed.net->links()) {
-      const auto from = index_of.find(link->from_node());
-      const auto to = index_of.find(link->peer().id());
-      if (from == index_of.end() || to == index_of.end()) continue;
-      neighbors[from->second].push_back(to->second);
-    }
-    for (std::uint32_t s = 0; s < shards; ++s) {
-      pools.push_back(std::make_unique<packet::Pool>());
-      registries.push_back(std::make_unique<telemetry::Registry>());
-    }
-  }
-
-  static std::uint64_t rnd(ActorState& s) {
-    s.rng = s.rng * 6364136223846793005ull + 1442695040888963407ull;
-    return s.rng >> 33;
-  }
-
-  void arrival(std::uint32_t sw, packet::PooledPacket in) {
-    in.reset();  // back to the SOURCE shard's pool — remote when cross-shard
-    ++state[sw].hops;
-    const util::SimTime at = engine.now_on(ids[sw]) + topo.pipeline_latency;
-    (void)engine.schedule(ids[sw], at, [this, sw] { egress(sw); });
-  }
-
-  void egress(std::uint32_t sw) {
-    ActorState& s = state[sw];
-    const std::uint64_t r = rnd(s);
-    const auto& out = neighbors[sw];
-    const auto nb = out[r % out.size()];
-    packet::Packet pkt;
-    pkt.uid = packet::next_packet_uid();
-    pkt.payload_bytes = static_cast<std::uint32_t>(64 + (r & 1023));
-    auto slot = pools[plan.shard_of(bed.all_switches()[sw]->id())]->acquire(std::move(pkt));
-    const util::SimTime at =
-        engine.now_on(ids[sw]) + topo.link_delay + static_cast<util::SimDuration>(r % 256);
-    engine.send(ids[sw], ids[nb], at,
-                [this, nb, slot = std::move(slot)]() mutable { arrival(nb, std::move(slot)); });
-  }
-
-  /// Seed the token population and run. Tokens start at t >= 1; the t=0
-  /// slot is reserved for each shard's pool-ownership bind.
-  void run(int tokens_per_switch, util::SimTime horizon) {
-    std::vector<bool> bound(engine.shards(), false);
-    for (std::uint32_t sw = 0; sw < ids.size(); ++sw) {
-      const std::uint32_t shard = engine.shard_of(ids[sw]);
-      if (!bound[shard]) {
-        bound[shard] = true;
-        packet::Pool* pool = pools[shard].get();
-        (void)engine.schedule(ids[sw], 0, [pool] { pool->bind_owner(); });
-      }
-      for (int t = 0; t < tokens_per_switch; ++t) {
-        const util::SimTime at = 1 + static_cast<util::SimTime>(rnd(state[sw]) % 512);
-        (void)engine.schedule(ids[sw], at, [this, sw] { egress(sw); });
-      }
-    }
-    engine.run_until(horizon);
-  }
-
-  /// Fold the run into the per-shard registries (per-switch hop counters
-  /// on each switch's owning shard), then merge every shard into `out` —
-  /// the per-shard-registry -> merge_from flow the parallel engine
-  /// prescribes. Returns the hop vector for determinism comparison.
-  std::vector<std::uint64_t> finish(telemetry::Registry* out) {
-    std::vector<std::uint64_t> hops;
-    hops.reserve(state.size());
-    const auto switches = bed.all_switches();
-    for (std::uint32_t sw = 0; sw < state.size(); ++sw) {
-      hops.push_back(state[sw].hops);
-      registries[plan.shard_of(switches[sw]->id())]
-          ->counter("scalability", "switch.hops", switches[sw]->id())
-          .add(state[sw].hops);
-    }
-    if (out != nullptr) {
-      for (const auto& reg : registries) out->merge_from(*reg);
-    }
-    return hops;
-  }
-
-  [[nodiscard]] std::uint64_t pool_remote_returns() const {
-    std::uint64_t total = 0;
-    for (const auto& pool : pools) total += pool->remote_returns();
-    return total;
-  }
-};
-
-struct ParallelRun {
-  double best_wall = -1.0;
-  std::uint64_t events = 0;
-  std::vector<std::uint64_t> hops;
-};
-
-ParallelRun run_parallel(std::uint32_t shards, bool use_threads, int reps,
-                         int tokens_per_switch, util::SimTime horizon,
-                         telemetry::Registry* metrics) {
-  ParallelRun result;
-  for (int rep = 0; rep < reps; ++rep) {
-    ParallelBench bench(shards, use_threads, /*seed=*/13);
-    const auto start = std::chrono::steady_clock::now();
-    bench.run(tokens_per_switch, horizon);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-    const auto hops = bench.finish(rep == 0 ? metrics : nullptr);
-    // One pool-bind event per shard is setup, not workload — exclude it
-    // so serial (1 bind) and sharded (N binds) counts are comparable.
-    const std::uint64_t events = bench.engine.events_processed() - bench.engine.shards();
-    if (rep == 0) {
-      result.events = events;
-      result.hops = hops;
-    } else if (events != result.events || hops != result.hops) {
-      std::fprintf(stderr, "non-deterministic parallel run at shards=%u rep %d\n", shards,
-                   rep);
-      std::exit(1);
-    }
-    if (result.best_wall < 0 || wall < result.best_wall) result.best_wall = wall;
-    if (metrics != nullptr && rep == 0) {
-      telemetry::collect(*metrics, bench.engine, wall);
-      metrics->gauge("scalability", "parallel.pool_remote_returns")
-          .update_max(static_cast<std::int64_t>(bench.pool_remote_returns()));
-    }
-  }
-  return result;
-}
-
-// Pull one numeric field out of BENCH_parallel.json without a JSON
-// parser (same scheme as bench_engine). Returns < 0 if absent.
-double read_json_number(const std::string& text, const std::string& key) {
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return -1.0;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
-int run_parallel_figure(std::uint32_t shards, int reps, int tokens_per_switch,
-                        int duration_ms, const std::string& baseline_path,
-                        double max_regression_pct, ExperimentOptions& cli) {
-  const util::SimTime horizon = util::milliseconds(duration_ms);
-  print_title("Parallel engine — sharded conservative execution, 128-switch testbed");
-  print_paper("partition by switch; lookahead = min link delay (CMB conservative bound)");
-
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("\n  shards requested  %u (hardware threads: %u)\n", shards, hw);
-
-  const auto serial = run_parallel(1, /*use_threads=*/false, reps, tokens_per_switch,
-                                   horizon, nullptr);
-  const double serial_eps = static_cast<double>(serial.events) / serial.best_wall;
-  std::printf("  serial (1 shard)  %llu events, best wall %.3fs (%.2fM events/s)\n",
-              static_cast<unsigned long long>(serial.events), serial.best_wall,
-              serial_eps / 1e6);
-
-  const auto parallel = run_parallel(shards, /*use_threads=*/true, reps, tokens_per_switch,
-                                     horizon, cli.sink());
-  const double parallel_eps = static_cast<double>(parallel.events) / parallel.best_wall;
-  const double speedup = parallel_eps / serial_eps;
-  std::printf("  parallel          %llu events, best wall %.3fs (%.2fM events/s)\n",
-              static_cast<unsigned long long>(parallel.events), parallel.best_wall,
-              parallel_eps / 1e6);
-  std::printf("  speedup           %.2fx\n", speedup);
-
-  // Determinism gate: the sharded run must reproduce the serial run's
-  // per-switch hop counts and total event count exactly.
-  if (parallel.events != serial.events || parallel.hops != serial.hops) {
-    std::fprintf(stderr, "DETERMINISM FAILURE: sharded run diverged from serial run\n");
-    return 1;
-  }
-  std::printf("  determinism       ok (%zu per-switch hop counts identical)\n",
-              parallel.hops.size());
-
-  if (telemetry::Registry* sink = cli.sink()) {
-    sink->gauge("scalability", "parallel.serial_events_per_sec")
-        .update_max(static_cast<std::int64_t>(serial_eps));
-    sink->gauge("scalability", "parallel.events_per_sec")
-        .update_max(static_cast<std::int64_t>(parallel_eps));
-    sink->gauge("scalability", "parallel.speedup_milli")
-        .update_max(static_cast<std::int64_t>(speedup * 1000.0));
-    sink->gauge("scalability", "parallel.shards")
-        .update_max(static_cast<std::int64_t>(shards));
-    sink->gauge("scalability", "parallel.hw_threads").update_max(hw);
-  }
-
-  if (!baseline_path.empty()) {
-    FILE* f = std::fopen(baseline_path.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buffer[4096];
-    for (std::size_t n; (n = std::fread(buffer, 1, sizeof(buffer), f)) > 0;) {
-      text.append(buffer, n);
-    }
-    std::fclose(f);
-
-    const double baseline_serial = read_json_number(text, "baseline_serial_events_per_sec");
-    if (baseline_serial <= 0) {
-      std::fprintf(stderr, "no \"baseline_serial_events_per_sec\" in %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    const double serial_floor = baseline_serial * (1.0 - max_regression_pct / 100.0);
-    std::printf("\n  serial baseline   %.0f events/s, floor %.0f (-%g%%)\n", baseline_serial,
-                serial_floor, max_regression_pct);
-    if (serial_eps < serial_floor) {
-      std::fprintf(stderr, "PERF REGRESSION: serial %.0f events/s below the floor\n",
-                   serial_eps);
-      return 1;
-    }
-
-    // Speedup gate, hardware-aware: the checked-in target (4x at 8
-    // shards per the acceptance criteria) applies when the machine has
-    // the cores; with fewer cores the requirement scales as
-    // per_core_floor x usable cores, and a single-core machine skips it
-    // (conservative sharding cannot beat serial there).
-    const double target = read_json_number(text, "target_speedup");
-    const double per_core = read_json_number(text, "min_speedup_per_core");
-    if (target > 0 && per_core > 0) {
-      if (hw < 2) {
-        std::printf("  speedup gate      skipped (single hardware thread)\n");
-      } else {
-        const double usable = static_cast<double>(std::min<unsigned>(shards, hw));
-        const double required = std::min(target, per_core * usable);
-        std::printf("  speedup floor     %.2fx (target %.2fx, %.2fx/core over %.0f cores)\n",
-                    required, target, per_core, usable);
-        if (speedup < required) {
-          std::fprintf(stderr, "PERF REGRESSION: speedup %.2fx below required %.2fx\n",
-                       speedup, required);
-          return 1;
-        }
-      }
-    }
-    std::printf("  verdict           ok\n");
-  }
-  return cli.write_metrics();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  int shards = 0;
-  int reps = 3;
-  int tokens_per_switch = 4;
-  int parallel_duration_ms = 4;
-  std::string baseline_path;
-  double max_regression_pct = 30.0;
   ExperimentOptions cli{"Scalability — per-switch NetSeer cost vs network size"};
-  cli.flag("shards", &shards, "run ONLY the parallel-engine figure with this many shards")
-      .flag("reps", &reps, "parallel figure: best wall time over this many reps")
-      .flag("tokens-per-switch", &tokens_per_switch, "parallel figure: token population")
-      .flag("parallel-duration-ms", &parallel_duration_ms, "parallel figure: simulated time")
-      .flag("baseline", &baseline_path, "BENCH_parallel.json to gate regressions against")
-      .flag("max-regression-pct", &max_regression_pct, "allowed serial events/sec drop")
-      .parse(argc, argv);
-  if (shards > 0) {
-    return run_parallel_figure(static_cast<std::uint32_t>(shards), std::max(1, reps),
-                               std::max(1, tokens_per_switch),
-                               std::max(1, parallel_duration_ms), baseline_path,
-                               max_regression_pct, cli);
-  }
+  cli.parse(argc, argv);
   print_title("Scalability — per-switch NetSeer cost vs network size");
   print_paper("distributed FET scales linearly: per-switch overhead independent of size");
 

@@ -1,7 +1,6 @@
-// Flow-event store microbench: ingest throughput (in-memory, legacy
-// inline-durability, and group-commit durable), plus the query engine's
-// index/pruning behaviour and scatter-gather parallelism over a sealed
-// store.
+// Flow-event store microbench: ingest throughput (in-memory and
+// group-commit durable), plus the query engine's index/pruning behaviour
+// and scatter-gather parallelism over a sealed store.
 //
 //   bench_store --events 2000000 --reps 3
 //   bench_store --events 2000000 --baseline bench/BENCH_store.json
@@ -12,11 +11,10 @@
 // gate, same contract as bench_engine. The parallel-query phase always
 // asserts result parity with the serial cursor; its speedup gate is
 // hardware-aware (min_speedup_per_core x available cores, skipped on
-// single-core machines), same contract as bench_scalability. The query
-// phase asserts that time-windowed queries actually prune segments (the
-// whole point of the per-segment time fences); zero pruning fails the
-// run. All gated numbers also land in the --metrics-out snapshot, which
-// is what CI parses.
+// single-core machines). The query phase asserts that time-windowed
+// queries actually prune segments (the whole point of the per-segment
+// time fences); zero pruning fails the run. All gated numbers also land
+// in the --metrics-out snapshot, which is what CI parses.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -134,30 +132,12 @@ int main(int argc, char** argv) {
     if (eps > best_mem) best_mem = eps;
   }
 
-  // Phase 2: legacy durable ingest — per-event add() through the WAL,
-  // event generation inside the clock. Kept for continuity with the
-  // pre-group-commit baseline history; not gated.
-  const auto dir = std::filesystem::temp_directory_path() / "netseer_bench_store";
-  double best_dur = -1.0;
-  std::uint64_t wal_bytes = 0;
-  for (int rep = 0; rep < reps; ++rep) {
-    std::filesystem::remove_all(dir);
-    store::StoreOptions options;
-    options.dir = dir.string();
-    store::FlowEventStore fs(options);
-    const double wall = ingest_run(fs, events);
-    const double eps = static_cast<double>(events) / wall;
-    wal_bytes = fs.stats().wal_bytes;
-    std::printf("  wal ingest rep %d: %.3fs (%.2fM events/s, %.1f MB WAL)\n", rep, wall,
-                eps / 1e6, static_cast<double>(wal_bytes) / 1e6);
-    if (eps > best_dur) best_dur = eps;
-  }
-
-  // Phase 3: group-commit durable ingest — the batch-first API fed
+  // Phase 2: group-commit durable ingest — the batch-first API fed
   // pre-generated events (the clock sees the store, not the generator),
   // acknowledged ONLY by the durable watermark: no inline fsync, one
   // blocking sync() at the end, and the run fails unless every event is
   // inside the watermark afterwards. The other gated number.
+  const auto dir = std::filesystem::temp_directory_path() / "netseer_bench_store";
   std::vector<core::FlowEvent> pregen;
   pregen.reserve(events);
   {
@@ -203,7 +183,7 @@ int main(int argc, char** argv) {
   }
   std::filesystem::remove_all(dir);
 
-  // Phase 4: query engine over a sealed in-memory store. Narrow time
+  // Phase 3: query engine over a sealed in-memory store. Narrow time
   // windows must prune most segments via the min/max fences.
   store::FlowEventStore fs;
   (void)ingest_run(fs, events);
@@ -224,7 +204,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Phase 5: the same sweep scatter-gathered over a query pool. Result
+  // Phase 4: the same sweep scatter-gathered over a query pool. Result
   // parity with the serial cursor is unconditional; the speedup gate is
   // hardware-aware and skipped below 2 cores.
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
@@ -243,8 +223,6 @@ int main(int argc, char** argv) {
               pool_threads, 2000 / parallel_qwall, speedup);
 
   std::printf("  ingest mem        %.2fM events/s\n", best_mem / 1e6);
-  std::printf("  ingest wal        %.2fM events/s (inline add, generator on the clock)\n",
-              best_dur / 1e6);
   std::printf("  ingest gc         %.2fM events/s (group commit, watermark acks, "
               "%llu groups, %llu queue waits)\n",
               best_gc / 1e6, static_cast<unsigned long long>(gc_groups),
@@ -254,7 +232,6 @@ int main(int argc, char** argv) {
     telemetry::collect(cli.registry(), fs);
     auto& reg = cli.registry();
     reg.gauge("bench_store", "ingest_mem_eps").update_max(static_cast<std::int64_t>(best_mem));
-    reg.gauge("bench_store", "ingest_wal_eps").update_max(static_cast<std::int64_t>(best_dur));
     reg.gauge("bench_store", "ingest_gc_eps").update_max(static_cast<std::int64_t>(best_gc));
     reg.gauge("bench_store", "gc_fsync_groups")
         .update_max(static_cast<std::int64_t>(gc_groups));
@@ -308,9 +285,9 @@ int main(int argc, char** argv) {
                    best_gc, gc_floor);
       return 1;
     }
-    // Hardware-aware parallel-query gate, BENCH_parallel.json-style:
-    // on a single hardware thread a pool cannot beat the serial cursor,
-    // so only parity is enforced there.
+    // Hardware-aware parallel-query gate: on a single hardware thread a
+    // pool cannot beat the serial cursor, so only parity is enforced
+    // there.
     const double target_speedup = read_json_number(text, "query_target_speedup");
     const double per_core = read_json_number(text, "query_min_speedup_per_core");
     if (hw_threads >= 2 && target_speedup > 0 && per_core > 0) {

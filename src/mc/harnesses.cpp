@@ -1,15 +1,11 @@
 #include "mc/harnesses.h"
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <utility>
 #include <vector>
 
-#include "packet/packet.h"
-#include "packet/pool.h"
 #include "sim/spsc.h"
-#include "telemetry/metrics.h"
 
 namespace netseer::mc {
 namespace {
@@ -235,259 +231,6 @@ Result subscription_tail(const Options& options) {
   });
 }
 
-// ---------------------------------------------------------------------------
-// packet::Pool remote-release harness
-// ---------------------------------------------------------------------------
-
-/// The cross-shard pooled-packet protocol: the owner's acquire path
-/// (unlocked free list + lock-free remote_pending_ probe) races a
-/// non-owner thread releasing a handle through the mutex-guarded remote
-/// list. Every interleaving must keep the free list owner-only (the
-/// race instrumentation on Pool::free_ checks exactly that), lose no
-/// slot, and count the remote return.
-Result pool_remote_release(const Options& options) {
-  return explore(options, [] {
-    packet::Pool pool;  // owner: this model thread
-    MC_ASSERT(pool.owned_by_caller());
-    packet::PooledPacket crossed = pool.acquire(packet::Packet{});
-    Thread remote = spawn([&] {
-      MC_ASSERT(!pool.owned_by_caller());
-      crossed.reset();  // non-owner release: must take the remote path
-    });
-    // Owner keeps acquiring while the remote release is in flight; the
-    // drain may or may not observe it depending on the schedule.
-    packet::PooledPacket second = pool.acquire(packet::Packet{});
-    remote.join();
-    second.reset();
-    packet::PooledPacket third = pool.acquire(packet::Packet{});
-    MC_ASSERT(pool.remote_returns() == 1);
-    MC_ASSERT(pool.slots() >= 1 && pool.slots() <= 2);
-    MC_ASSERT(pool.reuses() >= 1);
-    third.reset();
-    // After the final release every slot ever materialized is back on
-    // the free list (drained from the remote list at the latest by the
-    // third acquire, which happens-after the remote release via join).
-    MC_ASSERT(pool.free_slots() == pool.slots());
-  });
-}
-
-// ---------------------------------------------------------------------------
-// telemetry::Registry cross-merge harness
-// ---------------------------------------------------------------------------
-
-/// Two threads merge two registries into each other concurrently while
-/// the mutexes are the real (instrumented) util::Mutex. merge_from's
-/// contract is copy-under-source-lock THEN fold-under-own-lock, never
-/// holding both — so the cross merge must be deadlock-free in every
-/// schedule, and the outcome must be one of the three linearizable
-/// results.
-Result registry_cross_merge(const Options& options) {
-  return explore(options, [] {
-    telemetry::Registry a;
-    telemetry::Registry b;
-    a.counter("mc", "x").add(1);
-    b.counter("mc", "x").add(2);
-    Thread t1 = spawn([&] { a.merge_from(b); });
-    Thread t2 = spawn([&] { b.merge_from(a); });
-    t1.join();
-    t2.join();
-    const std::uint64_t ax = a.total("mc", "x");
-    const std::uint64_t bx = b.total("mc", "x");
-    // t1 fully before t2: a=3 then b=2+3=5. t2 fully first: b=3, a=1+3=4.
-    // Both copy before either folds: a=3, b=3.
-    MC_ASSERT((ax == 3 && bx == 5) || (ax == 4 && bx == 3) || (ax == 3 && bx == 3));
-  });
-}
-
-// ---------------------------------------------------------------------------
-// 2-shard CMB window miniature
-// ---------------------------------------------------------------------------
-
-/// A faithful miniature of ParallelSimulator's conservative window
-/// protocol (src/sim/parallel.cpp): per-shard local events and pending
-/// arrivals, SPSC inboxes (the REAL sim::SpscRing), the published
-/// shard-minimum reduction, the same acq_rel arrived_/round_ barrier
-/// chain — with the window execution collapsed to one virtual tick
-/// (windows are width-lookahead; the miniature uses lookahead = 1).
-///
-/// Invariants asserted in EVERY schedule:
-///   - windows move strictly forward on each shard (no rewind),
-///   - no arrival is ever older than the window executing it,
-///   - nothing deadlocks or livelocks,
-///   - each shard's delivery log is bit-identical to the serial
-///     reference (no lost message, no reorder).
-///
-/// `close_barrier=false` removes the second barrier — the seeded bug.
-/// Without it a shard can publish its minimum and reduce before a peer
-/// finishes producing messages for it; an in-flight message then escapes
-/// the termination reduction and is lost (or a window rewinds). The
-/// checker must find such a schedule.
-namespace cmb {
-
-constexpr int kLookahead = 1;
-constexpr int kNoPending = 1 << 20;
-
-struct Msg {
-  int when = 0;
-  int src = 0;
-  int seq = 0;
-  int payload = 0;
-};
-
-bool canonical_before(const Msg& x, const Msg& y) {
-  if (x.when != y.when) return x.when < y.when;
-  if (x.src != y.src) return x.src < y.src;
-  return x.seq < y.seq;
-}
-
-struct Event {
-  int when = 0;
-  int payload = 0;  // sent to the peer shard, arriving at when + kLookahead
-};
-
-using Delivery = std::pair<int, int>;  // (tick, payload)
-
-/// The serial reference: same windows, same canonical order, no
-/// concurrency. Deterministic by construction.
-std::array<std::vector<Delivery>, 2> serial_reference(
-    const std::array<std::vector<Event>, 2>& events, int limit) {
-  std::array<std::vector<Msg>, 2> pending;
-  std::array<std::size_t, 2> next{0, 0};
-  std::array<int, 2> seq{0, 0};
-  std::array<std::vector<Delivery>, 2> log;
-  for (;;) {
-    int g = kNoPending;
-    for (int s = 0; s < 2; ++s) {
-      if (next[s] < events[s].size()) g = std::min(g, events[s][next[s]].when);
-      for (const Msg& m : pending[s]) g = std::min(g, m.when);
-    }
-    if (g > limit) break;
-    const int tick = g;
-    for (int s = 0; s < 2; ++s) {
-      std::vector<Msg> due;
-      std::vector<Msg> rest;
-      for (const Msg& m : pending[s]) (m.when == tick ? due : rest).push_back(m);
-      pending[s] = std::move(rest);
-      std::sort(due.begin(), due.end(), canonical_before);
-      for (const Msg& m : due) log[s].emplace_back(tick, m.payload);
-      while (next[s] < events[s].size() && events[s][next[s]].when == tick) {
-        const Event& ev = events[s][next[s]++];
-        pending[1 - s].push_back(Msg{tick + kLookahead, s, seq[s]++, ev.payload});
-      }
-    }
-  }
-  return log;
-}
-
-struct Shard {
-  explicit Shard(std::vector<Event> evs) : events(std::move(evs)), inbox(8) {}
-  std::vector<Event> events;
-  std::size_t next_event = 0;
-  int send_seq = 0;
-  int last_tick = 0;
-  std::vector<Msg> pending;
-  std::vector<Delivery> log;
-  sim::SpscRing<Msg> inbox;  // the real instrumented primitive
-};
-
-struct World {
-  explicit World(std::array<std::vector<Event>, 2> events)
-      : shards{Shard(std::move(events[0])), Shard(std::move(events[1]))} {}
-  std::array<Shard, 2> shards;
-  Atomic<int> arrived{0};
-  Atomic<int> round{0};
-  Atomic<int> window_start{0};
-  Atomic<bool> done{false};
-  std::array<Atomic<int>, 2> shard_min;
-};
-
-/// Mirror of ParallelSimulator::barrier — same memory orders, with the
-/// parked spin loop expressed as mc::await.
-void barrier(World& w, bool reduce, int limit) {
-  const int round = w.round.load(std::memory_order_acquire);
-  if (w.arrived.fetch_add(1, std::memory_order_acq_rel) == 1) {
-    w.arrived.store(0, std::memory_order_relaxed);
-    if (reduce) {
-      const int g = std::min(w.shard_min[0].load(std::memory_order_relaxed),
-                             w.shard_min[1].load(std::memory_order_relaxed));
-      if (g > limit) {
-        w.done.store(true, std::memory_order_relaxed);
-      } else {
-        w.window_start.store(g, std::memory_order_relaxed);
-      }
-    }
-    w.round.fetch_add(1, std::memory_order_acq_rel);
-  } else {
-    await([&] { return w.round.load(std::memory_order_acquire) != round; });
-  }
-}
-
-void worker(World& w, int id, int limit, bool close_barrier) {
-  Shard& s = w.shards[static_cast<std::size_t>(id)];
-  for (;;) {
-    // Phase A: drain the inbox, publish the earliest pending timestamp.
-    Msg m;
-    while (!s.inbox.empty()) {
-      MC_ASSERT(s.inbox.try_pop(m));
-      s.pending.push_back(m);
-    }
-    int local_min = kNoPending;
-    if (s.next_event < s.events.size()) {
-      local_min = std::min(local_min, s.events[s.next_event].when);
-    }
-    for (const Msg& p : s.pending) local_min = std::min(local_min, p.when);
-    w.shard_min[static_cast<std::size_t>(id)].store(local_min, std::memory_order_relaxed);
-    barrier(w, /*reduce=*/true, limit);
-    if (w.done.load(std::memory_order_relaxed)) return;
-    // Phase B: execute the window (one tick at lookahead 1).
-    const int tick = w.window_start.load(std::memory_order_relaxed);
-    MC_ASSERT(tick > s.last_tick);  // windows never rewind
-    s.last_tick = tick;
-    std::vector<Msg> due;
-    std::vector<Msg> rest;
-    for (const Msg& p : s.pending) (p.when == tick ? due : rest).push_back(p);
-    s.pending = std::move(rest);
-    for (const Msg& p : s.pending) MC_ASSERT(p.when > tick);  // no arrival from the past
-    std::sort(due.begin(), due.end(), canonical_before);
-    for (const Msg& d : due) s.log.emplace_back(tick, d.payload);
-    while (s.next_event < s.events.size() && s.events[s.next_event].when == tick) {
-      const Event& ev = s.events[s.next_event++];
-      Msg out{tick + kLookahead, id, s.send_seq++, ev.payload};
-      MC_ASSERT(w.shards[static_cast<std::size_t>(1 - id)].inbox.try_push(out));
-    }
-    if (close_barrier) barrier(w, /*reduce=*/false, limit);
-  }
-}
-
-Result run(const Options& options, bool close_barrier) {
-  // One event, one cross-shard message: shard 0 executes at tick 1 and
-  // sends to shard 1, which delivers at tick 2. Small on purpose — this
-  // already forces two full window rounds plus the termination round,
-  // and it is the smallest workload where dropping the close barrier
-  // loses the message (or rewinds a window) in some schedule: shard 1
-  // races ahead, publishes its min before the in-flight message lands,
-  // and the termination reduction never sees it. Larger event sets
-  // multiply the schedule count past CI budgets without reaching new
-  // protocol states.
-  const std::array<std::vector<Event>, 2> events = {
-      std::vector<Event>{{1, 100}},
-      std::vector<Event>{},
-  };
-  constexpr int kLimit = 2;
-  const auto expected = serial_reference(events, kLimit);
-  return explore(options, [&] {
-    World w(events);
-    Thread t0 = spawn([&] { worker(w, 0, kLimit, close_barrier); });
-    Thread t1 = spawn([&] { worker(w, 1, kLimit, close_barrier); });
-    t0.join();
-    t1.join();
-    MC_ASSERT(w.shards[0].log == expected[0]);
-    MC_ASSERT(w.shards[1].log == expected[1]);
-  });
-}
-
-}  // namespace cmb
-
 }  // namespace
 
 const std::vector<Harness>& all_harnesses() {
@@ -517,22 +260,6 @@ const std::vector<Harness>& all_harnesses() {
                           "subscription tailing the watermark: exactly-once, in-order, "
                           "race-free delivery in every schedule",
                           /*expect_failure=*/false, Options{}, subscription_tail});
-    all.push_back(Harness{"pool_remote_release",
-                          "packet::Pool cross-thread release vs owner acquire/drain",
-                          /*expect_failure=*/false, Options{}, pool_remote_release});
-    all.push_back(Harness{"registry_cross_merge",
-                          "Registry::merge_from cross-merge: deadlock-free, linearizable totals",
-                          /*expect_failure=*/false, Options{}, registry_cross_merge});
-    all.push_back(Harness{"cmb_window",
-                          "2-shard CMB window protocol: no deadlock, no lost/rewound messages, "
-                          "per-actor order == serial reference",
-                          /*expect_failure=*/false, Options{},
-                          [](const Options& o) { return cmb::run(o, /*close_barrier=*/true); }});
-    all.push_back(Harness{"cmb_seeded_lost_window",
-                          "seeded bug: dropping the window-close barrier must lose or rewind a "
-                          "message in some schedule",
-                          /*expect_failure=*/true, Options{},
-                          [](const Options& o) { return cmb::run(o, /*close_barrier=*/false); }});
     return all;
   }();
   return harnesses;

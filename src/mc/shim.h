@@ -1,14 +1,14 @@
 #pragma once
 
 /// Atomic shim for model-checkable production code. Concurrency
-/// primitives that the model checker exercises (sim/spsc.h,
-/// packet/pool.*) declare their atomics as netseer::mc_shim::atomic<T>
-/// and mark the non-atomic cells those atomics publish with
-/// NETSEER_MC_READ/NETSEER_MC_WRITE. In normal builds this header
-/// aliases std::atomic and the macros compile to nothing — zero cost,
-/// zero behavior change. Under -DNETSEER_MC (the netseer_mc_core
-/// library) the same source compiles against the instrumented
-/// mc::Atomic, so the code the checker explores is the code that ships.
+/// primitives that the model checker exercises (sim/spsc.h) declare
+/// their atomics as netseer::mc_shim::atomic<T> and mark the non-atomic
+/// cells those atomics publish with NETSEER_MC_READ/NETSEER_MC_WRITE.
+/// In normal builds this header aliases std::atomic and the macros
+/// compile to nothing — zero cost, zero behavior change. Under
+/// -DNETSEER_MC (the netseer_mc_core library) the same source compiles
+/// against the instrumented mc::Atomic, so the code the checker explores
+/// is the code that ships.
 #if defined(NETSEER_MC)
 
 #include "mc/runtime.h"

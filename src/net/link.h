@@ -68,9 +68,6 @@ class Link : public PacketSink {
   [[nodiscard]] util::SimDuration delay() const { return delay_; }
   [[nodiscard]] Node& peer() const { return peer_; }
   [[nodiscard]] util::PortId peer_port() const { return peer_port_; }
-  /// NodeId of the transmitting end (the partitioner walks links as
-  /// (from_node, peer) edges to find cut links and the lookahead bound).
-  [[nodiscard]] util::NodeId from_node() const { return from_node_; }
 
   [[nodiscard]] std::uint64_t packets_carried() const { return carried_; }
   [[nodiscard]] std::uint64_t bytes_carried() const { return bytes_carried_; }

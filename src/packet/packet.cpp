@@ -67,9 +67,8 @@ std::string Packet::summary() const {
 }
 
 util::PacketUid next_packet_uid() {
-  // NETSEER_LINT_ALLOW(raw-sync): process-wide uid tick, deliberately not an
-  // mc_shim::atomic — uid draws would explode the mc interleaving space and
-  // uniqueness is the only property anything relies on.
+  // Process-wide uid tick; uniqueness is the only property anything
+  // relies on.
   static std::atomic<util::PacketUid> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }

@@ -1,7 +1,5 @@
 #include "packet/pool.h"
 
-#include <cassert>
-
 namespace netseer::packet {
 
 Pool& Pool::local() {
@@ -10,15 +8,8 @@ Pool& Pool::local() {
 }
 
 PooledPacket Pool::acquire(Packet&& pkt) {
-  // Owner-thread discipline: the free list is intentionally unlocked, so
-  // an off-owner acquire is a data race, not just a perf bug. Debug
-  // builds fail fast here; the mc harness proves the discipline holds
-  // across every schedule of the remote-release protocol.
-  assert(owned_by_caller() && "Pool::acquire called off the owner thread (bind_owner first)");
-  if (remote_pending_.load(std::memory_order_acquire)) drain_remote();
   ++acquires_;
   Packet* slot;
-  NETSEER_MC_WRITE(&free_, "Pool::free_");
   if (!free_.empty()) {
     ++reuses_;
     slot = free_.back();
@@ -43,31 +34,9 @@ void Pool::release(Packet* pkt) {
   // extends a payload's lifetime; header fields are plain values and get
   // overwritten wholesale by the next acquire.
   pkt->control.reset();
-  if (!owned_by_caller()) {
-    release_remote(pkt);
-    return;
-  }
-  NETSEER_MC_WRITE(&free_, "Pool::free_");
   // NETSEER_LINT_ALLOW(hot-alloc): free-list push reuses capacity at steady
   // state; growth is bounded by the high-water in-flight population.
   free_.push_back(pkt);
-}
-
-void Pool::release_remote(Packet* pkt) {
-  remote_returns_.fetch_add(1, std::memory_order_relaxed);
-  {
-    util::MutexLock lock(remote_mu_);
-    remote_.push_back(pkt);
-  }
-  remote_pending_.store(true, std::memory_order_release);
-}
-
-void Pool::drain_remote() {
-  util::MutexLock lock(remote_mu_);
-  NETSEER_MC_WRITE(&free_, "Pool::free_");
-  free_.insert(free_.end(), remote_.begin(), remote_.end());
-  remote_.clear();
-  remote_pending_.store(false, std::memory_order_relaxed);
 }
 
 }  // namespace netseer::packet

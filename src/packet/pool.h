@@ -2,13 +2,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <thread>
 #include <vector>
 
-#include "mc/shim.h"
 #include "packet/packet.h"
 #include "util/annotations.h"
-#include "util/thread_annotations.h"
 
 namespace netseer::packet {
 
@@ -38,9 +35,7 @@ class PooledPacket {
   }
   PooledPacket(const PooledPacket&) = delete;
   PooledPacket& operator=(const PooledPacket&) = delete;
-  // noexcept(false) only under NETSEER_MC: release is a scheduling point
-  // there, and run teardown unwinds parked threads with an exception.
-  ~PooledPacket() NETSEER_MC_NOEXCEPT_FALSE { reset(); }
+  ~PooledPacket() { reset(); }
 
   [[nodiscard]] explicit operator bool() const { return pkt_ != nullptr; }
   [[nodiscard]] Packet& operator*() { return *pkt_; }
@@ -67,12 +62,8 @@ class PooledPacket {
 /// steady-state hot path (a frame hopping link -> switch -> link) reuses
 /// the same few cache-warm slots and never touches the allocator.
 ///
-/// Owner-threaded, like the simulator shard it feeds: acquire() and the
-/// free-list fast path belong to one thread (the constructor's, or the
-/// one that last called bind_owner()). A handle released from ANOTHER
-/// thread — a packet that crossed a shard boundary and died there — takes
-/// the slow path: the slot goes onto a mutex-guarded remote-return list
-/// that the owner folds back into its free list on the next acquire.
+/// Single-threaded, like the simulator it feeds: acquire() and every
+/// handle release must happen on one thread.
 /// hit-rate telemetry: reuses()/acquires() is exported as the
 /// pool.hit_rate gauge (basis points) — a low value means the in-flight
 /// population keeps growing, i.e. the pool is being used somewhere
@@ -81,25 +72,14 @@ class Pool {
  public:
   static constexpr std::size_t kChunkPackets = 64;
 
-  Pool() : owner_(std::this_thread::get_id()) {}
+  Pool() = default;
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
 
   /// Process-wide pool shared by every link/port/pipeline hop.
   [[nodiscard]] static Pool& local();
 
-  /// Adopt the calling thread as the owner of the fast path. A shard
-  /// worker calls this on its per-shard pool before the run; only the
-  /// owner may call acquire().
-  void bind_owner() { owner_ = std::this_thread::get_id(); }
-
-  /// True when the calling thread is the fast-path owner. acquire()
-  /// asserts this in debug builds; callers unsure of their shard
-  /// affinity (tests, diagnostics) can check explicitly.
-  [[nodiscard]] bool owned_by_caller() const { return std::this_thread::get_id() == owner_; }
-
   /// Park `pkt` in a recycled slot and get the small handle for it.
-  /// Owner thread only (enforced by a debug-build assertion).
   [[nodiscard]] NETSEER_HOT PooledPacket acquire(Packet&& pkt);
 
   [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
@@ -108,10 +88,6 @@ class Pool {
   /// Distinct slots ever materialized (high-water in-flight population).
   [[nodiscard]] std::size_t slots() const { return slot_count_; }
   [[nodiscard]] std::size_t free_slots() const { return free_.size(); }
-  /// Slots released from non-owner threads over the pool's lifetime.
-  [[nodiscard]] std::uint64_t remote_returns() const {
-    return remote_returns_.load(std::memory_order_relaxed);
-  }
 
  private:
   friend class PooledPacket;
@@ -119,26 +95,12 @@ class Pool {
   /// current one fills. The only allocating branch of acquire().
   NETSEER_HOT_ALLOW_INIT Packet* materialize_slot();
   NETSEER_HOT void release(Packet* pkt);
-  /// Off-owner slow path; mutex + vector growth are the point.
-  NETSEER_HOT_ALLOW_INIT void release_remote(Packet* pkt) NETSEER_EXCLUDES(remote_mu_);
-  NETSEER_HOT_ALLOW_INIT void drain_remote() NETSEER_EXCLUDES(remote_mu_);
 
-  // Owner-thread-only state: the free-list fast path. Not lock-guarded
-  // by design — the owner discipline (bind_owner + the acquire()
-  // assertion) is what makes it safe, and the model checker's race
-  // instrumentation on free_ verifies that discipline holds in every
-  // explored schedule.
   std::vector<std::unique_ptr<Packet[]>> chunks_;
   std::vector<Packet*> free_;
   std::size_t slot_count_ = 0;
   std::uint64_t acquires_ = 0;
   std::uint64_t reuses_ = 0;
-
-  std::thread::id owner_;
-  mc_shim::atomic<bool> remote_pending_{false};  // checked lock-free on acquire
-  mc_shim::atomic<std::uint64_t> remote_returns_{0};
-  util::Mutex remote_mu_;
-  std::vector<Packet*> remote_ NETSEER_GUARDED_BY(remote_mu_);
 };
 
 inline void PooledPacket::reset() {

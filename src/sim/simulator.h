@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -106,16 +105,6 @@ class Simulator {
     if (interval < 1) interval = 1;
     return schedule_task(now_ + interval, std::forward<F>(fn), /*oneshot=*/false, interval);
   }
-
-  /// Sentinel returned by next_event_time() when nothing is pending.
-  static constexpr SimTime kNoPending = std::numeric_limits<SimTime>::max();
-
-  /// Fire time of the earliest pending entry (cancelled-but-unreaped
-  /// entries included), or kNoPending when the queue is empty. May claim
-  /// internal queue structures (exactly like the run loop does) but never
-  /// fires an event or advances now(); the parallel engine uses it to
-  /// publish each shard's conservative local minimum.
-  [[nodiscard]] SimTime next_event_time() { return prepare() ? peek_when() : kNoPending; }
 
   /// Run until the queue drains or stop() is called. Must not be called
   /// re-entrantly from inside a callback.

@@ -9,16 +9,16 @@
 
 namespace netseer::sim {
 
-/// Bounded single-producer single-consumer ring, the cross-shard mailbox
-/// primitive of the parallel engine. Exactly one thread may push and one
-/// may pop; the indices carry acquire/release ordering so the payload
-/// write in try_push happens-before the payload read in try_pop without
-/// any lock on the message path.
+/// Bounded single-producer single-consumer ring, the batch hand-off
+/// between the store's ingest thread and its group-commit writer.
+/// Exactly one thread may push and one may pop; the indices carry
+/// acquire/release ordering so the payload write in try_push
+/// happens-before the payload read in try_pop without any lock on the
+/// message path.
 ///
 /// Capacity is rounded up to a power of two. A full ring rejects the
 /// push (try_push returns false WITHOUT consuming the value) — the
-/// caller owns the backpressure policy; the engine drains its own
-/// inboxes while it waits so producer/consumer cycles cannot deadlock.
+/// caller owns the backpressure policy.
 template <typename T>
 class SpscRing {
  public:

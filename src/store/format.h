@@ -24,7 +24,7 @@ namespace netseer::store {
 
 /// On-disk building blocks shared by the WAL and segment files. All
 /// multi-byte integers are little-endian, written byte by byte so the
-/// format is host-independent (same convention as backend/persistence).
+/// format is host-independent.
 ///
 /// Row: one StoredEvent as persisted everywhere in this subsystem — the
 /// 24-byte event wire encoding (§4) plus the backend-side metadata:

@@ -9,7 +9,6 @@
 #include "pdp/resources.h"
 #include "pdp/switch.h"
 #include "detect/service.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "store/store.h"
 
@@ -22,7 +21,6 @@ constexpr std::string_view kBackend = "backend";
 constexpr std::string_view kStore = "store";
 constexpr std::string_view kDetect = "detect";
 constexpr std::string_view kSim = "sim";
-constexpr std::string_view kParallel = "parallel";
 }  // namespace
 
 void collect(Registry& registry, const pdp::Switch& sw) {
@@ -287,31 +285,6 @@ void collect(Registry& registry, const sim::Simulator& sim, double wall_seconds)
         .update_max(static_cast<std::int64_t>(pool.reuses() * 10'000 / pool.acquires()));
     registry.gauge(kSim, "pool.slots")
         .update_max(static_cast<std::int64_t>(pool.slots()));
-  }
-}
-
-void collect(Registry& registry, const sim::ParallelSimulator& sim, double wall_seconds) {
-  const std::uint64_t events = sim.events_processed();
-  registry.counter(kParallel, "events_processed").add(events);
-  registry.counter(kParallel, "windows").add(sim.windows());
-  registry.gauge(kParallel, "shards").update_max(static_cast<std::int64_t>(sim.shards()));
-  registry.gauge(kParallel, "lookahead_ns").update_max(sim.lookahead());
-  registry.gauge(kParallel, "virtual_time_ns").update_max(sim.now());
-  registry.counter(kParallel, "wall_time_us")
-      .add(static_cast<std::uint64_t>(wall_seconds * 1e6));
-  if (wall_seconds > 0) {
-    registry.gauge(kParallel, "events_per_sec")
-        .update_max(static_cast<std::int64_t>(static_cast<double>(events) / wall_seconds));
-  }
-  for (std::uint32_t s = 0; s < sim.shards(); ++s) {
-    const sim::ShardStats stats = sim.shard_stats(s);
-    // Node = shard index: shards are the "nodes" of the parallel engine.
-    const auto node = static_cast<util::NodeId>(s);
-    registry.counter(kParallel, "shard.events", node).add(stats.events);
-    registry.counter(kParallel, "shard.sends_cross", node).add(stats.sends_cross);
-    registry.counter(kParallel, "shard.sends_local", node).add(stats.sends_local);
-    registry.counter(kParallel, "shard.mailbox_stalls", node).add(stats.mailbox_stalls);
-    registry.counter(kParallel, "shard.sends_clamped", node).add(stats.sends_clamped);
   }
 }
 

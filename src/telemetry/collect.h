@@ -21,7 +21,6 @@ class DetectService;
 }
 namespace netseer::sim {
 class Simulator;
-class ParallelSimulator;
 }
 
 namespace netseer::telemetry {
@@ -79,13 +78,5 @@ void collect(Registry& registry, const detect::DetectService& service);
 /// (sim.alloc_per_event_ppm, parts per million of schedules), and packet
 /// pool recycling (sim.pool.hit_rate_bps / sim.pool.slots).
 void collect(Registry& registry, const sim::Simulator& sim, double wall_seconds);
-
-/// Subsystem "parallel": aggregate events and throughput of a sharded
-/// run (parallel.events_processed / events_per_sec), conservative windows
-/// executed (parallel.windows), and per-shard series keyed by node =
-/// shard index (parallel.shard.events / sends_cross / sends_local /
-/// mailbox_stalls / sends_clamped). Call after run_until has returned —
-/// shard state is only quiescent between runs.
-void collect(Registry& registry, const sim::ParallelSimulator& sim, double wall_seconds);
 
 }  // namespace netseer::telemetry

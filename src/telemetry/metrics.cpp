@@ -11,28 +11,4 @@ std::uint64_t Registry::total(std::string_view subsystem, std::string_view name)
   return sum;
 }
 
-void Registry::merge_from(const Registry& other) {
-  // Folding a registry into itself would double every counter and
-  // histogram (the fold reads the snapshot taken one line earlier); the
-  // only sensible semantic for a self-merge is a no-op.
-  if (this == &other) return;
-  // Snapshot the source under its own lock, then fold under ours — same
-  // never-hold-both discipline as operator=.
-  const auto counters = other.counters();
-  const auto gauges = other.gauges();
-  const auto histograms = other.histograms();
-  util::MutexLock lock(mu_);
-  for (const auto& [k, counter] : counters) {
-    counters_[k].add(counter.value());
-  }
-  for (const auto& [k, gauge] : gauges) {
-    Gauge& mine = gauges_[k];
-    mine.update_max(gauge.value());
-    mine.update_max(gauge.peak());
-  }
-  for (const auto& [k, histogram] : histograms) {
-    histograms_[k].merge(histogram);
-  }
-}
-
 }  // namespace netseer::telemetry

@@ -171,14 +171,6 @@ class Registry {
   [[nodiscard]] std::uint64_t total(std::string_view subsystem, std::string_view name) const
       NETSEER_EXCLUDES(mu_);
 
-  /// Fold `other` into this registry: counters add, gauges max-merge
-  /// (levels and peaks), histograms merge. The parallel engine's
-  /// per-shard registries are combined with this at snapshot time, after
-  /// the shard threads have joined. Takes `other` by const ref but copies
-  /// it first, so the two-lock ordering concern of operator= applies
-  /// identically (never holds both locks).
-  void merge_from(const Registry& other) NETSEER_EXCLUDES(mu_);
-
   void clear() NETSEER_EXCLUDES(mu_) {
     util::MutexLock lock(mu_);
     counters_.clear();

@@ -25,13 +25,13 @@
 #if defined(NETSEER_MC)
 
 // In model-checked builds, destructors that reach scheduling points
-// (unlocks, pooled-packet releases) must be able to propagate the
-// checker's internal unwind exception; see mc/runtime.h.
+// (unlocks) must be able to propagate the checker's internal unwind
+// exception; see mc/runtime.h.
 #define NETSEER_MC_NOEXCEPT_FALSE noexcept(false)
 
 // Model-checked builds: util::Mutex routes through the mc runtime so
-// every mutex in code compiled into netseer_mc_core (telemetry
-// Registry, packet Pool) is a scheduling point the checker explores.
+// every mutex in code compiled into netseer_mc_core (the telemetry
+// Registry) is a scheduling point the checker explores.
 // Declared here (defined in mc/runtime.cpp) to avoid an include cycle
 // with mc/runtime.h, which needs the macros above.
 namespace netseer::mc::detail {

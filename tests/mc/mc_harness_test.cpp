@@ -1,8 +1,6 @@
 // The shipped harnesses (src/mc/harnesses.cpp), run through their own
 // pass criteria: correctness harnesses must EXHAUST their schedule
-// space cleanly, seeded-bug harnesses must get caught. The big
-// cmb_window space runs as a ctest entry of the netseer_mc binary
-// (model_check_cmb_window) rather than here, to keep this test quick.
+// space cleanly, seeded-bug harnesses must get caught.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,10 +38,10 @@ TEST_P(McHarness, PassesItsOwnCriteria) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllButCmbWindow, McHarness,
+INSTANTIATE_TEST_SUITE_P(Shipped, McHarness,
                          ::testing::Values("spsc_serial", "spsc_handoff", "spsc_seeded_relaxed",
-                                           "pool_remote_release", "registry_cross_merge",
-                                           "cmb_seeded_lost_window"),
+                                           "group_commit_watermark", "group_commit_seeded_relaxed",
+                                           "subscription_tail"),
                          [](const auto& info) { return std::string(info.param); });
 
 TEST(McHarnessRegistry, NamesAreUniqueAndSummariesPresent) {
@@ -59,18 +57,16 @@ TEST(McHarnessRegistry, NamesAreUniqueAndSummariesPresent) {
 }
 
 TEST(McHarnessRegistry, CoversTheRequiredPrimitives) {
-  // The concurrency-correctness contract: the SPSC ring, the packet
-  // pool's remote release, the registry cross-merge, and the 2-shard
-  // CMB window protocol each have an exhaustive harness, and at least
-  // one seeded-bug harness proves the checker's teeth.
-  bool seeded = false;
-  for (const char* required : {"spsc_handoff", "pool_remote_release", "registry_cross_merge",
-                               "cmb_window"}) {
-    const Harness& harness = find(required);
-    EXPECT_FALSE(harness.expect_failure) << required;
+  // The concurrency-correctness contract: the SPSC ring, the group-commit
+  // watermark and the subscription tail each have an exhaustive harness,
+  // and the ring and the watermark each have a seeded-bug twin that
+  // proves the checker's teeth on them.
+  for (const char* required : {"spsc_handoff", "group_commit_watermark", "subscription_tail"}) {
+    EXPECT_FALSE(find(required).expect_failure) << required;
   }
-  for (const Harness& h : all_harnesses()) seeded = seeded || h.expect_failure;
-  EXPECT_TRUE(seeded);
+  for (const char* seeded : {"spsc_seeded_relaxed", "group_commit_seeded_relaxed"}) {
+    EXPECT_TRUE(find(seeded).expect_failure) << seeded;
+  }
 }
 
 }  // namespace

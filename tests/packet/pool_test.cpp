@@ -4,7 +4,6 @@
 // loop at the end is the ASan canary for use-after-release bugs.
 #include <gtest/gtest.h>
 
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -114,73 +113,6 @@ TEST(Pool, InFlightPopulationGrowsChunkwise) {
   }
   in_flight.clear();
   EXPECT_EQ(pool.free_slots(), Pool::kChunkPackets + 1);
-}
-
-TEST(Pool, RemoteReleaseReturnsSlotToOwnerFreeList) {
-  // The cross-shard path: a packet acquired on the owner thread dies on
-  // another thread (it crossed a shard boundary and was consumed there).
-  // The slot takes the remote-return list and must be reusable by the
-  // owner on its next acquire.
-  Pool pool;
-  auto slot = pool.acquire(make_packet(7));
-  std::thread other([handle = std::move(slot)]() mutable { handle.reset(); });
-  other.join();
-  EXPECT_EQ(pool.remote_returns(), 1u);
-  EXPECT_EQ(pool.free_slots(), 0u);  // parked on the remote list, not free_ yet
-
-  auto again = pool.acquire(make_packet(8));  // drains the remote list first
-  EXPECT_EQ(again->uid, 8u);
-  EXPECT_EQ(pool.slots(), 1u);  // the remotely-returned slot was reused
-  EXPECT_EQ(pool.reuses(), 1u);
-}
-
-TEST(Pool, BindOwnerMovesTheFastPath) {
-  Pool pool;
-  std::thread shard([&] {
-    pool.bind_owner();
-    auto slot = pool.acquire(make_packet(1));
-    slot.reset();  // owner release: straight to the free list
-    EXPECT_EQ(pool.free_slots(), 1u);
-    EXPECT_EQ(pool.remote_returns(), 0u);
-  });
-  shard.join();
-  // This (original) thread is now the foreign one.
-  pool.bind_owner();  // take ownership back before touching acquire again
-  auto slot = pool.acquire(make_packet(2));
-  EXPECT_EQ(pool.reuses(), 1u);
-}
-
-TEST(Pool, OwnedByCallerTracksBindOwner) {
-  // acquire() is owner-thread-only (debug builds assert it); callers
-  // unsure of their shard affinity probe owned_by_caller() first.
-  Pool pool;
-  EXPECT_TRUE(pool.owned_by_caller());  // constructor adopts this thread
-  std::thread shard([&] {
-    EXPECT_FALSE(pool.owned_by_caller());
-    pool.bind_owner();
-    EXPECT_TRUE(pool.owned_by_caller());
-    auto slot = pool.acquire(make_packet(3));  // legal: we own it now
-    slot.reset();
-  });
-  shard.join();
-  EXPECT_FALSE(pool.owned_by_caller());  // ownership stayed with the shard
-  pool.bind_owner();
-  EXPECT_TRUE(pool.owned_by_caller());
-}
-
-TEST(Pool, ManyRemoteReleasesAllComeBack) {
-  constexpr std::uint64_t kPackets = 256;
-  Pool pool;
-  std::vector<PooledPacket> in_flight;
-  for (std::uint64_t i = 0; i < kPackets; ++i) {
-    in_flight.push_back(pool.acquire(make_packet(i)));
-  }
-  std::thread other([batch = std::move(in_flight)]() mutable { batch.clear(); });
-  other.join();
-  EXPECT_EQ(pool.remote_returns(), kPackets);
-  pool.acquire(make_packet(0)).reset();  // one owner acquire folds them in
-  EXPECT_EQ(pool.free_slots(), kPackets);
-  EXPECT_EQ(pool.slots(), kPackets);
 }
 
 }  // namespace

@@ -129,84 +129,5 @@ TEST(Registry, SizeClearAndKinds) {
   EXPECT_TRUE(reg.empty());
 }
 
-TEST(Registry, MergeFromAddsCountersMaxesGaugesAndMergesHistograms) {
-  // The parallel engine's shard registries fold into one at snapshot
-  // time: counters are additive, gauges take the max (level and peak),
-  // histograms merge sample-for-sample.
-  Registry shard_a;
-  Registry shard_b;
-  shard_a.counter("pdp", "drops", 1).add(3);
-  shard_b.counter("pdp", "drops", 1).add(4);
-  shard_b.counter("pdp", "drops", 2).add(5);  // only shard b has node 2
-  shard_a.gauge("pdp", "queue.peak", 1).set(10);
-  shard_b.gauge("pdp", "queue.peak", 1).set(7);
-  shard_a.histogram("core", "batch", 1).record(2.0);
-  shard_b.histogram("core", "batch", 1).record(8.0);
-
-  Registry merged;
-  merged.gauge("pdp", "queue.peak", 1).set(2);  // pre-existing, lower
-  merged.merge_from(shard_a);
-  merged.merge_from(shard_b);
-
-  EXPECT_EQ(merged.counter("pdp", "drops", 1).value(), 7u);
-  EXPECT_EQ(merged.counter("pdp", "drops", 2).value(), 5u);
-  EXPECT_EQ(merged.gauge("pdp", "queue.peak", 1).value(), 10);
-  EXPECT_EQ(merged.gauge("pdp", "queue.peak", 1).peak(), 10);
-  EXPECT_EQ(merged.histogram("core", "batch", 1).summary().count(), 2u);
-  EXPECT_EQ(merged.total("pdp", "drops"), 12u);
-  // Sources are untouched.
-  EXPECT_EQ(shard_a.counter("pdp", "drops", 1).value(), 3u);
-}
-
-TEST(Registry, MergeFromPreservesGaugePeaksAboveCurrentLevels) {
-  Registry source;
-  Gauge& g = source.gauge("sim", "depth");
-  g.set(100);  // peak 100
-  g.set(1);    // level back down
-  Registry merged;
-  merged.merge_from(source);
-  EXPECT_EQ(merged.gauge("sim", "depth").peak(), 100);
-}
-
-TEST(Registry, MergeFromEmptySourceIsANoOp) {
-  Registry target;
-  target.counter("pdp", "drops", 1).add(3);
-  target.gauge("sim", "depth").set(9);
-  const Registry empty;
-  target.merge_from(empty);
-  EXPECT_EQ(target.size(), 2u);
-  EXPECT_EQ(target.counter("pdp", "drops", 1).value(), 3u);
-  EXPECT_EQ(target.gauge("sim", "depth").value(), 9);
-}
-
-TEST(Registry, MergeFromSelfIsANoOp) {
-  // A self-merge must not double the counters (merge_from copies the
-  // source first, so without the identity check it would fold the copy
-  // back into the original).
-  Registry registry;
-  registry.counter("pdp", "drops", 1).add(3);
-  registry.histogram("core", "batch", 1).record(2.0);
-  registry.merge_from(registry);
-  EXPECT_EQ(registry.counter("pdp", "drops", 1).value(), 3u);
-  EXPECT_EQ(registry.histogram("core", "batch", 1).summary().count(), 1u);
-  EXPECT_EQ(registry.size(), 2u);
-}
-
-TEST(Registry, MergeFromRepeatedFoldsCountersAndKeepsGaugesStable) {
-  // Merging the same unchanged source twice adds counters twice (the
-  // documented additive semantics) while max-merged gauges are
-  // idempotent — the caller contract is "merge each shard exactly once
-  // per snapshot".
-  Registry source;
-  source.counter("pdp", "drops", 1).add(4);
-  source.gauge("pdp", "queue.peak", 1).set(10);
-  Registry target;
-  target.merge_from(source);
-  target.merge_from(source);
-  EXPECT_EQ(target.counter("pdp", "drops", 1).value(), 8u);
-  EXPECT_EQ(target.gauge("pdp", "queue.peak", 1).value(), 10);
-  EXPECT_EQ(target.gauge("pdp", "queue.peak", 1).peak(), 10);
-}
-
 }  // namespace
 }  // namespace netseer::telemetry

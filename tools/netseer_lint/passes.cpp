@@ -39,8 +39,7 @@ bool raw_sync_exempt(const std::string& path, const PassOptions& opt) {
 bool mc_protocol_file(const std::string& path, const PassOptions& opt) {
   if (opt.fixture_mode) return true;
   static constexpr std::string_view kSet[] = {
-      "sim/spsc.h",          "packet/pool.h",      "packet/pool.cpp",
-      "packet/packet.cpp",   "telemetry/metrics.h", "telemetry/metrics.cpp",
+      "sim/spsc.h",           "telemetry/metrics.h",    "telemetry/metrics.cpp",
       "telemetry/snapshot.h", "telemetry/snapshot.cpp",
   };
   for (const std::string_view s : kSet) {
@@ -346,8 +345,7 @@ class LockBlockingPass {
 // ---- pass 3a: [[nodiscard]] on status/handle returns -----------------------
 
 bool nodiscard_handle_type(const std::string& type) {
-  static constexpr std::string_view kHandles[] = {"TaskHandle", "ShardTaskHandle",
-                                                  "PooledPacket"};
+  static constexpr std::string_view kHandles[] = {"TaskHandle", "PooledPacket"};
   for (const std::string_view h : kHandles) {
     if (contains(type, h)) return true;
   }
