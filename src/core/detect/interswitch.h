@@ -55,19 +55,28 @@ struct InterSwitchConfig {
 /// *subsequent transmitted packet* triggers exactly one ring-buffer
 /// lookup (§3.3). If drops stall the link entirely, pending lookups also
 /// drain on later notifications.
+///
+/// The ring is allocated on the port's first departure: a port that never
+/// transmits (no cable, or an idle one) holds no SRAM model at all, and a
+/// lookup before the first departure misses exactly as it would against
+/// an all-invalid ring.
 class InterSwitchTx {
  public:
+  /// Called once per recovered drop: (flow of the lost packet, its ID).
   using EmitDrop = std::function<void(const packet::FlowKey&, std::uint32_t seq)>;
 
-  explicit InterSwitchTx(const InterSwitchConfig& config)
-      : config_(config), ring_(config.ring_slots) {}
+  explicit InterSwitchTx(const InterSwitchConfig& config) : config_(config) {}
 
   /// Egress: stamp the packet's sequence shim and record it. Then use
-  /// this packet as the trigger for one pending lookup.
-  void on_tx(packet::Packet& pkt, const EmitDrop& emit) {
+  /// this packet as the trigger for one pending lookup. `emit` has
+  /// EmitDrop's signature; it is a template parameter so the per-packet
+  /// call site passes its lambda without building a std::function.
+  template <typename Emit>
+  void on_tx(packet::Packet& pkt, const Emit& emit) {
     const std::uint32_t seq = next_seq_++;
     pkt.seq_tag = seq;
-    if (!ring_.empty()) {
+    if (config_.ring_slots > 0) {
+      if (ring_.empty()) ring_.resize(config_.ring_slots);
       Slot& slot = ring_[seq % ring_.size()];
       slot.seq = seq;
       slot.flow = pkt.flow();
@@ -107,10 +116,13 @@ class InterSwitchTx {
     return duplicate_notifications_;
   }
   [[nodiscard]] bool has_pending() const { return !pending_.empty(); }
+  /// The ring exists, i.e. the port has transmitted at least once.
+  [[nodiscard]] bool has_ring() const { return !ring_.empty(); }
 
-  /// SRAM this ring buffer occupies (Fig. 15 accounting).
+  /// SRAM this ring buffer occupies on the switch (Fig. 15 accounting):
+  /// the configured size, whether or not the model has allocated it yet.
   [[nodiscard]] std::size_t sram_bytes() const {
-    return ring_.size() * InterSwitchConfig::kSlotBytes;
+    return config_.ring_slots * InterSwitchConfig::kSlotBytes;
   }
 
  private:
@@ -124,7 +136,8 @@ class InterSwitchTx {
     std::uint32_t end;  // inclusive
   };
 
-  void drain_one(const EmitDrop& emit) {
+  template <typename Emit>
+  void drain_one(const Emit& emit) {
     if (pending_.empty()) return;
     Range& range = pending_.front();
     const std::uint32_t seq = range.next;
@@ -136,7 +149,8 @@ class InterSwitchTx {
     lookup_and_emit(seq, emit);
   }
 
-  void lookup_and_emit(std::uint32_t seq, const EmitDrop& emit) {
+  template <typename Emit>
+  void lookup_and_emit(std::uint32_t seq, const Emit& emit) {
     if (ring_.empty()) {
       ++lookup_misses_;
       return;

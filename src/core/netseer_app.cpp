@@ -201,7 +201,9 @@ void NetSeerApp::on_egress(pdp::Switch& sw, packet::Packet& pkt, const pdp::Egre
   }
 
   // Inter-switch TX: number and record every departing frame (§3.3
-  // steps 1-2), and let it trigger one pending ring-buffer lookup.
+  // steps 1-2), and let it trigger one pending ring-buffer lookup. The
+  // emitter is passed as a plain lambda: its capture is too large for
+  // std::function's inline buffer, and this runs for every departure.
   if (config_.enable_interswitch && info.egress_port < tx_.size()) {
     const util::PortId port = info.egress_port;
     tx_[port]->on_tx(pkt, [&](const packet::FlowKey& flow, std::uint32_t) {

@@ -6,17 +6,20 @@ Host::Host(sim::Simulator& sim, util::NodeId id, std::string name, packet::Ipv4A
            util::BitRate nic_rate)
     : Node(id, std::move(name)), sim_(sim), addr_(addr), tx_(sim, nic_rate) {}
 
-void Host::send(packet::Packet&& pkt) {
+void Host::send(packet::Packet&& frame) {
+  packet::PooledPacket slot = packet::Pool::local().acquire(std::move(frame));
+  packet::Packet& pkt = *slot;
   if (pkt.eth.src == packet::MacAddr{}) pkt.eth.src = mac();
   if (pkt.ip && pkt.ip->src == packet::Ipv4Addr{}) pkt.ip->src = addr_;
   pkt.meta.origin_node = id();
   pkt.meta.created_time = sim_.now();
   if (nic_agent_) nic_agent_->on_tx(*this, pkt);
   const util::QueueId queue = queue_for(pkt);
-  tx_.enqueue(std::move(pkt), queue);
+  tx_.enqueue(std::move(slot), queue);
 }
 
-void Host::receive(packet::Packet&& pkt, util::PortId in_port) {
+void Host::receive(packet::PooledPacket slot, util::PortId in_port) {
+  packet::Packet& pkt = *slot;
   pkt.meta.ingress_port = in_port;
   pkt.meta.ingress_time = sim_.now();
 

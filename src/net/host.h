@@ -51,11 +51,12 @@ class Host : public Node {
   void add_app(HostApp* app) { apps_.push_back(app); }
   void set_nic_agent(NicAgent* agent) { nic_agent_ = agent; }
 
-  /// Queue a packet for transmission. Fills in source MAC/IP defaults if
-  /// unset and maps DSCP to the egress priority queue.
+  /// Queue a new frame for transmission: gives it the pool slot it keeps
+  /// until its last hop. Fills in source MAC/IP defaults if unset and
+  /// maps DSCP to the egress priority queue.
   void send(packet::Packet&& pkt);
 
-  void receive(packet::Packet&& pkt, util::PortId in_port) override;
+  void receive(packet::PooledPacket slot, util::PortId in_port) override;
 
   [[nodiscard]] TxPort& nic() { return tx_; }
 

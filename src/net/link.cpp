@@ -1,10 +1,9 @@
 #include "net/link.h"
 
-#include "packet/pool.h"
-
 namespace netseer::net {
 
-void Link::send(packet::Packet&& pkt) {
+void Link::send(packet::PooledPacket slot) {
+  packet::Packet& pkt = *slot;
   if (!up_) {
     ++dropped_;
     if (observer_) observer_->on_link_fault(pkt, from_node_, peer_.id(), LinkFault::kSilentDrop);
@@ -32,12 +31,11 @@ void Link::send(packet::Packet&& pkt) {
 
   ++carried_;
   bytes_carried_ += pkt.wire_bytes();
-  // The frame rides in a pooled slot so the hop capture (this + handle)
-  // stays inside the Task's inline buffer — no heap traffic per hop.
-  (void)sim_.schedule_after(delay_,
-                      [this, slot = packet::Pool::local().acquire(std::move(pkt))]() mutable {
-                        peer_.receive(slot.take(), peer_port_);
-                      });
+  // The hop capture (this + handle) stays inside the Task's inline
+  // buffer: no heap traffic and no Packet copy per hop.
+  (void)sim_.schedule_after(delay_, [this, slot = std::move(slot)]() mutable {
+    peer_.receive(std::move(slot), peer_port_);
+  });
 }
 
 }  // namespace netseer::net

@@ -74,7 +74,7 @@ class Link : public PacketSink {
   [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
 
-  void send(packet::Packet&& pkt) override;
+  void send(packet::PooledPacket pkt) override;
 
  private:
   [[nodiscard]] LinkFault roll_fault();

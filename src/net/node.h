@@ -2,21 +2,23 @@
 
 #include <string>
 
-#include "packet/packet.h"
+#include "packet/pool.h"
 #include "util/ids.h"
 
 namespace netseer::net {
 
 /// Anything that can accept a packet (a link endpoint, a port, a sink in a
-/// test). Decouples senders from the concrete receiver type.
+/// test). Decouples senders from the concrete receiver type. Frames move
+/// between hops as pool handles: the sink takes ownership of the slot.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void send(packet::Packet&& pkt) = 0;
+  virtual void send(packet::PooledPacket pkt) = 0;
 };
 
 /// A device attached to the network: switch, host, or collector.
-/// Frames arrive via receive() with the local port they came in on.
+/// Frames arrive via receive() with the local port they came in on; the
+/// node owns the frame's pool slot from then on.
 class Node {
  public:
   Node(util::NodeId id, std::string name) : id_(id), name_(std::move(name)) {}
@@ -28,7 +30,7 @@ class Node {
   [[nodiscard]] util::NodeId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
-  virtual void receive(packet::Packet&& pkt, util::PortId in_port) = 0;
+  virtual void receive(packet::PooledPacket pkt, util::PortId in_port) = 0;
 
  private:
   util::NodeId id_;

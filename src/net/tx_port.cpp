@@ -1,7 +1,5 @@
 #include "net/tx_port.h"
 
-#include "packet/pool.h"
-
 namespace netseer::net {
 
 void TxPort::set_up(bool up) {
@@ -9,10 +7,10 @@ void TxPort::set_up(bool up) {
   if (up_) maybe_start_transmission();
 }
 
-void TxPort::enqueue(packet::Packet&& pkt, util::QueueId queue) {
-  pkt.meta.enqueue_time = sim_.now();
-  pkt.meta.queue = queue;
-  queue_bytes_[queue] += pkt.wire_bytes();
+void TxPort::enqueue(packet::PooledPacket pkt, util::QueueId queue) {
+  pkt->meta.enqueue_time = sim_.now();
+  pkt->meta.queue = queue;
+  queue_bytes_[queue] += pkt->wire_bytes();
   queues_[queue].push_back(std::move(pkt));
   maybe_start_transmission();
 }
@@ -54,8 +52,9 @@ void TxPort::maybe_start_transmission() {
   const int q = pick_queue();
   if (q < 0) return;
 
-  packet::Packet pkt = std::move(queues_[q].front());
+  packet::PooledPacket slot = std::move(queues_[q].front());
   queues_[q].pop_front();
+  packet::Packet& pkt = *slot;
   const std::uint32_t bytes = pkt.wire_bytes();
   queue_bytes_[q] -= bytes;
 
@@ -67,12 +66,11 @@ void TxPort::maybe_start_transmission() {
   const util::SimDuration ser = rate_.serialization_delay(pkt.wire_bytes());
   ++tx_packets_;
   tx_bytes_ += pkt.wire_bytes();
-  (void)sim_.schedule_after(ser,
-                      [this, slot = packet::Pool::local().acquire(std::move(pkt))]() mutable {
-                        busy_ = false;
-                        if (out_ != nullptr && up_) out_->send(slot.take());
-                        maybe_start_transmission();
-                      });
+  (void)sim_.schedule_after(ser, [this, slot = std::move(slot)]() mutable {
+    busy_ = false;
+    if (out_ != nullptr && up_) out_->send(std::move(slot));
+    maybe_start_transmission();
+  });
 }
 
 }  // namespace netseer::net

@@ -36,7 +36,7 @@ class TxPort {
 
   /// Unconditional enqueue. Admission control (MMU limits) is the
   /// caller's job; the port itself never drops.
-  void enqueue(packet::Packet&& pkt, util::QueueId queue);
+  void enqueue(packet::PooledPacket pkt, util::QueueId queue);
 
   /// Bytes currently queued in `queue`.
   [[nodiscard]] std::int64_t queue_bytes(util::QueueId queue) const {
@@ -63,7 +63,7 @@ class TxPort {
   util::BitRate rate_;
   PacketSink* out_ = nullptr;
   DequeueHook dequeue_hook_;
-  std::array<std::deque<packet::Packet>, util::kNumQueues> queues_;
+  std::array<std::deque<packet::PooledPacket>, util::kNumQueues> queues_;
   std::array<std::int64_t, util::kNumQueues> queue_bytes_{};
   std::array<util::SimTime, util::kNumQueues> paused_until_{};
   bool up_ = true;

@@ -1,6 +1,15 @@
 #include "packet/pool.h"
 
+#include <sanitizer/asan_interface.h>
+
 namespace netseer::packet {
+
+Pool::~Pool() {
+  // The slab destructor runs ~Packet over free slots too.
+  for (const auto& chunk : chunks_) {
+    ASAN_UNPOISON_MEMORY_REGION(chunk.get(), kChunkPackets * sizeof(Packet));
+  }
+}
 
 Pool& Pool::local() {
   static Pool pool;
@@ -14,6 +23,7 @@ PooledPacket Pool::acquire(Packet&& pkt) {
     ++reuses_;
     slot = free_.back();
     free_.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(slot, sizeof(Packet));
   } else {
     slot = materialize_slot();
   }
@@ -34,6 +44,7 @@ void Pool::release(Packet* pkt) {
   // extends a payload's lifetime; header fields are plain values and get
   // overwritten wholesale by the next acquire.
   pkt->control.reset();
+  ASAN_POISON_MEMORY_REGION(pkt, sizeof(Packet));
   // NETSEER_LINT_ALLOW(hot-alloc): free-list push reuses capacity at steady
   // state; growth is bounded by the high-water in-flight population.
   free_.push_back(pkt);

@@ -11,11 +11,15 @@ namespace netseer::packet {
 
 class Pool;
 
-/// Move-only handle to a pooled in-flight Packet. Two pointers (16 bytes),
-/// so a scheduled hop capturing `this` plus a PooledPacket stays inside
+/// Move-only handle to a pooled in-flight Packet, and the unit every
+/// network hop passes: a frame gets one slot where it is created
+/// (Host::send, Switch::inject, a switch's PFC generator) and keeps it
+/// through every TX queue, link, pipeline-latency hop and TX completion
+/// until its last hop drops the handle. Two pointers (16 bytes), so a
+/// scheduled hop capturing `this` plus a PooledPacket stays inside
 /// sim::Task's inline buffer — the frame rides the event queue without a
-/// heap allocation per hop. The slot returns to the pool when the handle
-/// dies; call take() to move the Packet out for delivery.
+/// heap allocation or a Packet copy per hop. The slot returns to the pool
+/// when the handle dies.
 class PooledPacket {
  public:
   PooledPacket() = default;
@@ -41,12 +45,8 @@ class PooledPacket {
   [[nodiscard]] Packet& operator*() { return *pkt_; }
   [[nodiscard]] Packet* operator->() { return pkt_; }
 
-  /// Move the frame out (for handing to a receive/enqueue API that takes
-  /// Packet by value). The emptied slot still returns to the pool when
-  /// this handle is destroyed.
-  [[nodiscard]] NETSEER_HOT Packet take() { return std::move(*pkt_); }
-
-  /// Return the slot to the pool now instead of at destruction.
+  /// Return the slot to the pool now instead of at destruction. Any
+  /// Packet& taken from this handle dangles afterwards.
   NETSEER_HOT void reset();
 
  private:
@@ -59,8 +59,13 @@ class PooledPacket {
 
 /// Recycling arena for in-flight Packet buffers. Slots live in chunked
 /// slabs with stable addresses and cycle through a LIFO free list, so the
-/// steady-state hot path (a frame hopping link -> switch -> link) reuses
-/// the same few cache-warm slots and never touches the allocator.
+/// steady-state hot path reuses the same few cache-warm slots and never
+/// touches the allocator. acquires() counts frames created: a frame
+/// keeps its slot for its whole trip.
+///
+/// Under AddressSanitizer a free slot is poisoned, so reading a frame
+/// through a Packet& that outlived its handle is reported as
+/// use-after-poison instead of silently reading a recycled frame.
 ///
 /// Single-threaded, like the simulator it feeds: acquire() and every
 /// handle release must happen on one thread.
@@ -75,8 +80,9 @@ class Pool {
   Pool() = default;
   Pool(const Pool&) = delete;
   Pool& operator=(const Pool&) = delete;
+  ~Pool();
 
-  /// Process-wide pool shared by every link/port/pipeline hop.
+  /// Process-wide pool every frame in the simulation lives in.
   [[nodiscard]] static Pool& local();
 
   /// Park `pkt` in a recycled slot and get the small handle for it.

@@ -2,7 +2,6 @@
 
 #include "net/host.h"
 #include "packet/builder.h"
-#include "packet/pool.h"
 
 namespace netseer::pdp {
 
@@ -45,7 +44,7 @@ std::uint64_t Switch::total_drops() const {
   return total;
 }
 
-void Switch::receive(packet::Packet&& pkt, util::PortId in_port) {
+void Switch::receive(packet::PooledPacket slot, util::PortId in_port) {
   // A dead ASIC eats everything before any programmable logic runs —
   // the one failure class NetSeer cannot cover (§3.7).
   if (hardware_fault_ == HardwareFault::kAsicFailure) {
@@ -53,6 +52,7 @@ void Switch::receive(packet::Packet&& pkt, util::PortId in_port) {
     return;
   }
 
+  packet::Packet& pkt = *slot;
   auto& counters = counters_[in_port];
   pkt.meta.ingress_port = in_port;
   pkt.meta.ingress_time = sim_.now();
@@ -82,10 +82,11 @@ void Switch::receive(packet::Packet&& pkt, util::PortId in_port) {
   for (auto* agent : agents_) {
     if (!agent->on_ingress(*this, pkt, ctx)) return;  // consumed (e.g. loss notify)
   }
-  run_pipeline(std::move(pkt), ctx);
+  run_pipeline(std::move(slot), ctx);
 }
 
-void Switch::run_pipeline(packet::Packet&& pkt, PipelineContext ctx) {
+void Switch::run_pipeline(packet::PooledPacket slot, PipelineContext ctx) {
+  packet::Packet& pkt = *slot;
   // Parser: anything non-IPv4 that survived the control-frame checks is a
   // pathological format for this L3 pipeline.
   if (!pkt.ip) {
@@ -148,22 +149,23 @@ void Switch::run_pipeline(packet::Packet&& pkt, PipelineContext ctx) {
 
   if (config_.pipeline_latency > 0) {
     (void)sim_.schedule_after(config_.pipeline_latency,
-                        [this, slot = packet::Pool::local().acquire(std::move(pkt)),
-                         ctx]() mutable { enqueue(slot.take(), ctx); });
+                              [this, slot = std::move(slot), ctx]() mutable {
+                                enqueue(std::move(slot), ctx);
+                              });
   } else {
-    enqueue(std::move(pkt), ctx);
+    enqueue(std::move(slot), ctx);
   }
 }
 
-void Switch::enqueue(packet::Packet&& pkt, const PipelineContext& ctx) {
+void Switch::enqueue(packet::PooledPacket slot, const PipelineContext& ctx) {
   // A failed MMU loses the packet without the drop-redirect path ever
   // firing: no agent callback, no counter a collector could read.
   if (hardware_fault_ == HardwareFault::kMmuFailure) {
     ++hardware_discards_;
-    (void)pkt;
     return;
   }
 
+  packet::Packet& pkt = *slot;
   auto& port = *ports_[ctx.egress_port];
 
   // MMU admission (tail drop).
@@ -194,7 +196,7 @@ void Switch::enqueue(packet::Packet&& pkt, const PipelineContext& ctx) {
   pkt.meta.mmu_accounted = true;
   auto& queue_stats = queue_counters_[ctx.queue];
   ++queue_stats.enqueues;
-  port.enqueue(std::move(pkt), ctx.queue);
+  port.enqueue(std::move(slot), ctx.queue);
   const std::int64_t occupancy = port.queue_bytes(ctx.queue);
   if (occupancy > queue_stats.peak_bytes) queue_stats.peak_bytes = occupancy;
 }
@@ -229,10 +231,11 @@ void Switch::handle_pfc(const packet::Packet& pkt, util::PortId in_port) {
 
 void Switch::send_pfc(util::PortId port, util::QueueId cls, bool pause) {
   if (links_[port] == nullptr) return;
-  packet::Packet frame = packet::make_pfc(cls, pause ? 0xffff : 0);
-  frame.eth.src = packet::MacAddr::from_node_id(id());
-  frame.meta.origin_node = id();
-  frame.meta.created_time = sim_.now();
+  packet::PooledPacket frame =
+      packet::Pool::local().acquire(packet::make_pfc(cls, pause ? 0xffff : 0));
+  frame->eth.src = packet::MacAddr::from_node_id(id());
+  frame->meta.origin_node = id();
+  frame->meta.created_time = sim_.now();
   for (auto* agent : agents_) agent->on_pfc_tx(*this, port, cls, pause);
   // PFC frames are MAC-generated: they bypass the egress queues.
   links_[port]->send(std::move(frame));
@@ -241,7 +244,7 @@ void Switch::send_pfc(util::PortId port, util::QueueId cls, bool pause) {
 void Switch::inject(packet::Packet&& pkt, util::PortId egress_port, util::QueueId queue) {
   if (egress_port >= ports_.size() || !port_up_[egress_port]) return;
   pkt.meta.origin_node = id();
-  ports_[egress_port]->enqueue(std::move(pkt), queue);
+  ports_[egress_port]->enqueue(packet::Pool::local().acquire(std::move(pkt)), queue);
 }
 
 void Switch::inject_hardware_fault(HardwareFault fault, bool self_check_detects) {

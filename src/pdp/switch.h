@@ -102,11 +102,11 @@ class Switch : public net::Node {
   void set_syslog(SyslogFn fn) { syslog_ = std::move(fn); }
 
   // ---- Data path ----------------------------------------------------------
-  void receive(packet::Packet&& pkt, util::PortId in_port) override;
+  void receive(packet::PooledPacket slot, util::PortId in_port) override;
 
   /// Agent backdoor: enqueue a locally generated packet (loss
   /// notification, mirror copy...) directly on an egress queue, skipping
-  /// the forwarding pipeline.
+  /// the forwarding pipeline. The new frame gets its pool slot here.
   void inject(packet::Packet&& pkt, util::PortId egress_port, util::QueueId queue);
 
   // ---- Observability -------------------------------------------------------
@@ -123,8 +123,8 @@ class Switch : public net::Node {
   }
 
  private:
-  void run_pipeline(packet::Packet&& pkt, PipelineContext ctx);
-  void enqueue(packet::Packet&& pkt, const PipelineContext& ctx);
+  void run_pipeline(packet::PooledPacket slot, PipelineContext ctx);
+  void enqueue(packet::PooledPacket slot, const PipelineContext& ctx);
   void handle_egress(packet::Packet& pkt, util::PortId port, util::QueueId queue,
                      util::SimDuration queue_delay);
   void handle_pfc(const packet::Packet& pkt, util::PortId in_port);

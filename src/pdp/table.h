@@ -31,6 +31,16 @@ struct EcmpGroup {
 /// model SRAM parity errors: a corrupted entry is skipped by lookups, so
 /// exactly the flows it covered silently lose their route — the Case-#3
 /// failure mode in §5.1.
+///
+/// Lookups go through one exact-match hash index per prefix length
+/// present, keyed on the masked network and probed longest first, so a
+/// lookup costs one probe per distinct length instead of a scan over
+/// every entry. The index holds healthy entries only, first in
+/// entries() order per key, so it returns exactly what a longest-first
+/// scan of entries() returns. It is rebuilt on the first lookup after
+/// insert(), remove() or set_corrupted(), so a table filled entry by
+/// entry is indexed once. Single-threaded, like the simulator: lookup()
+/// may rebuild the index.
 class LpmTable {
  public:
   struct Entry {
@@ -41,6 +51,7 @@ class LpmTable {
 
   /// Insert or replace the entry for `prefix`.
   void insert(const packet::Ipv4Prefix& prefix, EcmpGroup nexthops) {
+    index_stale_ = true;
     for (auto& entry : entries_) {
       if (entry.prefix == prefix) {
         entry.nexthops = std::move(nexthops);
@@ -59,6 +70,7 @@ class LpmTable {
                                  [&](const Entry& e) { return e.prefix == prefix; });
     if (it == entries_.end()) return false;
     entries_.erase(it);
+    index_stale_ = true;
     return true;
   }
 
@@ -67,6 +79,7 @@ class LpmTable {
     for (auto& entry : entries_) {
       if (entry.prefix == prefix) {
         entry.corrupted = corrupted;
+        index_stale_ = true;
         return true;
       }
     }
@@ -75,17 +88,47 @@ class LpmTable {
 
   /// Longest matching healthy entry, or nullptr on miss.
   [[nodiscard]] const EcmpGroup* lookup(packet::Ipv4Addr dst) const {
-    for (const auto& entry : entries_) {  // sorted longest-first
-      if (!entry.corrupted && entry.prefix.contains(dst)) return &entry.nexthops;
+    if (index_stale_) rebuild_index();
+    for (const auto& level : levels_) {  // longest first
+      const std::uint32_t network = dst.value & level.mask;
+      for (std::size_t i = slot_of(network, level);; i = (i + 1) & level.slot_mask) {
+        const Slot& slot = level.slots[i];
+        if (slot.entry == kEmptySlot) break;
+        if (slot.network == network) return &entries_[slot.entry].nexthops;
+      }
     }
     return nullptr;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  /// Every entry, corrupted ones included, sorted longest prefix first.
   [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
 
  private:
+  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
+
+  /// One open-addressing slot: a masked network and its entry's index.
+  struct Slot {
+    std::uint32_t network = 0;
+    std::uint32_t entry = kEmptySlot;
+  };
+  /// The exact-match index of one prefix length. Linear probing over a
+  /// power-of-two table at most half full, so every probe chain ends at
+  /// an empty slot.
+  struct Level {
+    std::uint32_t mask = 0;
+    std::size_t slot_mask = 0;
+    std::vector<Slot> slots;
+  };
+
+  [[nodiscard]] static std::size_t slot_of(std::uint32_t network, const Level& level) {
+    return static_cast<std::size_t>(util::mix64(network)) & level.slot_mask;
+  }
+  void rebuild_index() const;
+
   std::vector<Entry> entries_;
+  mutable std::vector<Level> levels_;
+  mutable bool index_stale_ = false;
 };
 
 }  // namespace netseer::pdp

@@ -11,12 +11,14 @@
 ///
 ///   NETSEER_HOT
 ///     This function is a steady-state hot path. It must not reach
-///     operator new / malloc / allocating container mutation /
-///     std::function construction through any same-TU call chain, and it
-///     must never call a NETSEER_BLOCKING function or block under a
-///     lock. The event engine's fire loop, the packet pool's
-///     acquire/release, the group-commit drain, and the detect window
-///     rollover carry this.
+///     operator new / malloc / make_unique / make_shared / allocating
+///     container mutation through any same-TU call chain, and it must
+///     never call a NETSEER_BLOCKING function or block under a lock. The
+///     event engine's fire loop, the packet pool's acquire/release, the
+///     group-commit drain, and the detect window rollover carry this.
+///     Not caught: an implicit conversion of a lambda to std::function,
+///     which allocates once the capture outgrows the library's inline
+///     buffer — take a per-call callback as a template parameter.
 ///
 ///   NETSEER_HOT_ALLOW_INIT
 ///     Sanctioned allocation escape reachable from NETSEER_HOT code:

@@ -235,6 +235,32 @@ TEST(InterSwitch, SramAccounting) {
   EXPECT_EQ(tx.sram_bytes(), 1000u * InterSwitchConfig::kSlotBytes);
 }
 
+TEST(InterSwitchTx, RingIsBuiltOnFirstDeparture) {
+  InterSwitchConfig config;
+  config.ring_slots = 16;
+  InterSwitchTx idle(config);
+  InterSwitchTx sent(config);
+  DropLog log;
+  EXPECT_FALSE(idle.has_ring());
+  EXPECT_EQ(idle.sram_bytes(), 16u * InterSwitchConfig::kSlotBytes);
+
+  auto first = data(1);
+  sent.on_tx(first, log.fn());
+  EXPECT_TRUE(sent.has_ring());
+
+  // IDs 100-103 were never sent: a port without a ring misses each
+  // lookup exactly as a port whose ring holds no valid slot for them.
+  for (InterSwitchTx* tx : {&idle, &sent}) {
+    tx->on_notification(100, 103, log.fn());
+    tx->drain(8, log.fn());
+  }
+  EXPECT_EQ(idle.lookup_misses(), 4u);
+  EXPECT_EQ(sent.lookup_misses(), idle.lookup_misses());
+  EXPECT_EQ(idle.drops_reported(), 0u);
+  EXPECT_TRUE(log.drops.empty());
+  EXPECT_FALSE(idle.has_ring());
+}
+
 TEST(LossNotification, PacketShape) {
   const auto pkt = make_loss_notification(10, 20, 1);
   EXPECT_EQ(pkt.kind, packet::PacketKind::kLossNotify);

@@ -325,6 +325,15 @@ TEST(NetSeerApp, EdgeLinkDropCoveredByNic) {
   EXPECT_GT(recovered, 0u);
 }
 
+TEST(NetSeerApp, OnlyPortsThatTransmitHoldARing) {
+  Rig rig;
+  rig.send_burst(10);
+  rig.finish();
+  EXPECT_TRUE(rig.app1->tx_module(1).has_ring());   // s1 -> s2 carried the burst
+  EXPECT_FALSE(rig.app1->tx_module(3).has_ring());  // no cable on port 3
+  EXPECT_EQ(rig.app1->tx_module(3).sram_bytes(), rig.app1->tx_module(1).sram_bytes());
+}
+
 TEST(NetSeerApp, HostUplinkDropLoggedByNic) {
   Rig rig;
   net::LinkFaultModel faults;

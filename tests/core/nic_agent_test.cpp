@@ -4,6 +4,7 @@
 
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "packet/pool.h"
 
 namespace netseer::core {
 namespace {
@@ -48,7 +49,7 @@ TEST(NicAgent, StripsIncomingTags) {
   Rig rig;
   auto pkt = packet::make_tcp(flow().reversed(), 100);
   pkt.seq_tag = 0;
-  rig.host->receive(std::move(pkt), 0);
+  rig.host->receive(packet::Pool::local().acquire(std::move(pkt)), 0);
   EXPECT_EQ(rig.agent.rx_module().received(), 1u);
 }
 
@@ -58,7 +59,7 @@ TEST(NicAgent, GapTriggersNotificationUpstream) {
   for (const std::uint32_t seq : {0u, 2u}) {
     auto pkt = packet::make_tcp(flow().reversed(), 100);
     pkt.seq_tag = seq;
-    rig.host->receive(std::move(pkt), 0);
+    rig.host->receive(packet::Pool::local().acquire(std::move(pkt)), 0);
   }
   rig.net.simulator().run();
   // Three redundant notification copies left the NIC toward the switch;
@@ -73,7 +74,7 @@ TEST(NicAgent, ConsumesNotificationsAndLogsLocally) {
   // The NIC transmitted seqs 0..4; the peer reports 2..3 missing.
   for (int i = 0; i < 5; ++i) rig.host->send(packet::make_tcp(flow(), 100));
   auto notify = make_loss_notification(2, 3, 0);
-  rig.host->receive(std::move(notify), 0);
+  rig.host->receive(packet::Pool::local().acquire(std::move(notify)), 0);
   // One lookup fired on notification arrival; the next TX drains the rest.
   rig.host->send(packet::make_tcp(flow(), 100));
   ASSERT_EQ(rig.agent.local_log().size(), 2u);
@@ -89,7 +90,7 @@ TEST(NicAgent, DuplicateNotificationsIgnored) {
   for (int i = 0; i < 5; ++i) rig.host->send(packet::make_tcp(flow(), 100));
   for (int copy = 0; copy < 3; ++copy) {
     auto notify = make_loss_notification(1, 1, static_cast<std::uint8_t>(copy));
-    rig.host->receive(std::move(notify), 0);
+    rig.host->receive(packet::Pool::local().acquire(std::move(notify)), 0);
   }
   EXPECT_EQ(rig.agent.local_log().size(), 1u);
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "packet/builder.h"
+#include "packet/pool.h"
 
 namespace netseer::net {
 namespace {
@@ -12,9 +13,9 @@ using packet::Packet;
 class CaptureNode final : public Node {
  public:
   CaptureNode() : Node(50, "capture") {}
-  void receive(Packet&& pkt, util::PortId in_port) override {
+  void receive(packet::PooledPacket pkt, util::PortId in_port) override {
     (void)in_port;
-    packets.push_back(std::move(pkt));
+    packets.push_back(std::move(*pkt));
   }
   std::vector<Packet> packets;
 };
@@ -58,7 +59,7 @@ TEST(Host, SendFillsDefaultsAndTransmits) {
 
 TEST(Host, DeliversToApp) {
   Fixture f;
-  f.host.receive(packet::make_tcp(flow(), 100), 0);
+  f.host.receive(packet::Pool::local().acquire(packet::make_tcp(flow(), 100)), 0);
   ASSERT_EQ(f.app.received.size(), 1u);
   EXPECT_EQ(f.host.rx_packets(), 1u);
 }
@@ -67,7 +68,7 @@ TEST(Host, DiscardsCorruptFrames) {
   Fixture f;
   auto pkt = packet::make_tcp(flow(), 100);
   pkt.corrupted = true;
-  f.host.receive(std::move(pkt), 0);
+  f.host.receive(packet::Pool::local().acquire(std::move(pkt)), 0);
   EXPECT_TRUE(f.app.received.empty());
   EXPECT_EQ(f.host.rx_corrupt_discards(), 1u);
   EXPECT_EQ(f.host.rx_packets(), 0u);
@@ -79,7 +80,7 @@ TEST(Host, AutoRepliesToProbes) {
                                                 f.host.addr(), 17, 7777, 7}, 8);
   probe.kind = packet::PacketKind::kProbe;
   probe.l4.seq = 31337;
-  f.host.receive(std::move(probe), 0);
+  f.host.receive(packet::Pool::local().acquire(std::move(probe)), 0);
   f.sim.run();
   ASSERT_EQ(f.peer.packets.size(), 1u);
   const auto& reply = f.peer.packets[0];
@@ -96,7 +97,7 @@ TEST(Host, ProbeForOtherAddressGoesToApp) {
                                                 packet::Ipv4Addr::from_octets(10, 0, 0, 99),
                                                 17, 7777, 7}, 8);
   probe.kind = packet::PacketKind::kProbe;
-  f.host.receive(std::move(probe), 0);
+  f.host.receive(packet::Pool::local().acquire(std::move(probe)), 0);
   f.sim.run();
   EXPECT_TRUE(f.peer.packets.empty());
   EXPECT_EQ(f.app.received.size(), 1u);
@@ -104,11 +105,11 @@ TEST(Host, ProbeForOtherAddressGoesToApp) {
 
 TEST(Host, HonorsPfcPause) {
   Fixture f;
-  f.host.receive(packet::make_pfc(0, 0xffff), 0);
+  f.host.receive(packet::Pool::local().acquire(packet::make_pfc(0, 0xffff)), 0);
   f.host.send(packet::make_tcp(flow(), 100));
   f.sim.run_until(util::microseconds(10));
   EXPECT_TRUE(f.peer.packets.empty());
-  f.host.receive(packet::make_pfc(0, 0), 0);  // resume
+  f.host.receive(packet::Pool::local().acquire(packet::make_pfc(0, 0)), 0);  // resume
   f.sim.run();
   EXPECT_EQ(f.peer.packets.size(), 1u);
 }
@@ -138,7 +139,7 @@ TEST(Host, NicAgentSeesTxAndCanConsumeRx) {
 
   auto notify = packet::make_udp(flow(), 12);
   notify.kind = packet::PacketKind::kLossNotify;
-  f.host.receive(std::move(notify), 0);
+  f.host.receive(packet::Pool::local().acquire(std::move(notify)), 0);
   EXPECT_EQ(agent.rx, 1);
   EXPECT_TRUE(f.app.received.empty());
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "packet/builder.h"
+#include "packet/pool.h"
 
 namespace netseer::net {
 namespace {
@@ -12,9 +13,9 @@ using packet::Packet;
 class CaptureNode final : public Node {
  public:
   CaptureNode() : Node(2, "capture") {}
-  void receive(Packet&& pkt, util::PortId in_port) override {
+  void receive(packet::PooledPacket pkt, util::PortId in_port) override {
     last_port = in_port;
-    packets.push_back(std::move(pkt));
+    packets.push_back(std::move(*pkt));
   }
   std::vector<Packet> packets;
   util::PortId last_port = util::kInvalidPort;
@@ -44,7 +45,7 @@ TEST(Link, DeliversAfterDelay) {
   sim::Simulator sim;
   CaptureNode peer;
   Link link(sim, util::Rng(1), peer, 5, util::microseconds(3), 1);
-  link.send(data());
+  link.send(packet::Pool::local().acquire(data()));
   EXPECT_TRUE(peer.packets.empty());
   sim.run();
   ASSERT_EQ(peer.packets.size(), 1u);
@@ -59,7 +60,7 @@ TEST(Link, LosslessByDefault) {
   CaptureNode peer;
   Link link(sim, util::Rng(1), peer, 0, 0, 1);
   EXPECT_TRUE(link.fault_model().is_lossless());
-  for (int i = 0; i < 1000; ++i) link.send(data());
+  for (int i = 0; i < 1000; ++i) link.send(packet::Pool::local().acquire(data()));
   sim.run();
   EXPECT_EQ(peer.packets.size(), 1000u);
 }
@@ -74,7 +75,7 @@ TEST(Link, SilentDropRate) {
   faults.drop_prob = 0.1;
   link.set_fault_model(faults);
 
-  for (int i = 0; i < 10000; ++i) link.send(data());
+  for (int i = 0; i < 10000; ++i) link.send(packet::Pool::local().acquire(data()));
   sim.run();
   EXPECT_NEAR(static_cast<double>(observer.drops) / 10000.0, 0.1, 0.02);
   EXPECT_EQ(peer.packets.size() + static_cast<std::size_t>(observer.drops), 10000u);
@@ -91,7 +92,7 @@ TEST(Link, CorruptionDeliversMarkedFrames) {
   faults.corrupt_prob = 0.2;
   link.set_fault_model(faults);
 
-  for (int i = 0; i < 5000; ++i) link.send(data());
+  for (int i = 0; i < 5000; ++i) link.send(packet::Pool::local().acquire(data()));
   sim.run();
   // Corrupted frames still arrive, flagged.
   EXPECT_EQ(peer.packets.size(), 5000u);
@@ -108,7 +109,7 @@ TEST(Link, DownLinkDropsEverything) {
   Link link(sim, util::Rng(3), peer, 0, 0, 1);
   link.set_observer(&observer);
   link.set_up(false);
-  for (int i = 0; i < 10; ++i) link.send(data());
+  for (int i = 0; i < 10; ++i) link.send(packet::Pool::local().acquire(data()));
   sim.run();
   EXPECT_TRUE(peer.packets.empty());
   EXPECT_EQ(observer.drops, 10);
@@ -121,7 +122,7 @@ TEST(Link, ObserverSeesEndpoints) {
   Link link(sim, util::Rng(4), peer, 0, 0, /*from=*/42);
   link.set_observer(&observer);
   link.set_up(false);
-  link.send(data());
+  link.send(packet::Pool::local().acquire(data()));
   EXPECT_EQ(observer.last_from, 42u);
   EXPECT_EQ(observer.last_to, 2u);
 }
@@ -137,7 +138,7 @@ TEST(Link, BurstLossClusters) {
   link.set_fault_model(faults);
 
   const int n = 200000;
-  for (int i = 0; i < n; ++i) link.send(data());
+  for (int i = 0; i < n; ++i) link.send(packet::Pool::local().acquire(data()));
   sim.run();
   const auto dropped = link.packets_dropped();
   // Burst model: expect substantial loss overall...

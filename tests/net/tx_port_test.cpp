@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "packet/builder.h"
+#include "packet/pool.h"
 
 namespace netseer::net {
 namespace {
@@ -11,7 +12,7 @@ using packet::Packet;
 
 class CaptureSink final : public PacketSink {
  public:
-  void send(Packet&& pkt) override { packets.push_back(std::move(pkt)); }
+  void send(packet::PooledPacket pkt) override { packets.push_back(std::move(*pkt)); }
   std::vector<Packet> packets;
 };
 
@@ -31,8 +32,8 @@ TEST(TxPort, TransmitsAtLineRate) {
   port.set_out(&sink);
 
   // 1046-byte frame at 1 Gbps = 8368 ns each.
-  port.enqueue(data(), 0);
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run();
   EXPECT_EQ(sink.packets.size(), 2u);
   EXPECT_EQ(sim.now(), 2 * 8368);
@@ -47,9 +48,9 @@ TEST(TxPort, StrictPriorityOrdering) {
 
   // Fill low priority first, then high; high must overtake queued low
   // (after the in-flight packet completes).
-  port.enqueue(data(1000, 0), 0);
-  port.enqueue(data(1000, 0), 0);
-  port.enqueue(data(1000, 56), 7);  // dscp 56 -> class 7
+  port.enqueue(packet::Pool::local().acquire(data(1000, 0)), 0);
+  port.enqueue(packet::Pool::local().acquire(data(1000, 0)), 0);
+  port.enqueue(packet::Pool::local().acquire(data(1000, 56)), 7);  // dscp 56 -> class 7
   sim.run();
   ASSERT_EQ(sink.packets.size(), 3u);
   EXPECT_EQ(sink.packets[0].meta.queue, 0);  // already serializing
@@ -64,10 +65,10 @@ TEST(TxPort, QueueBytesTracked) {
   port.set_out(&sink);
   auto pkt = data();
   const auto bytes = pkt.wire_bytes();
-  port.enqueue(std::move(pkt), 3);
+  port.enqueue(packet::Pool::local().acquire(std::move(pkt)), 3);
   // First packet starts transmitting immediately (dequeued).
   EXPECT_EQ(port.queue_bytes(3), 0);
-  port.enqueue(data(), 3);
+  port.enqueue(packet::Pool::local().acquire(data()), 3);
   EXPECT_EQ(port.queue_bytes(3), bytes);
   EXPECT_EQ(port.queue_depth(3), 1u);
   sim.run();
@@ -83,12 +84,12 @@ TEST(TxPort, PauseBlocksClass) {
 
   port.apply_pause(0, 0xffff);
   EXPECT_TRUE(port.is_paused(0));
-  port.enqueue(data(1000, 0), 0);
+  port.enqueue(packet::Pool::local().acquire(data(1000, 0)), 0);
   sim.run_until(util::microseconds(10));
   EXPECT_TRUE(sink.packets.empty());
 
   // Other classes still flow.
-  port.enqueue(data(1000, 56), 7);
+  port.enqueue(packet::Pool::local().acquire(data(1000, 56)), 7);
   sim.run_until(util::microseconds(20));
   EXPECT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.packets[0].meta.queue, 7);
@@ -102,7 +103,7 @@ TEST(TxPort, PauseExpiresAutomatically) {
 
   // Quanta 100 at 1 Gbps: 100 * 512 bit-times = 51.2 us.
   port.apply_pause(0, 100);
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run();
   EXPECT_EQ(sink.packets.size(), 1u);
   EXPECT_GE(sim.now(), util::nanoseconds(51200));
@@ -115,7 +116,7 @@ TEST(TxPort, ResumeUnblocksImmediately) {
   port.set_out(&sink);
 
   port.apply_pause(0, 0xffff);
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run_until(util::microseconds(5));
   EXPECT_TRUE(sink.packets.empty());
   port.apply_pause(0, 0);  // RESUME
@@ -129,7 +130,7 @@ TEST(TxPort, DownPortHoldsTraffic) {
   TxPort port(sim, util::BitRate::gbps(1));
   port.set_out(&sink);
   port.set_up(false);
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run_until(util::microseconds(100));
   EXPECT_TRUE(sink.packets.empty());
   port.set_up(true);
@@ -146,9 +147,9 @@ TEST(TxPort, DequeueHookObservesDelay) {
   port.set_dequeue_hook([&](Packet&, util::QueueId, util::SimDuration delay) {
     delays.push_back(delay);
   });
-  port.enqueue(data(), 0);
-  port.enqueue(data(), 0);
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run();
   ASSERT_EQ(delays.size(), 3u);
   EXPECT_EQ(delays[0], 0);
@@ -164,7 +165,7 @@ TEST(TxPort, HookMayGrowPacket) {
   port.set_dequeue_hook([&](Packet& pkt, util::QueueId, util::SimDuration) {
     pkt.seq_tag = 7;  // +6 bytes on the wire (ID + encapsulated ethertype)
   });
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run();
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.packets[0].seq_tag, 7u);
@@ -175,7 +176,7 @@ TEST(TxPort, HookMayGrowPacket) {
 TEST(TxPort, NoSinkNoTransmit) {
   sim::Simulator sim;
   TxPort port(sim, util::BitRate::gbps(1));
-  port.enqueue(data(), 0);
+  port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run();
   EXPECT_EQ(port.tx_packets(), 0u);
   EXPECT_EQ(port.queue_depth(0), 1u);

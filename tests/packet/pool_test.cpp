@@ -1,7 +1,8 @@
-// packet::Pool recycling semantics: content integrity through
-// acquire/take, LIFO slot reuse, move-only handle ownership, and the
-// accounting the pool.hit_rate telemetry gauge is built from. The churn
-// loop at the end is the ASan canary for use-after-release bugs.
+// packet::Pool recycling semantics: content integrity through acquire
+// and moving the frame out of its handle, LIFO slot reuse, move-only
+// handle ownership, and the accounting the pool.hit_rate telemetry gauge
+// is built from. The churn loop is the ASan canary for use-after-release
+// bugs, and under ASan a read through a released handle must die.
 #include <gtest/gtest.h>
 
 #include <utility>
@@ -31,7 +32,7 @@ TEST(Pool, AcquireParksAndTakeMovesContentOut) {
   EXPECT_EQ(slot->uid, 55u);
   EXPECT_EQ(slot->payload_bytes, 999u);
 
-  const Packet out = slot.take();
+  const Packet out = std::move(*slot);
   EXPECT_EQ(out.uid, 55u);
   ASSERT_TRUE(out.ip.has_value());
   EXPECT_EQ(out.ip->ttl, 17);
@@ -85,13 +86,13 @@ TEST(Pool, MoveTransfersOwnershipWithoutDoubleRelease) {
 }
 
 TEST(Pool, SteadyStateChurnStaysInOneSlot) {
-  // The link→switch→link hop pattern: acquire, take, release, repeat.
+  // Acquire, move the frame out, release, re-acquire, repeat.
   // Under ASan this walks the same slot thousands of times and trips on
   // any use-after-release; slot count proves the allocator stayed cold.
   Pool pool;
   for (std::uint64_t i = 0; i < 10000; ++i) {
     auto slot = pool.acquire(make_packet(i));
-    Packet pkt = slot.take();
+    Packet pkt = std::move(*slot);
     EXPECT_EQ(pkt.uid, i);
     slot.reset();
     pool.acquire(std::move(pkt)).reset();  // immediate round-trip back in
@@ -113,6 +114,36 @@ TEST(Pool, InFlightPopulationGrowsChunkwise) {
   }
   in_flight.clear();
   EXPECT_EQ(pool.free_slots(), Pool::kChunkPackets + 1);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+constexpr bool kAsan = true;
+#else
+constexpr bool kAsan = false;
+#endif
+#else
+constexpr bool kAsan = false;
+#endif
+
+TEST(PoolDeathTest, ReadingAReleasedFrameDiesUnderAsan) {
+  if (!kAsan) GTEST_SKIP() << "free slots are poisoned only under AddressSanitizer";
+  Pool pool;
+  auto slot = pool.acquire(make_packet(7));
+  const Packet* stale = &*slot;
+  slot.reset();
+  EXPECT_DEATH(
+      {
+        volatile std::uint64_t uid = stale->uid;
+        (void)uid;
+      },
+      "use-after-poison");
+  // A re-acquired slot is readable again.
+  auto again = pool.acquire(make_packet(8));
+  EXPECT_EQ(&*again, stale);
+  EXPECT_EQ(again->uid, 8u);
 }
 
 }  // namespace

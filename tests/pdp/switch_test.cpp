@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "net/host.h"
 #include "packet/builder.h"
+#include "packet/pool.h"
 #include "sim/simulator.h"
 
 namespace netseer::pdp {
@@ -18,9 +24,9 @@ class CaptureNode final : public net::Node {
  public:
   CaptureNode(util::NodeId id, std::string name) : Node(id, std::move(name)) {}
 
-  void receive(Packet&& pkt, util::PortId in_port) override {
-    pkt.meta.ingress_port = in_port;
-    packets.push_back(std::move(pkt));
+  void receive(packet::PooledPacket pkt, util::PortId in_port) override {
+    pkt->meta.ingress_port = in_port;
+    packets.push_back(std::move(*pkt));
   }
 
   std::vector<Packet> packets;
@@ -106,7 +112,7 @@ class SwitchTest : public ::testing::Test {
   }
 
   void deliver_and_run(Packet&& pkt, util::PortId in_port = 0) {
-    sw_.receive(std::move(pkt), in_port);
+    sw_.receive(packet::Pool::local().acquire(std::move(pkt)), in_port);
     sim_.run();
   }
 
@@ -223,7 +229,7 @@ TEST_F(SwitchTest, MmuDropWhenQueueFull) {
   small.add_agent(&agent);
   small.routes().insert(Ipv4Prefix{Ipv4Addr::from_octets(10, 0, 1, 0), 24}, EcmpGroup{{1}});
 
-  for (int i = 0; i < 10; ++i) small.receive(data_packet(), 0);
+  for (int i = 0; i < 10; ++i) small.receive(packet::Pool::local().acquire(data_packet()), 0);
   sim_.run();
 
   EXPECT_GT(small.drops(DropReason::kCongestion), 0u);
@@ -241,7 +247,7 @@ TEST_F(SwitchTest, EgressAgentSeesQueueDelayAndPorts) {
 }
 
 TEST_F(SwitchTest, QueueDelayGrowsUnderBackup) {
-  for (int i = 0; i < 20; ++i) sw_.receive(data_packet(), 0);
+  for (int i = 0; i < 20; ++i) sw_.receive(packet::Pool::local().acquire(data_packet()), 0);
   sim_.run();
   ASSERT_EQ(agent_.egress_infos.size(), 20u);
   // Later packets waited behind earlier ones: ~85ns per 1058B at 100G.
@@ -250,7 +256,7 @@ TEST_F(SwitchTest, QueueDelayGrowsUnderBackup) {
 }
 
 TEST_F(SwitchTest, PfcFramePausesPortAndNotifiesAgents) {
-  sw_.receive(packet::make_pfc(0, 0xffff), /*in_port=*/1);
+  sw_.receive(packet::Pool::local().acquire(packet::make_pfc(0, 0xffff)), /*in_port=*/1);
   sim_.run_until(sim_.now() + 1);  // stay inside the pause window
   EXPECT_EQ(agent_.pfc_rx, 1);
   EXPECT_TRUE(sw_.port(1).is_paused(0));
@@ -258,10 +264,10 @@ TEST_F(SwitchTest, PfcFramePausesPortAndNotifiesAgents) {
 }
 
 TEST_F(SwitchTest, PfcResumeUnpauses) {
-  sw_.receive(packet::make_pfc(0, 0xffff), 1);
+  sw_.receive(packet::Pool::local().acquire(packet::make_pfc(0, 0xffff)), 1);
   sim_.run_until(sim_.now() + 1);
   ASSERT_TRUE(sw_.port(1).is_paused(0));
-  sw_.receive(packet::make_pfc(0, 0), 1);
+  sw_.receive(packet::Pool::local().acquire(packet::make_pfc(0, 0)), 1);
   sim_.run_until(sim_.now() + 1);
   EXPECT_FALSE(sw_.port(1).is_paused(0));
 }
@@ -283,7 +289,7 @@ TEST_F(SwitchTest, GeneratesPauseWhenXoffCrossed) {
   pfc_switch.routes().insert(Ipv4Prefix{Ipv4Addr::from_octets(10, 0, 1, 0), 24},
                              EcmpGroup{{1}});
 
-  for (int i = 0; i < 8; ++i) pfc_switch.receive(data_packet(), 0);
+  for (int i = 0; i < 8; ++i) pfc_switch.receive(packet::Pool::local().acquire(data_packet()), 0);
   sim_.run();
 
   EXPECT_GE(agent.pfc_tx_pause, 1);
@@ -297,8 +303,8 @@ TEST_F(SwitchTest, GeneratesPauseWhenXoffCrossed) {
 
 TEST_F(SwitchTest, EnqueueToPausedQueueReported) {
   // Pause egress port 1 class 0, then forward a packet into it.
-  sw_.receive(packet::make_pfc(0, 0xffff), 1);
-  sw_.receive(data_packet(), 0);
+  sw_.receive(packet::Pool::local().acquire(packet::make_pfc(0, 0xffff)), 1);
+  sw_.receive(packet::Pool::local().acquire(data_packet()), 0);
   sim_.run_until(util::microseconds(1));
   EXPECT_EQ(agent_.paused_enqueues, 1);
 }
@@ -324,7 +330,7 @@ TEST_F(SwitchTest, EcmpSpreadsFlows) {
 
   for (std::uint16_t s = 0; s < 300; ++s) {
     auto pkt = packet::make_tcp(flow_to(Ipv4Addr::from_octets(10, 0, 2, 9), s), 100);
-    sw_.receive(std::move(pkt), 0);
+    sw_.receive(packet::Pool::local().acquire(std::move(pkt)), 0);
   }
   sim_.run();
   const auto n1 = capture_.packets.size();
@@ -347,13 +353,56 @@ TEST_F(SwitchTest, SameFlowStaysOnOnePath) {
 
   for (int i = 0; i < 50; ++i) {
     auto pkt = packet::make_tcp(flow_to(Ipv4Addr::from_octets(10, 0, 2, 9), 555), 100);
-    sw_.receive(std::move(pkt), 0);
+    sw_.receive(packet::Pool::local().acquire(std::move(pkt)), 0);
   }
   sim_.run();
   // All 50 packets must exit the same port.
   const std::size_t max_count =
       std::max({capture_.packets.size(), sink2.packets.size(), sink3.packets.size()});
   EXPECT_EQ(max_count, 50u);
+}
+
+TEST(SwitchChain, OnePoolSlotPerFrameWhateverTheHopCount) {
+  // src -> sw1 -> sw2 -> sw3 -> dst, pipeline latency on. A frame takes
+  // its pool slot when it is created and keeps it through every queue,
+  // link and pipeline hop: acquires count frames, not hops.
+  sim::Simulator sim;
+  const Ipv4Addr dst_addr = Ipv4Addr::from_octets(10, 0, 9, 1);
+  net::Host src(sim, 10, "src", Ipv4Addr::from_octets(10, 0, 0, 1), util::BitRate::gbps(100));
+  net::Host dst(sim, 11, "dst", dst_addr, util::BitRate::gbps(100));
+  SwitchConfig config;
+  config.num_ports = 2;
+  ASSERT_GT(config.pipeline_latency, 0);
+  std::vector<std::unique_ptr<Switch>> chain;
+  std::vector<std::unique_ptr<net::Link>> links;
+  const auto cable = [&](net::Node& peer, util::NodeId from) {
+    links.push_back(std::make_unique<net::Link>(sim, util::Rng(links.size() + 1), peer, 0,
+                                                util::microseconds(1), from));
+    return links.back().get();
+  };
+  for (util::NodeId id = 1; id <= 3; ++id) {
+    chain.push_back(std::make_unique<Switch>(sim, id, "sw" + std::to_string(id), config));
+  }
+  src.set_uplink(cable(*chain.front(), src.id()));
+  for (std::size_t i = 0; i < chain.size(); ++i) {
+    net::Node& next = i + 1 < chain.size() ? static_cast<net::Node&>(*chain[i + 1]) : dst;
+    chain[i]->connect(1, cable(next, chain[i]->id()));
+    chain[i]->routes().insert(Ipv4Prefix{dst_addr, 32}, EcmpGroup{{1}});
+  }
+
+  constexpr int kFrames = 40;
+  const std::uint64_t before = packet::Pool::local().acquires();
+  for (int i = 0; i < kFrames; ++i) {
+    src.send(packet::make_tcp(
+        FlowKey{src.addr(), dst_addr, 6, static_cast<std::uint16_t>(1000 + i), 80}, 500));
+  }
+  sim.run();
+
+  EXPECT_EQ(dst.rx_packets(), static_cast<std::uint64_t>(kFrames));
+  for (const auto& sw : chain) {
+    EXPECT_EQ(sw->counters(0).rx_packets, static_cast<std::uint64_t>(kFrames)) << sw->name();
+  }
+  EXPECT_EQ(packet::Pool::local().acquires() - before, static_cast<std::uint64_t>(kFrames));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "fabric/fat_tree.h"
 #include "packet/builder.h"
+#include "packet/pool.h"
 #include "pdp/agent.h"
 #include "pdp/introspect.h"
 #include "pdp/switch.h"
@@ -174,7 +175,7 @@ void run_differential(fabric::Testbed tb, std::uint64_t seed, std::size_t num_pa
     for (std::size_t i = 0; i < batch; ++i) {
       originals.push_back(random_packet(rng, routed_dsts));
       packet::Packet copy = originals.back();
-      sw.receive(std::move(copy), kIngressPort);
+      sw.receive(packet::Pool::local().acquire(std::move(copy)), kIngressPort);
     }
     sent += batch;
     sim.run();
@@ -189,7 +190,7 @@ void run_differential(fabric::Testbed tb, std::uint64_t seed, std::size_t num_pa
                          static_cast<std::uint16_t>(rng()), 80};
       originals.push_back(packet::make_tcp(flow, 1000));
       packet::Packet copy = originals.back();
-      sw.receive(std::move(copy), kIngressPort);
+      sw.receive(packet::Pool::local().acquire(std::move(copy)), kIngressPort);
     }
     sim.run();
   }
