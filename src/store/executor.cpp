@@ -31,19 +31,21 @@ void QueryPool::run(std::size_t tasks, const std::function<void(std::size_t)>& f
     job_fn_ = &fn;
     job_tasks_ = tasks;
     next_task_.store(0, std::memory_order_relaxed);
-    done_tasks_.store(0, std::memory_order_relaxed);
     ++job_gen_;
     work_cv_.notify_all();
   }
-  // The caller claims tasks like any worker, then waits out the rest.
-  std::size_t t = 0;
-  while ((t = next_task_.fetch_add(1, std::memory_order_relaxed)) < tasks) {
-    fn(t);
-    done_tasks_.fetch_add(1, std::memory_order_release);
-  }
+  // The caller claims tasks like any worker. Once its claims run dry
+  // every task is claimed, so each one not finished here is still in a
+  // worker counted by active_.
+  claim(fn, tasks);
   util::CondMutexLock lock(mu_);
-  while (done_tasks_.load(std::memory_order_acquire) < tasks) done_cv_.wait(lock);
+  while (active_ > 0) done_cv_.wait(lock);
   job_fn_ = nullptr;
+}
+
+void QueryPool::claim(const std::function<void(std::size_t)>& fn, std::size_t tasks) {
+  std::size_t t = 0;
+  while ((t = next_task_.fetch_add(1, std::memory_order_relaxed)) < tasks) fn(t);
 }
 
 void QueryPool::worker() {
@@ -58,17 +60,14 @@ void QueryPool::worker() {
       seen = job_gen_;
       fn = job_fn_;
       tasks = job_tasks_;
+      // A worker that wakes after run() already finished this generation
+      // sees the cleared job and just re-arms for the next one.
+      if (fn == nullptr) continue;
+      ++active_;
     }
-    // A worker that wakes after run() already finished this generation
-    // sees the cleared job and just re-arms for the next one.
-    if (fn == nullptr) continue;
-    std::size_t t = 0;
-    while ((t = next_task_.fetch_add(1, std::memory_order_relaxed)) < tasks) {
-      (*fn)(t);
-      done_tasks_.fetch_add(1, std::memory_order_release);
-    }
+    claim(*fn, tasks);
     util::CondMutexLock lock(mu_);
-    done_cv_.notify_all();
+    if (--active_ == 0) done_cv_.notify_all();
   }
 }
 

@@ -38,17 +38,22 @@ class QueryPool {
 
  private:
   void worker();
+  /// Run tasks off the shared counter until it passes `tasks`.
+  void claim(const std::function<void(std::size_t)>& fn, std::size_t tasks);
 
   util::CondMutex mu_;
   util::CondVar work_cv_;  // workers sleep here between jobs
-  util::CondVar done_cv_;  // run() waits here for the last task
+  util::CondVar done_cv_;  // run() waits here for the last worker to leave
   bool stop_ NETSEER_GUARDED_BY(mu_) = false;
   std::uint64_t job_gen_ NETSEER_GUARDED_BY(mu_) = 0;
   const std::function<void(std::size_t)>* job_fn_ NETSEER_GUARDED_BY(mu_) = nullptr;
   std::size_t job_tasks_ NETSEER_GUARDED_BY(mu_) = 0;
+  /// Workers that joined the current job and have not left its claim
+  /// loop. run() returns only once this is 0, so no worker can claim
+  /// from the next job's counter with this job's fn or task count.
+  std::size_t active_ NETSEER_GUARDED_BY(mu_) = 0;
 
   std::atomic<std::size_t> next_task_{0};
-  std::atomic<std::size_t> done_tasks_{0};
 
   std::vector<std::thread> workers_;
 };

@@ -1,6 +1,9 @@
 #include "store/segment.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 
@@ -9,6 +12,19 @@ namespace netseer::store {
 namespace fs = std::filesystem;
 
 namespace {
+
+constexpr std::uint32_t kTypeBuckets = 8;  // EventType values are 1..5
+constexpr std::uint32_t kMaxSwitchBuckets = 256;
+constexpr std::size_t kMinRowSlots = 16;
+
+/// Store-local bucket hash over the FlowKey fields (see RowChains for
+/// why it is not FlowKey::hash64).
+[[nodiscard]] std::uint64_t flow_bucket_hash(const packet::FlowKey& flow) {
+  const std::uint64_t addrs = (std::uint64_t{flow.src.value} << 32) | flow.dst.value;
+  const std::uint64_t ports = (std::uint64_t{flow.sport} << 24) |
+                              (std::uint64_t{flow.dport} << 8) | flow.proto;
+  return util::mix64(addrs ^ (ports * 0x9e3779b97f4a7c15ULL));
+}
 
 [[nodiscard]] std::optional<std::uint32_t> seg_index(const std::string& filename) {
   constexpr const char* kPrefix = "seg-";
@@ -48,6 +64,86 @@ std::vector<SegmentFileRef> list_segment_files(const std::string& dir) {
   return files;
 }
 
+// ---- RowChains -------------------------------------------------------------
+
+void RowChains::extend(const std::vector<Row>& rows) {
+  if (rows.size() > links_.size()) grow(rows);
+  for (std::uint32_t row = size_; row < rows.size(); ++row) link(rows[row].stored.event, row);
+  size_ = static_cast<std::uint32_t>(rows.size());
+}
+
+void RowChains::link(const core::FlowEvent& event, std::uint32_t row) {
+  links_[row] = Links{kEnd, kEnd, kEnd};
+  append_to(buckets_[static_cast<std::uint32_t>(event.type) & (kTypeBuckets - 1)], Key::kType,
+            row);
+  append_to(buckets_[kTypeBuckets + (event.switch_id & switch_mask_)], Key::kSwitch, row);
+  append_to(buckets_[flow_base_ + (flow_bucket_hash(event.flow) & flow_mask_)], Key::kFlow, row);
+}
+
+void RowChains::append_to(Bucket& bucket, Key key, std::uint32_t row) {
+  if (bucket.count == 0) {
+    bucket.head = row;
+  } else {
+    links_[bucket.tail][static_cast<std::size_t>(key)] = row;
+  }
+  bucket.tail = row;
+  ++bucket.count;
+}
+
+void RowChains::grow(const std::vector<Row>& rows) {
+  if (rows.size() >= kEnd) {
+    std::fprintf(stderr, "RowChains: a run of %zu rows exceeds the 32-bit row index\n",
+                 rows.size());
+    std::abort();
+  }
+  // Doubling keeps re-linking amortized O(1) per row; the capacity hint
+  // sizes a filling memtable once for its whole run.
+  const std::size_t want =
+      std::min<std::size_t>(std::max({rows.size(), rows.capacity(), 2 * links_.size(),
+                                      kMinRowSlots}),
+                            kEnd - 1);
+  const auto slots = static_cast<std::uint32_t>(want);
+  const std::uint32_t flow_buckets = std::bit_floor(slots);  // <= 2 rows per bucket on average
+  const std::uint32_t switch_buckets = std::min(flow_buckets, kMaxSwitchBuckets);
+  links_.resize(slots);
+  buckets_.assign(kTypeBuckets + switch_buckets + flow_buckets, Bucket{});
+  switch_mask_ = switch_buckets - 1;
+  flow_base_ = kTypeBuckets + switch_buckets;
+  flow_mask_ = flow_buckets - 1;
+  for (std::uint32_t row = 0; row < size_; ++row) link(rows[row].stored.event, row);
+}
+
+RowChains::Chain RowChains::chain_of(Key key, std::size_t bucket) const {
+  if (buckets_.empty()) return Chain{key, kEnd, 0};
+  const Bucket& b = buckets_[bucket];
+  return Chain{key, b.head, b.count};
+}
+
+RowChains::Chain RowChains::flow_chain(const packet::FlowKey& flow) const {
+  return chain_of(Key::kFlow, flow_base_ + (flow_bucket_hash(flow) & flow_mask_));
+}
+
+RowChains::Chain RowChains::switch_chain(util::NodeId node) const {
+  return chain_of(Key::kSwitch, kTypeBuckets + (node & switch_mask_));
+}
+
+RowChains::Chain RowChains::type_chain(core::EventType type) const {
+  return chain_of(Key::kType, static_cast<std::uint32_t>(type) & (kTypeBuckets - 1));
+}
+
+std::optional<RowChains::Chain> RowChains::shortest(const backend::EventQuery& query) const {
+  std::optional<Chain> best;
+  const auto consider = [&best](const Chain& chain) {
+    if (!best || chain.count < best->count) best = chain;
+  };
+  if (query.flow) consider(flow_chain(*query.flow));
+  if (query.switch_id) consider(switch_chain(*query.switch_id));
+  if (query.type) consider(type_chain(*query.type));
+  return best;
+}
+
+// ---- Segment ----------------------------------------------------------------
+
 Segment Segment::build(std::vector<Row> rows, std::uint32_t file_id) {
   Segment seg;
   seg.rows_ = std::move(rows);
@@ -56,27 +152,17 @@ Segment Segment::build(std::vector<Row> rows, std::uint32_t file_id) {
   seg.max_lsn_ = seg.rows_.back().lsn;
   seg.min_time_ = seg.rows_.front().stored.event.detected_at;
   seg.max_time_ = seg.min_time_;
-  // Fences and type counts stay eager (one cheap pass, needed for
-  // pruning); the flow/switch maps build lazily on first index lookup
-  // so sealing costs no hashing on the ingest path.
-  for (std::uint32_t i = 0; i < seg.rows_.size(); ++i) {
-    const auto& event = seg.rows_[i].stored.event;
-    seg.min_time_ = std::min(seg.min_time_, event.detected_at);
-    seg.max_time_ = std::max(seg.max_time_, event.detected_at);
-    const auto raw = static_cast<std::size_t>(event.type);
-    if (raw < seg.type_counts_.size()) ++seg.type_counts_[raw];
+  for (const Row& row : seg.rows_) {
+    seg.min_time_ = std::min(seg.min_time_, row.stored.event.detected_at);
+    seg.max_time_ = std::max(seg.max_time_, row.stored.event.detected_at);
   }
   return seg;
 }
 
-void Segment::ensure_indexed() const {
-  if (indexed_) return;
-  for (std::uint32_t i = 0; i < rows_.size(); ++i) {
-    const auto& event = rows_[i].stored.event;
-    by_flow_[event.flow.hash64()].push_back(i);
-    by_switch_[event.switch_id].push_back(i);
-  }
-  indexed_ = true;
+Segment Segment::seal(std::vector<Row> rows, RowChains chains) {
+  Segment seg = build(std::move(rows));
+  seg.chains_ = std::move(chains);
+  return seg;
 }
 
 bool Segment::save(const std::string& path) const {

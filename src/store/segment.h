@@ -1,29 +1,112 @@
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "backend/event_store.h"
 #include "store/format.h"
+#include "util/annotations.h"
 
 namespace netseer::store {
 
-/// An immutable, time-partitioned run of rows in LSN order, with the
-/// per-segment indexes the query engine intersects instead of scanning:
-/// flow-hash -> rows, device -> rows, per-type row counts, and min/max
-/// time fences over detected_at for pruning time-windowed queries.
+/// Allocation-free secondary index over one run of rows in LSN order:
+/// the memtable while it fills, then the segment it seals into. Every
+/// row sits on three chains — its flow bucket's, its switch bucket's and
+/// its event type's. A chain links its rows in LSN order through one
+/// `next` entry per row, and its bucket keeps head, tail and length in a
+/// fixed power-of-two table, so appending a row touches three buckets
+/// and writes three links with no per-key allocation.
 ///
-/// A segment is sealed from the memtable (or merged out of smaller
-/// segments by compaction) and never mutated afterwards; the indexes are
-/// rebuilt when a segment file is loaded, so the on-disk format stays a
-/// plain CRC-protected row run.
+/// Buckets may mix keys (two flows or two switches that land in one
+/// bucket), so a chain holds a superset of its key's rows: whoever walks
+/// it re-checks every row. A chain of length 0 proves the key absent.
+///
+/// Flow buckets are keyed by a store-local mix of the FlowKey fields,
+/// not by FlowKey::hash64: the data plane's group cache and path
+/// detector pick their slots with that hash, so it must not change for
+/// the store's sake.
+class RowChains {
+ public:
+  /// "No row": a chain's head when empty, a row's link at its chain's tail.
+  static constexpr std::uint32_t kEnd = 0xffffffffu;
+
+  enum class Key : std::uint8_t { kFlow, kSwitch, kType };
+
+  /// One chain: its first row and how many rows it links.
+  struct Chain {
+    Key key = Key::kType;
+    std::uint32_t head = kEnd;
+    std::uint32_t count = 0;
+  };
+
+  /// Index rows [size(), rows.size()): the rows appended since the last
+  /// call, which must have left the earlier rows untouched. The tables
+  /// are sized on first use for the vector's capacity (the run's
+  /// expected length) and only regrow if the run outgrows it, so
+  /// steady-state appends allocate nothing.
+  NETSEER_HOT void extend(const std::vector<Row>& rows);
+
+  /// Rows indexed so far.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+  [[nodiscard]] Chain flow_chain(const packet::FlowKey& flow) const;
+  [[nodiscard]] Chain switch_chain(util::NodeId node) const;
+  [[nodiscard]] Chain type_chain(core::EventType type) const;
+
+  /// The shortest chain among those the query names (flow, switch,
+  /// type); nullopt when it names none and only a full walk answers it.
+  [[nodiscard]] std::optional<Chain> shortest(const backend::EventQuery& query) const;
+
+  /// The row after `row` on its `key` chain; kEnd past the chain's tail.
+  [[nodiscard]] std::uint32_t next(Key key, std::uint32_t row) const {
+    return links_[row][static_cast<std::size_t>(key)];
+  }
+
+ private:
+  struct Bucket {
+    std::uint32_t head = kEnd;
+    std::uint32_t tail = kEnd;
+    std::uint32_t count = 0;
+  };
+  using Links = std::array<std::uint32_t, 3>;  // next row, indexed by Key
+
+  NETSEER_HOT void link(const core::FlowEvent& event, std::uint32_t row);
+  NETSEER_HOT void append_to(Bucket& bucket, Key key, std::uint32_t row);
+  /// Size the tables for `rows` (at least its capacity) and re-link the
+  /// rows already indexed: the only place the index allocates.
+  NETSEER_HOT_ALLOW_INIT void grow(const std::vector<Row>& rows);
+  [[nodiscard]] Chain chain_of(Key key, std::size_t bucket) const;
+
+  std::vector<Links> links_;  // one per row slot; size() is the capacity
+  // Type buckets, then switch buckets, then flow buckets, in one table.
+  std::vector<Bucket> buckets_;
+  std::uint32_t switch_mask_ = 0;
+  std::uint32_t flow_base_ = 0;
+  std::uint32_t flow_mask_ = 0;
+  std::uint32_t size_ = 0;
+};
+
+/// An immutable, time-partitioned run of rows in LSN order, with min/max
+/// time fences over detected_at for pruning time-windowed queries and
+/// the RowChains index the query planner walks instead of scanning.
+///
+/// A segment is sealed from the memtable, which hands over the index it
+/// kept while filling, or is merged out of smaller segments by
+/// compaction or loaded from a segment file; those two build their index
+/// in one pass on first lookup, so the on-disk format stays a plain
+/// CRC-protected row run.
 class Segment {
  public:
-  /// Build from rows already sorted by LSN (callers: memtable seal,
-  /// compaction merge, segment-file load). `rows` must be non-empty.
+  /// Build from rows already sorted by LSN (callers: compaction merge,
+  /// segment-file load). `rows` must be non-empty.
   static Segment build(std::vector<Row> rows, std::uint32_t file_id = 0);
+
+  /// Seal the memtable: adopt its rows together with the index that
+  /// already covers them.
+  static Segment seal(std::vector<Row> rows, RowChains chains);
 
   [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
   [[nodiscard]] std::size_t size() const { return rows_.size(); }
@@ -36,25 +119,13 @@ class Segment {
   [[nodiscard]] std::uint32_t file_id() const { return file_id_; }
   void set_file_id(std::uint32_t id) { file_id_ = id; }
 
-  /// Index lookups; nullptr when the key has no rows in this segment.
-  /// The flow/switch maps are built lazily on the first lookup — sealing
-  /// stays off the ingest hot path and segments that only ever serve
-  /// time-windowed scans never pay for them. NOT thread-safe: the query
-  /// planner resolves indexes serially before any parallel segment scan
-  /// fans out (workers only read rows()).
-  [[nodiscard]] const std::vector<std::uint32_t>* flow_rows(std::uint64_t flow_hash) const {
-    ensure_indexed();
-    const auto it = by_flow_.find(flow_hash);
-    return it == by_flow_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] const std::vector<std::uint32_t>* switch_rows(util::NodeId node) const {
-    ensure_indexed();
-    const auto it = by_switch_.find(node);
-    return it == by_switch_.end() ? nullptr : &it->second;
-  }
-  [[nodiscard]] std::uint32_t type_count(core::EventType type) const {
-    const auto raw = static_cast<std::size_t>(type);
-    return raw < type_counts_.size() ? type_counts_[raw] : 0;
+  /// The row-chain index, built on the first call when the segment was
+  /// not sealed from the memtable. NOT thread-safe: the query planner
+  /// resolves indexes serially before any parallel scan fans out
+  /// (workers only read).
+  [[nodiscard]] const RowChains& chains() const {
+    if (chains_.size() != rows_.size()) chains_.extend(rows_);
+    return chains_;
   }
 
   /// True when [from, to) could contain rows of this segment (fences are
@@ -79,8 +150,6 @@ class Segment {
  private:
   Segment() = default;
 
-  void ensure_indexed() const;
-
   std::vector<Row> rows_;
   std::uint64_t min_lsn_ = 0;
   std::uint64_t max_lsn_ = 0;
@@ -88,11 +157,8 @@ class Segment {
   util::SimTime max_time_ = 0;
   std::uint32_t file_id_ = 0;
 
-  // Lazily built by ensure_indexed() under the serial-planner contract.
-  mutable bool indexed_ = false;
-  mutable std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> by_flow_;
-  mutable std::unordered_map<util::NodeId, std::vector<std::uint32_t>> by_switch_;
-  std::array<std::uint32_t, 8> type_counts_{};
+  // Extended by chains() under the serial-planner contract.
+  mutable RowChains chains_;
 };
 
 /// Segment files under `dir` ("seg-NNNNNNNN.seg"), sorted by file id.

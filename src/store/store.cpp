@@ -23,71 +23,44 @@ QueryCursor::QueryCursor(const FlowEventStore& event_store, const backend::Event
   StoreStats& stats = store_->stats_;
   ++stats.queries;
 
+  // A query that names no flow, switch or type is answered by full
+  // walks, and must not make a compaction output build its index.
+  const bool keyed = query_.flow || query_.switch_id || query_.type;
   for (const auto& segment : store_->segments_) {
-    if (!segment->overlaps(query_.from, query_.to)) {
+    if (!segment->overlaps(query_.from, query_.to) ||
+        !plan_run(segment->rows(), keyed ? &segment->chains() : nullptr)) {
       ++stats.segments_pruned;
       continue;
-    }
-    if (query_.type && segment->type_count(*query_.type) == 0) {
-      ++stats.segments_pruned;
-      continue;
-    }
-    SegmentPlan plan;
-    plan.segment = segment.get();
-    if (query_.flow) {
-      plan.candidates = segment->flow_rows(query_.flow->hash64());
-      if (plan.candidates == nullptr) {
-        ++stats.segments_pruned;
-        continue;
-      }
-      ++stats.index_hits;
-    } else if (query_.switch_id) {
-      plan.candidates = segment->switch_rows(*query_.switch_id);
-      if (plan.candidates == nullptr) {
-        ++stats.segments_pruned;
-        continue;
-      }
-      ++stats.index_hits;
-    } else {
-      ++stats.full_segment_scans;
     }
     ++stats.segments_scanned;
-    segments_.push_back(plan);
+    ++(keyed ? stats.index_hits : stats.full_segment_scans);
+  }
+  if (!store_->memtable_.empty()) {
+    (void)plan_run(store_->memtable_, keyed ? &store_->memtable_chains_ : nullptr);
   }
 
-  // Scatter-gather: with a pool and more than one surviving segment,
-  // pre-filter every segment's rows in parallel. Gather order is the
-  // plan (= LSN) order, so parallel and serial cursors emit
-  // identically; per-task stat tallies merge after the barrier because
-  // StoreStats is not atomic.
-  if (store_->pool_ != nullptr && segments_.size() > 1) {
+  // Scatter-gather: with a pool and more than one run, pre-filter every
+  // run along its planned walk in parallel. Gather order is the plan
+  // (= LSN) order, so parallel and serial cursors emit identically;
+  // per-task stat tallies merge after the barrier because StoreStats is
+  // not atomic.
+  if (store_->pool_ != nullptr && runs_.size() > 1) {
     parallel_ = true;
-    matches_.resize(segments_.size());
+    matches_.resize(runs_.size());
     struct Tally {
       std::uint64_t examined = 0;
       std::uint64_t matched = 0;
     };
-    std::vector<Tally> tallies(segments_.size());
-    store_->pool_->run(segments_.size(), [&](std::size_t i) {
-      const SegmentPlan& plan = segments_[i];
-      const auto& rows = plan.segment->rows();
+    std::vector<Tally> tallies(runs_.size());
+    store_->pool_->run(runs_.size(), [&](std::size_t i) {
+      const RunPlan& run = runs_[i];
       std::vector<std::uint32_t>& out = matches_[i];
       Tally& tally = tallies[i];
-      if (plan.candidates != nullptr) {
-        for (const std::uint32_t row : *plan.candidates) {
-          ++tally.examined;
-          if (query_.matches(rows[row].stored)) {
-            out.push_back(row);
-            ++tally.matched;
-          }
-        }
-      } else {
-        for (std::uint32_t row = 0; row < rows.size(); ++row) {
-          ++tally.examined;
-          if (query_.matches(rows[row].stored)) {
-            out.push_back(row);
-            ++tally.matched;
-          }
+      for (std::uint32_t row = run.first(); row != RowChains::kEnd; row = run.after(row)) {
+        ++tally.examined;
+        if (query_.matches((*run.rows)[row].stored)) {
+          out.push_back(row);
+          ++tally.matched;
         }
       }
     });
@@ -96,27 +69,49 @@ QueryCursor::QueryCursor(const FlowEventStore& event_store, const backend::Event
       stats.rows_matched += tally.matched;
     }
     ++stats.parallel_queries;
-    stats.parallel_tasks += segments_.size();
+    stats.parallel_tasks += runs_.size();
   }
+  start_run(0);
 
-  // Rows not yet sealed: the memtable (already in LSN order), then the
-  // shard buffers in global append order. Shard iteration order is a
-  // hash-map artifact, so sort by the append sequence for determinism.
-  tail_.reserve(store_->memtable_.size());
-  for (const Row& row : store_->memtable_) tail_.push_back(&row.stored);
-  std::vector<std::pair<std::uint64_t, const backend::StoredEvent*>> pending_rows;
-  for (const auto& [node, shard] : store_->shards_) {
-    (void)node;
+  // Rows still in shard buffers come last, in global append order.
+  // Shard iteration order is a hash-map artifact, so the matches are
+  // sorted by the append sequence for determinism. A shard holds one
+  // switch's rows, so a switch query filters only that shard.
+  const auto filter = [&](const FlowEventStore::Shard& shard) {
+    stats.rows_examined += shard.rows.size();
     for (const auto& pending : shard.rows) {
-      pending_rows.emplace_back(pending.order, &pending.stored);
+      if (query_.matches(pending.stored)) pending_.emplace_back(pending.order, &pending.stored);
+    }
+  };
+  if (query_.switch_id) {
+    const auto it = store_->shards_.find(*query_.switch_id);
+    if (it != store_->shards_.end()) filter(it->second);
+  } else {
+    for (const auto& [node, shard] : store_->shards_) {
+      (void)node;
+      filter(shard);
     }
   }
-  std::sort(pending_rows.begin(), pending_rows.end(),
+  std::sort(pending_.begin(), pending_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [order, stored] : pending_rows) {
-    (void)order;
-    tail_.push_back(stored);
+}
+
+bool QueryCursor::plan_run(const std::vector<Row>& rows, const RowChains* chains) {
+  RunPlan run{&rows, nullptr, {}};
+  if (chains != nullptr) {
+    const auto chain = chains->shortest(query_);
+    if (chain->count == 0) return false;
+    run.chains = chains;
+    run.chain = *chain;
   }
+  runs_.push_back(run);
+  return true;
+}
+
+void QueryCursor::start_run(std::size_t run) {
+  run_idx_ = run;
+  row_ = run < runs_.size() ? runs_[run].first() : RowChains::kEnd;
+  match_idx_ = 0;
 }
 
 void QueryCursor::check_generation() const {
@@ -132,47 +127,31 @@ void QueryCursor::check_generation() const {
 const backend::StoredEvent* QueryCursor::next() {
   check_generation();
   StoreStats& stats = store_->stats_;
-  while (!in_tail_) {
-    if (segment_idx_ >= segments_.size()) {
-      in_tail_ = true;
-      break;
-    }
-    const SegmentPlan& plan = segments_[segment_idx_];
+  while (run_idx_ < runs_.size()) {
+    const RunPlan& run = runs_[run_idx_];
     if (parallel_) {
       // Rows were pre-filtered (and counted) at construction: walk the
       // match lists straight through, in plan order.
-      const std::vector<std::uint32_t>& matches = matches_[segment_idx_];
-      if (row_idx_ >= matches.size()) {
-        ++segment_idx_;
-        row_idx_ = 0;
-        continue;
-      }
-      return &plan.segment->rows()[matches[row_idx_++]].stored;
-    }
-    const std::size_t limit =
-        plan.candidates != nullptr ? plan.candidates->size() : plan.segment->rows().size();
-    if (row_idx_ >= limit) {
-      ++segment_idx_;
-      row_idx_ = 0;
+      const std::vector<std::uint32_t>& matches = matches_[run_idx_];
+      if (match_idx_ < matches.size()) return &(*run.rows)[matches[match_idx_++]].stored;
+      start_run(run_idx_ + 1);
       continue;
     }
-    const std::size_t row =
-        plan.candidates != nullptr ? (*plan.candidates)[row_idx_] : row_idx_;
-    ++row_idx_;
+    if (row_ == RowChains::kEnd) {
+      start_run(run_idx_ + 1);
+      continue;
+    }
+    const backend::StoredEvent& stored = (*run.rows)[row_].stored;
+    row_ = run.after(row_);
     ++stats.rows_examined;
-    const backend::StoredEvent& stored = plan.segment->rows()[row].stored;
     if (query_.matches(stored)) {
       ++stats.rows_matched;
       return &stored;
     }
   }
-  while (tail_idx_ < tail_.size()) {
-    const backend::StoredEvent* stored = tail_[tail_idx_++];
-    ++stats.rows_examined;
-    if (query_.matches(*stored)) {
-      ++stats.rows_matched;
-      return stored;
-    }
+  if (pending_idx_ < pending_.size()) {
+    ++stats.rows_matched;
+    return pending_[pending_idx_++].second;
   }
   return nullptr;
 }
@@ -241,6 +220,7 @@ void FlowEventStore::flush_shard(Shard& shard) {
       memtable_.push_back(Row{pending.stored, next_lsn_++});
     }
   }
+  memtable_chains_.extend(memtable_);
   const std::uint64_t last_lsn = next_lsn_ - 1;
   shard.rows.clear();
   ++stats_.batches_flushed;
@@ -293,8 +273,12 @@ void FlowEventStore::seal_active() {
   if (memtable_.empty()) return;
   ++generation_;
   util::MutexLock lock(maint_mu_);
-  auto segment = std::make_unique<Segment>(Segment::build(std::move(memtable_)));
+  // The memtable's index already covers every row: hand it over rather
+  // than re-index. The next flush builds fresh tables.
+  auto segment = std::make_unique<Segment>(
+      Segment::seal(std::move(memtable_), std::move(memtable_chains_)));
   memtable_.clear();
+  memtable_chains_ = RowChains{};
   // Segment-file creation is deferred to persist_segments_locked()
   // (maintenance/checkpoint), keeping the seal on the ingest path a
   // pure in-memory operation; the WAL covers the rows until then.
@@ -504,6 +488,7 @@ void FlowEventStore::recover_from_dir() {
   const WalReplayResult replay = replay_wal_dir(
       options_.dir, watermark, [this](Row&& row) { memtable_.push_back(std::move(row)); },
       /*repair=*/true);
+  memtable_chains_.extend(memtable_);
   recovery_.wal_records_replayed = replay.records;
   recovery_.wal_rows_replayed = replay.rows;
   recovery_.wal_rows_skipped = replay.skipped_rows;

@@ -54,8 +54,9 @@ struct StoreOptions {
   /// thread blocks on the durable watermark after every batch.
   bool sync_every_batch = false;
 
-  /// Scatter-gather parallelism for scan(): segment scans fan out over
-  /// this many threads (including the caller). 1 = serial (default).
+  /// Scatter-gather parallelism for scan(): the walks of the segments
+  /// and the memtable fan out over this many threads (including the
+  /// caller). 1 = serial (default).
   std::size_t query_threads = 1;
 
   /// Group-commit handoff depth, in shard batches. A full ring blocks
@@ -100,7 +101,7 @@ struct StoreStats {
   std::uint64_t rows_examined = 0;
   std::uint64_t rows_matched = 0;
   std::uint64_t parallel_queries = 0;  // cursors that fanned out on the pool
-  std::uint64_t parallel_tasks = 0;    // segment scans dispatched to it
+  std::uint64_t parallel_tasks = 0;    // run walks (segments, memtable) dispatched to it
 
   // Subscriptions.
   std::uint64_t subscription_polls = 0;
@@ -129,11 +130,15 @@ class FlowEventStore;
 
 /// Streaming view over one query's matches, in the store's total order
 /// (LSN order for flushed rows, then append order for rows still in
-/// shard buffers). The plan — which segments were pruned by time fence
-/// or type count, which use an index — is fixed at construction; rows
-/// are filtered lazily as next() advances (or eagerly, in parallel,
-/// when the store has a query pool — the merge is by segment LSN order
-/// either way, so both paths emit identically).
+/// shard buffers). The plan is fixed at construction: runs of rows in
+/// LSN order — each sealed segment whose time fences overlap the query,
+/// then the memtable — each walked along the shortest RowChains chain
+/// the query's flow, switch or type names, or row by row when it names
+/// none; a run whose chain is empty is pruned. Every visited row is
+/// re-checked with EventQuery::matches, since chain buckets may mix
+/// keys. Rows are filtered lazily as next() advances, or eagerly along
+/// the same chains, in parallel, when the store has a query pool; both
+/// emit in run order, so identically.
 ///
 /// A cursor is valid only until the store is mutated (append, flush,
 /// seal, compaction, retention): it snapshots the store's generation
@@ -178,12 +183,29 @@ class QueryCursor {
 
  private:
   friend class FlowEventStore;
-  struct SegmentPlan {
-    const Segment* segment = nullptr;
-    const std::vector<std::uint32_t>* candidates = nullptr;  // null = scan all rows
+  /// One run of rows in LSN order and how to walk it: along `chain`,
+  /// or every row when `chains` is null.
+  struct RunPlan {
+    const std::vector<Row>* rows = nullptr;
+    const RowChains* chains = nullptr;
+    RowChains::Chain chain;
+
+    [[nodiscard]] std::uint32_t first() const {
+      if (chains != nullptr) return chain.head;
+      return rows->empty() ? RowChains::kEnd : 0;
+    }
+    [[nodiscard]] std::uint32_t after(std::uint32_t row) const {
+      if (chains != nullptr) return chains->next(chain.key, row);
+      return row + 1 < rows->size() ? row + 1 : RowChains::kEnd;
+    }
   };
 
   QueryCursor(const FlowEventStore& store, const backend::EventQuery& query);
+
+  /// Plan `rows` on the shortest chain the query names (`chains` is
+  /// null when it names none); false when that chain is empty.
+  bool plan_run(const std::vector<Row>& rows, const RowChains* chains);
+  void start_run(std::size_t run);
 
   /// Abort (with a diagnostic) if the store mutated under this cursor.
   void check_generation() const;
@@ -191,24 +213,25 @@ class QueryCursor {
   const FlowEventStore* store_ = nullptr;
   backend::EventQuery query_;
   std::uint64_t generation_ = 0;
-  std::vector<SegmentPlan> segments_;
-  // Parallel path: per-plan pre-filtered row indexes (scatter output).
+  std::vector<RunPlan> runs_;
+  // Parallel path: per-run pre-filtered row indexes (scatter output).
   bool parallel_ = false;
   std::vector<std::vector<std::uint32_t>> matches_;
-  // Memtable rows then pending shard rows, in emission order.
-  std::vector<const backend::StoredEvent*> tail_;
-  std::size_t segment_idx_ = 0;
-  std::size_t row_idx_ = 0;
-  std::size_t tail_idx_ = 0;
-  bool in_tail_ = false;
+  // Matching shard-buffer rows, sorted by global append order.
+  std::vector<std::pair<std::uint64_t, const backend::StoredEvent*>> pending_;
+  std::size_t run_idx_ = 0;
+  std::uint32_t row_ = RowChains::kEnd;  // serial walk: next row of the current run
+  std::size_t match_idx_ = 0;            // parallel walk: next entry of matches_
+  std::size_t pending_idx_ = 0;
 };
 
 /// The durable, sharded flow-event store behind the backend collector:
 /// per-switch batch buffers feed a CRC-framed write-ahead log, rows
 /// accumulate in a memtable that seals into immutable time-partitioned
-/// segments with per-segment indexes, background maintenance compacts
-/// and applies retention, and queries intersect segment indexes instead
-/// of scanning. Drop-in query-compatible with backend::EventStore.
+/// segments, background maintenance compacts and applies retention, and
+/// queries walk row-chain indexes — kept by the memtable as it fills and
+/// handed to the segment it seals into — instead of scanning. Drop-in
+/// query-compatible with backend::EventStore.
 class FlowEventStore final : public backend::EventSink {
  public:
   NETSEER_BLOCKING explicit FlowEventStore(StoreOptions options = {});
@@ -361,6 +384,8 @@ class FlowEventStore final : public backend::EventSink {
   std::uint64_t legacy_wal_deleted_ = 0;  // checkpoint-deleted legacy files
 
   std::vector<Row> memtable_;
+  /// Indexes memtable_ as rows arrive; seal_active() hands it over.
+  RowChains memtable_chains_;
   std::vector<std::unique_ptr<Segment>> segments_;  // oldest first (LSN order)
 
   /// Serializes the maintenance paths (seal/compact/retention/WAL-GC)

@@ -1,9 +1,10 @@
-// Satellite: EventQuery parity. The same event stream goes into the
-// reference backend::EventStore (the oracle) and into store::FlowEventStore,
-// and every query shape must return identical results — element for
+// EventQuery parity. The same event stream goes into the reference
+// backend::EventStore (the oracle) and into store::FlowEventStore, and
+// every query shape must return identical results — element for
 // element, in the same order — in every lifecycle state: with rows still
-// in shard buffers, after sealing, after compaction, and after a durable
-// round trip through segment files.
+// in shard buffers, after sealing, after compaction, after a durable
+// round trip through segment files, and after a reopen that replays
+// every row out of the WAL into the memtable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -181,6 +182,30 @@ TEST(QueryParity, MatchesOracleThroughDurableReopen) {
   options.dir = dir;
   FlowEventStore reopened(options);
   expect_parity(oracle, reopened, "durable, reopened");
+  fs::remove_all(dir);
+}
+
+TEST(QueryParity, MatchesOracleThroughWalReplay) {
+  const auto dir = (fs::temp_directory_path() / "netseer_query_parity_wal_test").string();
+  fs::remove_all(dir);
+  backend::EventStore oracle;
+  auto options = parity_options();
+  options.dir = dir;
+  {
+    FlowEventStore fstore(options);
+    Gen gen;
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      const auto ev = gen.next(i);
+      oracle.add(ev, ev.detected_at + 1);
+      fstore.add(ev, ev.detected_at + 1);
+    }
+    // No checkpoint: the segments sealed so far were never persisted,
+    // so the WAL alone holds the rows when the store closes.
+  }
+  FlowEventStore reopened(options);
+  ASSERT_EQ(reopened.recovery().wal_rows_replayed, kEvents);
+  ASSERT_EQ(reopened.segment_count(), 0u);
+  expect_parity(oracle, reopened, "durable, reopened without checkpoint");
   fs::remove_all(dir);
 }
 

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "backend/event_store.h"
@@ -163,6 +164,75 @@ TEST(QuerySurfaceTest, DeprecatedWrappersAgreeWithScan) {
   EXPECT_EQ(fs.count(query), rows);
   EXPECT_EQ(fs.query(query).size(), rows);
   EXPECT_EQ(fs.total_counter(query), counter_sum);
+}
+
+TEST(QuerySurfaceTest, KeysSharingAChainBucketGetOnlyTheirOwnRows) {
+  // Find a second flow and a second switch that land in the first ones'
+  // buckets, probing an index sized like the memtable of the store below.
+  constexpr std::size_t kRun = 64;
+  const packet::FlowKey flow_a = sample_event(0).flow;
+  const util::NodeId switch_a = 1;
+  std::vector<Row> probe_rows;
+  probe_rows.reserve(kRun);
+  probe_rows.push_back(
+      Row{backend::StoredEvent{core::make_event(core::EventType::kDrop, flow_a, switch_a, 0), 0},
+          1});
+  RowChains probe;
+  probe.extend(probe_rows);
+  packet::FlowKey flow_b = flow_a;
+  do {
+    ++flow_b.sport;
+  } while (probe.flow_chain(flow_b).count == 0 && flow_b.sport != flow_a.sport);
+  ASSERT_NE(flow_b, flow_a);
+  util::NodeId switch_b = switch_a + 1;
+  while (probe.switch_chain(switch_b).count == 0 && switch_b < 1u << 20u) ++switch_b;
+  ASSERT_EQ(probe.switch_chain(switch_b).count, 1u);
+
+  StoreOptions options;
+  options.shard_batch = 1;  // LSN order = insertion order
+  options.segment_events = kRun;
+  FlowEventStore fs(options);
+  std::vector<backend::StoredEvent> stored;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const auto ev = core::make_event(core::EventType::kDrop, i % 2 == 0 ? flow_a : flow_b,
+                                     i % 3 == 0 ? switch_a : switch_b,
+                                     static_cast<util::SimTime>(i * 10));
+    fs.add(ev, ev.detected_at + 1);
+    stored.push_back(backend::StoredEvent{ev, ev.detected_at + 1});
+  }
+  const std::vector<backend::EventQuery> queries{
+      backend::EventQuery{}.for_flow(flow_a),
+      backend::EventQuery{}.for_flow(flow_b),
+      backend::EventQuery{}.for_switch(switch_a),
+      backend::EventQuery{}.for_switch(switch_b),
+      backend::EventQuery{}.for_flow(flow_b).for_switch(switch_a),
+  };
+  const auto expect_own_rows = [&](const std::string& state) {
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(state + ", query #" + std::to_string(q));
+      std::vector<backend::StoredEvent> want;
+      for (const auto& row : stored) {
+        if (queries[q].matches(row)) want.push_back(row);
+      }
+      const auto got = fs.query(queries[q]);
+      ASSERT_FALSE(want.empty());
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].event, want[i].event) << "row " << i;
+      }
+    }
+  };
+  ASSERT_EQ(fs.segment_count(), 0u);
+  expect_own_rows("memtable");
+
+  fs.seal_active();
+  ASSERT_EQ(fs.segment_count(), 1u);
+  // The segment kept the memtable's index, shared buckets and all.
+  const RowChains& chains = fs.segments().front()->chains();
+  EXPECT_EQ(chains.flow_chain(flow_a).head, chains.flow_chain(flow_b).head);
+  EXPECT_EQ(chains.flow_chain(flow_a).count, 40u);
+  EXPECT_EQ(chains.switch_chain(switch_a).count, 40u);
+  expect_own_rows("segment");
 }
 
 TEST(QueryPoolTest, EveryTaskRunsExactlyOnce) {

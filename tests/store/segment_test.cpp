@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "core/event.h"
 
@@ -36,6 +38,22 @@ class SegmentTest : public ::testing::Test {
     return Row{backend::StoredEvent{ev, static_cast<util::SimTime>(lsn * 100 + 7)}, lsn};
   }
 
+  /// LSNs of the rows on `chain` that `query` matches, in chain order;
+  /// also checks the chain links exactly as many rows as it counts.
+  static std::vector<std::uint64_t> matching_lsns(const Segment& segment,
+                                                  RowChains::Chain chain,
+                                                  const backend::EventQuery& query) {
+    std::vector<std::uint64_t> lsns;
+    std::uint32_t linked = 0;
+    for (std::uint32_t i = chain.head; i != RowChains::kEnd;
+         i = segment.chains().next(chain.key, i)) {
+      ++linked;
+      if (query.matches(segment.rows()[i].stored)) lsns.push_back(segment.rows()[i].lsn);
+    }
+    EXPECT_EQ(linked, chain.count);
+    return lsns;
+  }
+
   std::string dir_;
 };
 
@@ -48,17 +66,21 @@ TEST_F(SegmentTest, BuildComputesFencesAndIndexes) {
   EXPECT_EQ(segment.max_lsn(), 13u);
   EXPECT_EQ(segment.min_time(), 1000);
   EXPECT_EQ(segment.max_time(), 1300);
-  EXPECT_EQ(segment.type_count(core::EventType::kDrop), 3u);
-  EXPECT_EQ(segment.type_count(core::EventType::kCongestion), 1u);
-  EXPECT_EQ(segment.type_count(core::EventType::kPause), 0u);
 
-  const auto* same_flow = segment.flow_rows(row(0, 1, 1000).stored.event.flow.hash64());
-  ASSERT_NE(same_flow, nullptr);
-  EXPECT_EQ(same_flow->size(), 2u);
-  const auto* node1 = segment.switch_rows(1);
-  ASSERT_NE(node1, nullptr);
-  EXPECT_EQ(node1->size(), 2u);
-  EXPECT_EQ(segment.switch_rows(99), nullptr);
+  const RowChains& chains = segment.chains();
+  EXPECT_EQ(chains.size(), 4u);
+  EXPECT_EQ(chains.type_chain(core::EventType::kDrop).count, 3u);
+  EXPECT_EQ(chains.type_chain(core::EventType::kCongestion).count, 1u);
+  EXPECT_EQ(chains.type_chain(core::EventType::kPause).count, 0u);
+
+  const auto flow = row(0, 1, 1000).stored.event.flow;
+  EXPECT_EQ(matching_lsns(segment, chains.flow_chain(flow), backend::EventQuery{}.for_flow(flow)),
+            (std::vector<std::uint64_t>{10, 12}));
+  EXPECT_EQ(matching_lsns(segment, chains.switch_chain(1), backend::EventQuery{}.for_switch(1)),
+            (std::vector<std::uint64_t>{10, 12}));
+  EXPECT_TRUE(
+      matching_lsns(segment, chains.switch_chain(99), backend::EventQuery{}.for_switch(99))
+          .empty());
 }
 
 TEST_F(SegmentTest, OverlapUsesFences) {
@@ -92,8 +114,12 @@ TEST_F(SegmentTest, SaveLoadRoundTrip) {
     EXPECT_EQ(loaded->rows()[i].stored.event, segment.rows()[i].stored.event);
     EXPECT_EQ(loaded->rows()[i].stored.stored_at, segment.rows()[i].stored.stored_at);
   }
-  // Indexes are rebuilt on load.
-  EXPECT_NE(loaded->switch_rows(1), nullptr);
+  // The index is rebuilt on load: every fourth row is switch 1's.
+  const auto switch1 =
+      matching_lsns(*loaded, loaded->chains().switch_chain(1), backend::EventQuery{}.for_switch(1));
+  ASSERT_EQ(switch1.size(), 25u);
+  EXPECT_EQ(switch1.front(), 51u);
+  EXPECT_TRUE(std::is_sorted(switch1.begin(), switch1.end()));
 }
 
 TEST_F(SegmentTest, LoadRejectsFlippedByte) {
