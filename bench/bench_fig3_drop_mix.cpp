@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
 
   std::uint64_t by_reason[16] = {};
   std::uint64_t acl = 0, total = 0;
-  for (const auto& stored : harness.store().all()) {
+  for (const auto& stored : harness.store().scan(backend::EventQuery{})) {
     if (stored.event.type == core::EventType::kAclDrop) {
       acl += stored.event.counter;
       total += stored.event.counter;

@@ -1,6 +1,6 @@
 // Flow-event store microbench: ingest throughput (in-memory and
 // group-commit durable), plus the query engine's index/pruning behaviour
-// and scatter-gather parallelism over a sealed store.
+// over a sealed store.
 //
 //   bench_store --events 2000000 --reps 3
 //   bench_store --events 2000000 --baseline bench/BENCH_store.json
@@ -8,13 +8,11 @@
 // With --baseline the run exits 1 if the best in-memory ingest rate or
 // the best group-commit durable rate lands more than
 // --max-regression-pct below its checked-in value — the CI perf-smoke
-// gate, same contract as bench_engine. The parallel-query phase always
-// asserts result parity with the serial cursor; its speedup gate is
-// hardware-aware (min_speedup_per_core x available cores, skipped on
-// single-core machines). The query phase asserts that time-windowed
-// queries actually prune segments (the whole point of the per-segment
-// time fences); zero pruning fails the run. All gated numbers also land
-// in the --metrics-out snapshot, which is what CI parses.
+// gate, same contract as bench_engine. The query phase asserts that
+// time-windowed queries actually prune segments (the whole point of the
+// per-segment time fences); zero pruning fails the run. All gated
+// numbers also land in the --metrics-out snapshot, which is what CI
+// parses.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -22,7 +20,6 @@
 #include <filesystem>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/event.h"
@@ -77,9 +74,8 @@ double ingest_run(store::FlowEventStore& fs, std::uint64_t events) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-/// The 2000-query time-window workload shared by the serial and
-/// parallel query phases: narrow windows (span/256) over the sealed
-/// store, every second one type-filtered.
+/// The 2000-query time-window workload: narrow windows (span/256) over
+/// the sealed store, every second one type-filtered.
 std::size_t query_sweep(const store::FlowEventStore& fs, util::SimTime span, double* wall_out) {
   EventGen qgen;
   constexpr int kQueries = 2000;
@@ -91,7 +87,7 @@ std::size_t query_sweep(const store::FlowEventStore& fs, util::SimTime span, dou
     const auto from = static_cast<util::SimTime>(r % static_cast<std::uint64_t>(span));
     query.since(from).until(from + span / 256);
     if (q % 2 == 0) query.of_type(core::EventType::kCongestion);
-    total_matches += fs.count(query);
+    for (auto cursor = fs.scan(query); cursor.next() != nullptr;) ++total_matches;
   }
   *wall_out = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return total_matches;
@@ -204,24 +200,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Phase 4: the same sweep scatter-gathered over a query pool. Result
-  // parity with the serial cursor is unconditional; the speedup gate is
-  // hardware-aware and skipped below 2 cores.
-  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  const std::size_t pool_threads = std::min<std::size_t>(hw_threads > 1 ? hw_threads : 2, 8);
-  fs.set_query_threads(pool_threads);
-  double parallel_qwall = 0;
-  const std::size_t parallel_matches = query_sweep(fs, span, &parallel_qwall);
-  fs.set_query_threads(1);
-  if (parallel_matches != serial_matches) {
-    std::fprintf(stderr, "FAIL: parallel query matches %zu != serial %zu\n", parallel_matches,
-                 serial_matches);
-    return 1;
-  }
-  const double speedup = serial_qwall / parallel_qwall;
-  std::printf("  parallel queries  %zu threads: %.0f/s (%.2fx serial, parity ok)\n",
-              pool_threads, 2000 / parallel_qwall, speedup);
-
   std::printf("  ingest mem        %.2fM events/s\n", best_mem / 1e6);
   std::printf("  ingest gc         %.2fM events/s (group commit, watermark acks, "
               "%llu groups, %llu queue waits)\n",
@@ -239,11 +217,6 @@ int main(int argc, char** argv) {
         .update_max(static_cast<std::int64_t>(gc_max_group));
     reg.gauge("bench_store", "query_serial_per_sec")
         .update_max(static_cast<std::int64_t>(2000 / serial_qwall));
-    reg.gauge("bench_store", "query_parallel_per_sec")
-        .update_max(static_cast<std::int64_t>(2000 / parallel_qwall));
-    reg.gauge("bench_store", "query_parallel_speedup_pct")
-        .update_max(static_cast<std::int64_t>(speedup * 100));
-    reg.gauge("bench_store", "query_parity").update_max(1);
   }
 
   if (!baseline_path.empty()) {
@@ -284,26 +257,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "FAIL: group-commit ingest %.0f events/s below floor %.0f\n",
                    best_gc, gc_floor);
       return 1;
-    }
-    // Hardware-aware parallel-query gate: on a single hardware thread a
-    // pool cannot beat the serial cursor, so only parity is enforced
-    // there.
-    const double target_speedup = read_json_number(text, "query_target_speedup");
-    const double per_core = read_json_number(text, "query_min_speedup_per_core");
-    if (hw_threads >= 2 && target_speedup > 0 && per_core > 0) {
-      const double need = std::min(
-          target_speedup, per_core * static_cast<double>(std::min<std::size_t>(
-                                         pool_threads, hw_threads)));
-      std::printf("  speedup gate      need %.2fx on %u cores, got %.2fx\n", need, hw_threads,
-                  speedup);
-      if (speedup < need) {
-        std::fprintf(stderr, "FAIL: parallel-query speedup %.2fx below %.2fx\n", speedup,
-                     need);
-        return 1;
-      }
-    } else {
-      std::printf("  speedup gate      skipped (%u hardware thread%s)\n", hw_threads,
-                  hw_threads == 1 ? "" : "s");
     }
     std::printf("  gate              PASS\n");
   }

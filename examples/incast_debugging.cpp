@@ -56,7 +56,7 @@ int main() {
   backend::EventQuery customer_query;
   customer_query.flow = customer_flow;
   std::uint64_t customer_dropped = 0, customer_congested = 0;
-  for (const auto& stored : harness.store().query(customer_query)) {
+  for (const auto& stored : harness.store().scan(customer_query)) {
     if (stored.event.type == core::EventType::kDrop) customer_dropped += stored.event.counter;
     if (stored.event.type == core::EventType::kCongestion) {
       customer_congested += stored.event.counter;
@@ -71,7 +71,7 @@ int main() {
   backend::EventQuery at_tor;
   at_tor.switch_id = tb.tors[0]->id();
   std::unordered_map<std::uint64_t, std::pair<packet::FlowKey, std::uint64_t>> by_flow;
-  for (const auto& stored : harness.store().query(at_tor)) {
+  for (const auto& stored : harness.store().scan(at_tor)) {
     if (stored.event.type != core::EventType::kDrop &&
         stored.event.type != core::EventType::kCongestion) {
       continue;

@@ -33,7 +33,6 @@ struct Args {
   std::uint64_t seed = 7;
   std::string store_dir;
   std::string store_query;
-  std::uint64_t store_query_threads = 1;
   bool store_tail = false;
 };
 
@@ -63,8 +62,6 @@ int main(int argc, char** argv) {
             "persist backend events (WAL + segments) under this directory")
       .flag("store-query", &args.store_query,
             "run a store query after the run, e.g. type=drop,switch=3,from=0,to=5000000")
-      .flag("store-query-threads", &args.store_query_threads,
-            "scatter-gather the --store-query over this many threads")
       .flag("store-tail", &args.store_tail,
             "after the run, stream the stored events back through a subscription")
       .parse(argc, argv);
@@ -184,7 +181,7 @@ int main(int argc, char** argv) {
 
   // Event summary by type.
   std::map<std::string, std::pair<std::size_t, std::uint64_t>> by_type;
-  for (const auto& stored : harness.store().all()) {
+  for (const auto& stored : harness.store().scan(backend::EventQuery{})) {
     auto& entry = by_type[core::to_string(stored.event.type)];
     ++entry.first;
     entry.second += stored.event.counter;
@@ -197,7 +194,7 @@ int main(int argc, char** argv) {
 
   // Top affected flows (drops + congestion).
   std::map<std::uint64_t, std::pair<packet::FlowKey, std::uint64_t>> per_flow;
-  for (const auto& stored : harness.store().all()) {
+  for (const auto& stored : harness.store().scan(backend::EventQuery{})) {
     if (stored.event.type == core::EventType::kPathChange) continue;
     auto& entry = per_flow[stored.event.flow.hash64()];
     entry.first = stored.event.flow;
@@ -221,7 +218,7 @@ int main(int argc, char** argv) {
     backend::EventQuery query;
     query.switch_id = sw->id();
     std::size_t anomalies = 0;
-    for (const auto& stored : harness.store().query(query)) {
+    for (const auto& stored : harness.store().scan(query)) {
       anomalies += (stored.event.type != core::EventType::kPathChange);
     }
     if (anomalies > 0) std::printf("  %-10s %zu\n", sw->name().c_str(), anomalies);
@@ -232,17 +229,19 @@ int main(int argc, char** argv) {
               100 * scenarios::Harness::coverage(detected, actual), actual.size());
 
   if (store_query) {
-    auto& store = harness.store();
-    if (args.store_query_threads > 1) {
-      store.set_query_threads(static_cast<std::size_t>(
-          std::min<std::uint64_t>(args.store_query_threads, 64)));
-    }
+    const auto& store = harness.store();
     const auto scanned_before = store.stats().segments_scanned;
     const auto pruned_before = store.stats().segments_pruned;
-    const auto matches = store.query(*store_query);
-    std::printf("\nstore query '%s': %zu events\n", args.store_query.c_str(), matches.size());
-    for (std::size_t i = 0; i < std::min<std::size_t>(10, matches.size()); ++i) {
-      const auto& ev = matches[i].event;
+    // The count heads the listing, so keep the first ten rows aside.
+    std::vector<const backend::StoredEvent*> shown;
+    std::size_t matches = 0;
+    for (const auto& stored : store.scan(*store_query)) {
+      if (shown.size() < 10) shown.push_back(&stored);
+      ++matches;
+    }
+    std::printf("\nstore query '%s': %zu events\n", args.store_query.c_str(), matches);
+    for (const auto* stored : shown) {
+      const auto& ev = stored->event;
       std::printf("  t=%-12lld sw=%-6u %-12s %s x%llu\n",
                   static_cast<long long>(ev.detected_at), ev.switch_id,
                   core::to_string(ev.type), ev.flow.to_string().c_str(),

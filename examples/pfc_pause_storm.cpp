@@ -43,7 +43,7 @@ int main() {
   pauses.type = core::EventType::kPause;
   std::map<util::NodeId, std::uint64_t> pause_by_device;
   std::uint64_t victim_paused = 0;
-  for (const auto& stored : harness.store().query(pauses)) {
+  for (const auto& stored : harness.store().scan(pauses)) {
     pause_by_device[stored.event.switch_id] += stored.event.counter;
     if (stored.event.flow == victim) victim_paused += stored.event.counter;
   }
@@ -62,8 +62,10 @@ int main() {
 
   backend::EventQuery drops;
   drops.type = core::EventType::kDrop;
+  std::size_t drop_events = 0;
+  for (auto cursor = harness.store().scan(drops); cursor.next() != nullptr;) ++drop_events;
   std::printf("drops recorded: %zu (a lossless fabric trades drops for pauses)\n",
-              harness.store().query(drops).size());
+              drop_events);
   std::printf("%s\n", pause_by_device.empty()
                           ? "=> no pause propagation (unexpected)"
                           : "=> pause propagation visible per flow, per device");

@@ -8,11 +8,11 @@
 #include <cstdio>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "store/store.h"
 
 using namespace netseer;
 
@@ -37,7 +37,7 @@ int main() {
   //    agent per host. That's the whole deployment.
   core::ReportChannel channel(net.simulator(), util::Rng(2), util::milliseconds(1),
                               /*loss=*/0.0);
-  backend::EventStore store;
+  store::FlowEventStore store;  // in memory; StoreOptions::dir makes it durable
   backend::Collector collector(net.simulator(), /*id=*/1000, channel, store);
   core::NetSeerConfig config;
   core::NetSeerApp app1(s1, config, &channel, collector.id());
@@ -73,7 +73,7 @@ int main() {
   backend::EventQuery by_flow;
   by_flow.flow = flow;
   std::uint64_t recovered = 0;
-  for (const auto& stored : store.query(by_flow)) {
+  for (const auto& stored : store.scan(by_flow)) {
     if (stored.event.type == core::EventType::kDrop) recovered += stored.event.counter;
   }
   std::printf("NetSeer reported %llu drops for flow %s\n",
@@ -81,8 +81,9 @@ int main() {
 
   backend::EventQuery by_device;
   by_device.switch_id = s1.id();
-  std::printf("events attributed to upstream switch '%s': %zu\n", s1.name().c_str(),
-              store.query(by_device).size());
+  std::size_t at_s1 = 0;
+  for (auto cursor = store.scan(by_device); cursor.next() != nullptr;) ++at_s1;
+  std::printf("events attributed to upstream switch '%s': %zu\n", s1.name().c_str(), at_s1);
 
   std::printf("%s\n", recovered == s1_to_s2->packets_dropped()
                           ? "=> every silent drop recovered, with full flow identity"

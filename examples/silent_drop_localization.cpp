@@ -48,7 +48,7 @@ int main() {
   std::map<util::NodeId, std::uint64_t> per_device;
   std::map<std::uint64_t, std::uint64_t> per_flow;
   std::size_t victim_flows = 0;
-  for (const auto& stored : harness.store().query(drops)) {
+  for (const auto& stored : harness.store().scan(drops)) {
     if (stored.event.flow.dst != redis.addr()) continue;
     per_device[stored.event.switch_id] += stored.event.counter;
     if (per_flow[stored.event.flow.hash64()] == 0) ++victim_flows;
@@ -74,7 +74,7 @@ int main() {
   backend::EventQuery first_query;
   first_query.type = core::EventType::kDrop;
   util::SimTime first = -1;
-  for (const auto& stored : harness.store().query(first_query)) {
+  for (const auto& stored : harness.store().scan(first_query)) {
     if (stored.event.flow.dst != redis.addr()) continue;
     if (first < 0 || stored.event.detected_at < first) first = stored.event.detected_at;
   }

@@ -138,7 +138,7 @@ void Harness::collect_metrics(telemetry::Registry& registry) const {
 
 monitors::EventGroupSet Harness::netseer_groups(std::optional<core::EventType> type) const {
   monitors::EventGroupSet set;
-  for (const auto& stored : store_->all()) {
+  for (const auto& stored : store_->scan(backend::EventQuery{})) {
     if (type && stored.event.type != *type) continue;
     set.insert(monitors::EventGroup{stored.event.switch_id, stored.event.flow.hash64(),
                                     stored.event.type});

@@ -40,7 +40,7 @@ util::SimDuration first_detection(store::FlowEventStore& store, const packet::Fl
   std::size_t count = 0;
   backend::EventQuery query;
   query.flow = flow;
-  for (const auto& stored : store.query(query)) {
+  for (const auto& stored : store.scan(query)) {
     if (stored.event.detected_at < onset) continue;
     if (std::find(types.begin(), types.end(), stored.event.type) == types.end()) continue;
     ++count;
@@ -169,7 +169,7 @@ IncidentReport IncidentSuite::acl_misconfiguration() {
   query.type = core::EventType::kAclDrop;
   query.switch_id = tb.tors[0]->id();
   util::SimTime first = -1;
-  for (const auto& stored : harness.store().query(query)) {
+  for (const auto& stored : harness.store().scan(query)) {
     if (stored.event.acl_rule_id != 501) continue;
     ++report.attributable_events;
     if (first < 0 || stored.event.detected_at < first) first = stored.event.detected_at;
@@ -220,7 +220,7 @@ IncidentReport IncidentSuite::parity_error() {
   query.type = core::EventType::kDrop;
   query.switch_id = tb.aggs[0]->id();
   util::SimTime first = -1;
-  for (const auto& stored : harness.store().query(query)) {
+  for (const auto& stored : harness.store().scan(query)) {
     if (stored.event.flow.dst != redis.addr()) continue;
     if (stored.event.drop_code != static_cast<std::uint8_t>(pdp::DropReason::kRouteMiss)) {
       continue;
@@ -278,7 +278,7 @@ IncidentReport IncidentSuite::unexpected_volume() {
   at_tor.switch_id = tb.tors[0]->id();
   at_tor.from = onset;
   std::unordered_map<std::uint64_t, std::uint64_t> counters;
-  for (const auto& stored : harness.store().query(at_tor)) {
+  for (const auto& stored : harness.store().scan(at_tor)) {
     if (stored.event.type != core::EventType::kCongestion &&
         stored.event.drop_code != static_cast<std::uint8_t>(pdp::DropReason::kCongestion)) {
       continue;
@@ -349,7 +349,8 @@ IncidentReport IncidentSuite::server_side_bug() {
   // Meanwhile the ToR really did drop packets — of other flows.
   backend::EventQuery at_tor;
   at_tor.switch_id = tb.tors[2]->id();  // hosts[16..23] sit under tor1-0
-  const auto unrelated = harness.store().query(at_tor).size();
+  std::size_t unrelated = 0;
+  for (auto cursor = harness.store().scan(at_tor); cursor.next() != nullptr;) ++unrelated;
   report.evidence = format_evidence(
       "storage flow has %zu events while %zu unrelated drop/congestion events exist at the "
       "same ToR: network exonerated, suspicion moves to the server",

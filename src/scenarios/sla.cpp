@@ -180,7 +180,7 @@ SlaStudyResult run_sla_study(const SlaStudyConfig& config) {
         query.flow = flow;
         query.from = from - util::milliseconds(1);
         query.to = to + util::milliseconds(1);
-        for (const auto& stored : harness.store().query(query)) {
+        for (const auto& stored : harness.store().scan(query)) {
           if (stored.event.type != core::EventType::kPathChange) return true;
         }
         return false;

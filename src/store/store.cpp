@@ -5,10 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <unordered_set>
 
 #include "packet/addr.h"
-#include "store/executor.h"
 #include "store/subscription.h"
 #include "store/writer.h"
 
@@ -37,39 +35,6 @@ QueryCursor::QueryCursor(const FlowEventStore& event_store, const backend::Event
   }
   if (!store_->memtable_.empty()) {
     (void)plan_run(store_->memtable_, keyed ? &store_->memtable_chains_ : nullptr);
-  }
-
-  // Scatter-gather: with a pool and more than one run, pre-filter every
-  // run along its planned walk in parallel. Gather order is the plan
-  // (= LSN) order, so parallel and serial cursors emit identically;
-  // per-task stat tallies merge after the barrier because StoreStats is
-  // not atomic.
-  if (store_->pool_ != nullptr && runs_.size() > 1) {
-    parallel_ = true;
-    matches_.resize(runs_.size());
-    struct Tally {
-      std::uint64_t examined = 0;
-      std::uint64_t matched = 0;
-    };
-    std::vector<Tally> tallies(runs_.size());
-    store_->pool_->run(runs_.size(), [&](std::size_t i) {
-      const RunPlan& run = runs_[i];
-      std::vector<std::uint32_t>& out = matches_[i];
-      Tally& tally = tallies[i];
-      for (std::uint32_t row = run.first(); row != RowChains::kEnd; row = run.after(row)) {
-        ++tally.examined;
-        if (query_.matches((*run.rows)[row].stored)) {
-          out.push_back(row);
-          ++tally.matched;
-        }
-      }
-    });
-    for (const Tally& tally : tallies) {
-      stats.rows_examined += tally.examined;
-      stats.rows_matched += tally.matched;
-    }
-    ++stats.parallel_queries;
-    stats.parallel_tasks += runs_.size();
   }
   start_run(0);
 
@@ -111,7 +76,6 @@ bool QueryCursor::plan_run(const std::vector<Row>& rows, const RowChains* chains
 void QueryCursor::start_run(std::size_t run) {
   run_idx_ = run;
   row_ = run < runs_.size() ? runs_[run].first() : RowChains::kEnd;
-  match_idx_ = 0;
 }
 
 void QueryCursor::check_generation() const {
@@ -129,14 +93,6 @@ const backend::StoredEvent* QueryCursor::next() {
   StoreStats& stats = store_->stats_;
   while (run_idx_ < runs_.size()) {
     const RunPlan& run = runs_[run_idx_];
-    if (parallel_) {
-      // Rows were pre-filtered (and counted) at construction: walk the
-      // match lists straight through, in plan order.
-      const std::vector<std::uint32_t>& matches = matches_[run_idx_];
-      if (match_idx_ < matches.size()) return &(*run.rows)[matches[match_idx_++]].stored;
-      start_run(run_idx_ + 1);
-      continue;
-    }
     if (row_ == RowChains::kEnd) {
       start_run(run_idx_ + 1);
       continue;
@@ -166,9 +122,6 @@ FlowEventStore::FlowEventStore(StoreOptions options) : options_(std::move(option
   if (durable()) {
     util::MutexLock lock(maint_mu_);
     recover_from_dir();
-  }
-  if (options_.query_threads > 1) {
-    pool_ = std::make_unique<QueryPool>(options_.query_threads);
   }
 }
 
@@ -524,12 +477,6 @@ Subscription FlowEventStore::subscribe(backend::EventQuery event_query,
   return Subscription(*this, std::move(event_query), from_lsn);
 }
 
-void FlowEventStore::set_query_threads(std::size_t threads) {
-  options_.query_threads = threads;
-  pool_.reset();
-  if (threads > 1) pool_ = std::make_unique<QueryPool>(threads);
-}
-
 const StoreStats& FlowEventStore::stats() const {
   if (wal_) {
     stats_.wal_records = wal_->records_written();
@@ -547,21 +494,6 @@ const StoreStats& FlowEventStore::stats() const {
   return stats_;
 }
 
-std::vector<backend::StoredEvent> FlowEventStore::query(
-    const backend::EventQuery& event_query) const {
-  std::vector<backend::StoredEvent> out;
-  QueryCursor cursor = scan(event_query);
-  while (const backend::StoredEvent* stored = cursor.next()) out.push_back(*stored);
-  return out;
-}
-
-std::size_t FlowEventStore::count(const backend::EventQuery& event_query) const {
-  std::size_t n = 0;
-  QueryCursor cursor = scan(event_query);
-  while (cursor.next() != nullptr) ++n;
-  return n;
-}
-
 std::size_t FlowEventStore::size() const {
   std::size_t total = memtable_.size();
   for (const auto& segment : segments_) total += segment->size();
@@ -569,28 +501,6 @@ std::size_t FlowEventStore::size() const {
     (void)node;
     total += shard.rows.size();
   }
-  return total;
-}
-
-std::vector<backend::StoredEvent> FlowEventStore::all() const {
-  return query(backend::EventQuery{});
-}
-
-std::vector<packet::FlowKey> FlowEventStore::distinct_flows(
-    const backend::EventQuery& event_query) const {
-  std::unordered_set<packet::FlowKey, packet::FlowKeyHash> seen;
-  std::vector<packet::FlowKey> out;
-  QueryCursor cursor = scan(event_query);
-  while (const backend::StoredEvent* stored = cursor.next()) {
-    if (seen.insert(stored->event.flow).second) out.push_back(stored->event.flow);
-  }
-  return out;
-}
-
-std::uint64_t FlowEventStore::total_counter(const backend::EventQuery& event_query) const {
-  std::uint64_t total = 0;
-  QueryCursor cursor = scan(event_query);
-  while (const backend::StoredEvent* stored = cursor.next()) total += stored->event.counter;
   return total;
 }
 

@@ -20,7 +20,6 @@
 namespace netseer::store {
 
 class GroupCommitWriter;
-class QueryPool;
 class Subscription;
 
 /// Tuning and placement knobs for FlowEventStore. An empty `dir` runs
@@ -54,9 +53,9 @@ struct StoreOptions {
   /// thread blocks on the durable watermark after every batch.
   bool sync_every_batch = false;
 
-  /// Scatter-gather parallelism for scan(): the walks of the segments
-  /// and the memtable fan out over this many threads (including the
-  /// caller). 1 = serial (default).
+  /// Ignored: scan() always walks on the caller's thread. Kept only
+  /// because the paper-path benchmark (perfbench/e2e.cpp) still assigns
+  /// it; it goes once that assignment does.
   std::size_t query_threads = 1;
 
   /// Group-commit handoff depth, in shard batches. A full ring blocks
@@ -100,8 +99,6 @@ struct StoreStats {
   std::uint64_t full_segment_scans = 0;
   std::uint64_t rows_examined = 0;
   std::uint64_t rows_matched = 0;
-  std::uint64_t parallel_queries = 0;  // cursors that fanned out on the pool
-  std::uint64_t parallel_tasks = 0;    // run walks (segments, memtable) dispatched to it
 
   // Subscriptions.
   std::uint64_t subscription_polls = 0;
@@ -136,9 +133,7 @@ class FlowEventStore;
 /// the query's flow, switch or type names, or row by row when it names
 /// none; a run whose chain is empty is pruned. Every visited row is
 /// re-checked with EventQuery::matches, since chain buckets may mix
-/// keys. Rows are filtered lazily as next() advances, or eagerly along
-/// the same chains, in parallel, when the store has a query pool; both
-/// emit in run order, so identically.
+/// keys. Rows are filtered lazily as next() advances.
 ///
 /// A cursor is valid only until the store is mutated (append, flush,
 /// seal, compaction, retention): it snapshots the store's generation
@@ -214,14 +209,10 @@ class QueryCursor {
   backend::EventQuery query_;
   std::uint64_t generation_ = 0;
   std::vector<RunPlan> runs_;
-  // Parallel path: per-run pre-filtered row indexes (scatter output).
-  bool parallel_ = false;
-  std::vector<std::vector<std::uint32_t>> matches_;
   // Matching shard-buffer rows, sorted by global append order.
   std::vector<std::pair<std::uint64_t, const backend::StoredEvent*>> pending_;
   std::size_t run_idx_ = 0;
-  std::uint32_t row_ = RowChains::kEnd;  // serial walk: next row of the current run
-  std::size_t match_idx_ = 0;            // parallel walk: next entry of matches_
+  std::uint32_t row_ = RowChains::kEnd;  // next row of the current run
   std::size_t pending_idx_ = 0;
 };
 
@@ -230,8 +221,7 @@ class QueryCursor {
 /// accumulate in a memtable that seals into immutable time-partitioned
 /// segments, background maintenance compacts and applies retention, and
 /// queries walk row-chain indexes — kept by the memtable as it fills and
-/// handed to the segment it seals into — instead of scanning. Drop-in
-/// query-compatible with backend::EventStore.
+/// handed to the segment it seals into — instead of scanning.
 class FlowEventStore final : public backend::EventSink {
  public:
   NETSEER_BLOCKING explicit FlowEventStore(StoreOptions options = {});
@@ -289,9 +279,8 @@ class FlowEventStore final : public backend::EventSink {
                                                   util::SimDuration interval);
 
   // ---- Query -----------------------------------------------------------
-  /// The unified query surface: build an EventQuery (aggregate or
-  /// fluent), scan() it, iterate the cursor. When options.query_threads
-  /// > 1 the cursor scatter-gathers segment scans over the pool.
+  /// The query surface: build an EventQuery (aggregate or fluent),
+  /// scan() it, iterate the cursor.
   [[nodiscard]] QueryCursor scan(const backend::EventQuery& query) const;
 
   /// Tail the durable watermark: a pull-model subscription delivering
@@ -303,18 +292,8 @@ class FlowEventStore final : public backend::EventSink {
   [[nodiscard]] Subscription subscribe(backend::EventQuery query = {},
                                        std::uint64_t from_lsn = 0) const;
 
-  /// Resize the scatter-gather pool (e.g. tools/benches after open).
-  void set_query_threads(std::size_t threads);
-
-  // Thin wrappers over scan(), kept so pre-cursor call sites compile;
-  // prefer scan() in new code.
-  [[nodiscard]] std::vector<backend::StoredEvent> query(const backend::EventQuery& query) const;
-  [[nodiscard]] std::size_t count(const backend::EventQuery& query) const;
+  /// Rows held, wherever they are: segments, memtable, shard buffers.
   [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::vector<backend::StoredEvent> all() const;
-  [[nodiscard]] std::vector<packet::FlowKey> distinct_flows(
-      const backend::EventQuery& query) const;
-  [[nodiscard]] std::uint64_t total_counter(const backend::EventQuery& query) const;
 
   // ---- Introspection ---------------------------------------------------
   /// Refreshes the WAL/group-commit counters from the writer side.
@@ -372,7 +351,6 @@ class FlowEventStore final : public backend::EventSink {
   std::unique_ptr<WalWriter> wal_;
   /// Declared after wal_ so it is destroyed (thread joined) first.
   std::unique_ptr<GroupCommitWriter> writer_;
-  std::unique_ptr<QueryPool> pool_;
   RecoveryInfo recovery_;
   mutable StoreStats stats_;  // query counters tick under const
 

@@ -174,9 +174,16 @@ WalWriter::WalWriter(const Options& options, std::uint32_t first_file_index)
 
 WalWriter::~WalWriter() {
   util::MutexLock lock(mu_);
-  if (file_ != nullptr) {
-    std::fflush(file_);
-    std::fclose(file_);
+  if (file_ == nullptr) return;
+  std::fflush(file_);
+  std::fclose(file_);
+  // A file that never got past its header holds nothing to replay:
+  // remove it, so opening a store and closing it again (inspect, query,
+  // tail) leaves the directory as it found it. A dead writer's file may
+  // hold torn bytes, which recovery must see, so it stays.
+  if (!dead_ && current_bytes_ == kWalFileHeaderBytes) {
+    std::error_code ec;
+    fs::remove(files_.back().path, ec);
   }
 }
 

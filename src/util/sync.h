@@ -12,7 +12,7 @@ namespace netseer::util {
 /// std::mutex — fine for plain critical sections, but a condition
 /// variable must unlock/relock the native mutex inside wait(). CondMutex
 /// is the annotated capability whose native handle CondVar can reach;
-/// the real store threads (group-commit writer, query pool) block on it.
+/// the store's group-commit writer thread blocks on it.
 ///
 /// The model checker never sees these: code using CondMutex runs real
 /// threads (exercised under TSan), while the interleaving-level protocol

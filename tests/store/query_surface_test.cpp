@@ -1,21 +1,16 @@
-// The unified query surface: EventQuery's fluent builder, the
-// range-for QueryCursor, the generation counter that turns
-// use-after-mutation into an abort instead of a read of freed rows, and
-// the scatter-gather parallel path (which must emit exactly what the
-// serial cursor emits, in the same order, because the merge is by
-// segment LSN either way). QueryPool gets its own unit coverage at the
-// bottom — every task runs exactly once per run(), across reuse and
-// uneven task counts.
+// The query surface: EventQuery's fluent builder, the range-for
+// QueryCursor, the generation counter that turns use-after-mutation into
+// an abort instead of a read of freed rows, and the row-chain walks that
+// must return only the rows of the key a query names.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <numeric>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "backend/event_store.h"
 #include "core/event.h"
-#include "store/executor.h"
+#include "scan_rows.h"
 #include "store/store.h"
 
 namespace netseer::store {
@@ -62,22 +57,26 @@ TEST(QuerySurfaceTest, FluentBuilderComposesFilters) {
                           .of_type(core::EventType::kDrop)
                           .for_switch(2)
                           .between(10'000, 70'000);
-  EXPECT_EQ(fs.count(fluent), fs.count(aggregate));
-  EXPECT_GT(fs.count(fluent), 0u);
+  EXPECT_EQ(scan_rows(fs, fluent).size(), scan_rows(fs, aggregate).size());
+  EXPECT_GT(scan_rows(fs, fluent).size(), 0u);
   // between() is since()+until().
   const auto split = backend::EventQuery{}
                          .of_type(core::EventType::kDrop)
                          .for_switch(2)
                          .since(10'000)
                          .until(70'000);
-  EXPECT_EQ(fs.count(split), fs.count(fluent));
+  EXPECT_EQ(scan_rows(fs, split).size(), scan_rows(fs, fluent).size());
 }
 
 TEST(QuerySurfaceTest, RangeForCursorVisitsEveryMatchInStoreOrder) {
   FlowEventStore fs(seeded_options());
   seed(fs, 600);
   const auto query = backend::EventQuery{}.of_type(core::EventType::kCongestion);
-  const auto expected = fs.query(query);
+  // The type chain's walk against a full walk filtered by hand.
+  std::vector<backend::StoredEvent> expected;
+  for (const auto& stored : scan_rows(fs)) {
+    if (query.matches(stored)) expected.push_back(stored);
+  }
   ASSERT_GT(expected.size(), 0u);
 
   std::vector<backend::StoredEvent> seen;
@@ -121,49 +120,24 @@ TEST(QuerySurfaceDeathTest, MutationUnderACursorAbortsInsteadOfReadingFreedRows)
       "used after store mutation");
 }
 
-TEST(QuerySurfaceTest, ParallelCursorMatchesSerialExactly) {
-  FlowEventStore fs(seeded_options(64));  // small segments: many to scatter over
-  seed(fs, 2000);
-  fs.seal_active();
-  const std::vector<backend::EventQuery> queries{
-      backend::EventQuery{},
-      backend::EventQuery{}.of_type(core::EventType::kDrop),
-      backend::EventQuery{}.for_switch(3).between(5'000, 150'000),
-      backend::EventQuery{}.for_flow(sample_event(7).flow),
-      backend::EventQuery{}.between(190'000, 200'000),
-  };
-  for (const auto& query : queries) {
-    const auto serial = fs.query(query);
-    fs.set_query_threads(4);
-    auto cursor = fs.scan(query);
-    std::vector<backend::StoredEvent> parallel;
-    while (const auto* stored = cursor.next()) parallel.push_back(*stored);
-    fs.set_query_threads(1);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < parallel.size(); ++i) {
-      EXPECT_EQ(parallel[i].event, serial[i].event) << "row " << i;
-      EXPECT_EQ(parallel[i].stored_at, serial[i].stored_at) << "row " << i;
-    }
+std::size_t thread_count() {
+  std::size_t threads = 0;
+  for (const auto& task : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)task;
+    ++threads;
   }
-  // And the pool actually ran: cursors fanned out, tasks were dispatched.
-  EXPECT_EQ(fs.stats().parallel_queries, queries.size());
-  EXPECT_GT(fs.stats().parallel_tasks, 0u);
+  return threads;
 }
 
-TEST(QuerySurfaceTest, DeprecatedWrappersAgreeWithScan) {
-  FlowEventStore fs(seeded_options());
+TEST(QuerySurfaceTest, QueryThreadsOptionStartsNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) GTEST_SKIP() << "no /proc/self/task";
+  const std::size_t before = thread_count();
+  StoreOptions options = seeded_options();
+  options.query_threads = 8;  // ignored: every scan walks on the caller's thread
+  FlowEventStore fs(options);
   seed(fs, 500);
-  const auto query = backend::EventQuery{}.of_type(core::EventType::kDrop).since(1'000);
-  auto cursor = fs.scan(query);
-  std::size_t rows = 0;
-  std::uint64_t counter_sum = 0;
-  while (const auto* stored = cursor.next()) {
-    ++rows;
-    counter_sum += stored->event.counter;
-  }
-  EXPECT_EQ(fs.count(query), rows);
-  EXPECT_EQ(fs.query(query).size(), rows);
-  EXPECT_EQ(fs.total_counter(query), counter_sum);
+  EXPECT_EQ(scan_rows(fs).size(), 500u);
+  EXPECT_EQ(thread_count(), before);
 }
 
 TEST(QuerySurfaceTest, KeysSharingAChainBucketGetOnlyTheirOwnRows) {
@@ -214,7 +188,7 @@ TEST(QuerySurfaceTest, KeysSharingAChainBucketGetOnlyTheirOwnRows) {
       for (const auto& row : stored) {
         if (queries[q].matches(row)) want.push_back(row);
       }
-      const auto got = fs.query(queries[q]);
+      const auto got = scan_rows(fs, queries[q]);
       ASSERT_FALSE(want.empty());
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -233,36 +207,6 @@ TEST(QuerySurfaceTest, KeysSharingAChainBucketGetOnlyTheirOwnRows) {
   EXPECT_EQ(chains.flow_chain(flow_a).count, 40u);
   EXPECT_EQ(chains.switch_chain(switch_a).count, 40u);
   expect_own_rows("segment");
-}
-
-TEST(QueryPoolTest, EveryTaskRunsExactlyOnce) {
-  QueryPool pool(4);
-  EXPECT_EQ(pool.threads(), 4u);
-  for (const std::size_t tasks : {0u, 1u, 3u, 17u, 256u}) {
-    std::vector<std::atomic<int>> hits(tasks == 0 ? 1 : tasks);
-    for (auto& h : hits) h.store(0);
-    pool.run(tasks, [&](std::size_t task) { hits[task].fetch_add(1); });
-    for (std::size_t i = 0; i < tasks; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " of " << tasks;
-    }
-  }
-}
-
-TEST(QueryPoolTest, SerialPoolSpawnsNoWorkers) {
-  QueryPool pool(1);
-  EXPECT_EQ(pool.threads(), 1u);
-  std::size_t sum = 0;
-  pool.run(10, [&](std::size_t task) { sum += task; });  // caller-only: no data race
-  EXPECT_EQ(sum, 45u);
-}
-
-TEST(QueryPoolTest, ReusableAcrossManyRuns) {
-  QueryPool pool(3);
-  std::atomic<std::size_t> total{0};
-  for (int round = 0; round < 50; ++round) {
-    pool.run(8, [&](std::size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 400u);
 }
 
 }  // namespace

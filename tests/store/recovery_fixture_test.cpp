@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <string>
 
+#include "scan_rows.h"
 #include "store/store.h"
 
 #ifndef NETSEER_TEST_DIR
@@ -80,7 +81,7 @@ TEST_F(RecoveryFixtureTest, ReplaysLongestValidPrefixAndFlagsTornTail) {
   EXPECT_EQ(store.size(), kFixtureRows);
 
   // The replayed rows are a sane, fully-decoded stream.
-  const auto rows = store.all();
+  const auto rows = scan_rows(store);
   ASSERT_EQ(rows.size(), kFixtureRows);
   for (const auto& stored : rows) {
     EXPECT_NE(stored.event.switch_id, util::kInvalidNode);
@@ -145,8 +146,8 @@ TEST_F(WriterCrashFixtureTest, RecoveredRowsMatchTheInlineFixture) {
   inline_options.dir = inline_dir;
   FlowEventStore inline_store(inline_options);
 
-  const auto group_rows = group_store.all();
-  const auto inline_rows = inline_store.all();
+  const auto group_rows = scan_rows(group_store);
+  const auto inline_rows = scan_rows(inline_store);
   ASSERT_EQ(group_rows.size(), inline_rows.size());
   for (std::size_t i = 0; i < group_rows.size(); ++i) {
     ASSERT_EQ(group_rows[i].event, inline_rows[i].event) << "row " << i;

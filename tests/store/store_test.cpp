@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/event.h"
+#include "scan_rows.h"
 #include "sim/simulator.h"
 
 namespace netseer::store {
@@ -56,16 +58,16 @@ TEST_F(StoreTest, QueryAnswersAcrossShardsMemtableAndSegments) {
 
   backend::EventQuery by_switch;
   by_switch.switch_id = 2;
-  EXPECT_EQ(store.count(by_switch), 20u);
+  EXPECT_EQ(scan_rows(store, by_switch).size(), 20u);
 
   backend::EventQuery window;
   window.from = 100;
   window.to = 300;  // detected_at 100..290 -> i in [10, 30)
-  EXPECT_EQ(store.count(window), 20u);
+  EXPECT_EQ(scan_rows(store, window).size(), 20u);
 
-  // all() returns rows in LSN order — shard batching interleaves
+  // A full scan returns rows in LSN order — shard batching interleaves
   // detection times — but every ingested event appears exactly once.
-  auto all = store.all();
+  auto all = scan_rows(store);
   ASSERT_EQ(all.size(), 100u);
   std::vector<util::SimTime> times;
   times.reserve(all.size());
@@ -93,14 +95,14 @@ TEST_F(StoreTest, SealAndCompactPreserveQueryResults) {
 
   backend::EventQuery congestion;
   congestion.type = core::EventType::kCongestion;
-  const auto before = store.query(congestion);
+  const auto before = scan_rows(store, congestion);
   const auto segments_before = store.segment_count();
 
   EXPECT_GT(store.compact(), 0u);
   EXPECT_LT(store.segment_count(), segments_before);
   EXPECT_GT(store.stats().compactions, 0u);
 
-  const auto after = store.query(congestion);
+  const auto after = scan_rows(store, congestion);
   ASSERT_EQ(after.size(), before.size());
   for (std::size_t i = 0; i < after.size(); ++i) {
     EXPECT_EQ(after[i].event, before[i].event);
@@ -126,8 +128,8 @@ TEST_F(StoreTest, RetentionEvictsOldestSegmentsAndCounts) {
   // Only recent rows survive; the oldest event is gone.
   backend::EventQuery oldest;
   oldest.to = 10;  // the first event only (detected_at 0)
-  EXPECT_EQ(store.count(oldest), 0u);
-  const auto all = store.all();
+  EXPECT_EQ(scan_rows(store, oldest).size(), 0u);
+  const auto all = scan_rows(store);
   ASSERT_FALSE(all.empty());
   EXPECT_LE(all.size(), 30u + options.segment_events);
   // Survivors are the newest suffix.
@@ -171,7 +173,7 @@ TEST_F(StoreTest, CheckpointReopenRoundTrip) {
       store.add(ev, ev.detected_at + 2);
     }
     store.checkpoint();
-    expected = store.query(congestion);
+    expected = scan_rows(store, congestion);
     EXPECT_EQ(store.size(), 500u);
     // Checkpoint sealed everything into durable segments and reclaimed
     // the WAL files they made obsolete.
@@ -186,7 +188,7 @@ TEST_F(StoreTest, CheckpointReopenRoundTrip) {
     EXPECT_EQ(store.size(), 500u);
     EXPECT_EQ(store.recovery().segment_rows, 500u);
     EXPECT_EQ(store.recovery().wal_rows_replayed, 0u);
-    const auto got = store.query(congestion);
+    const auto got = scan_rows(store, congestion);
     ASSERT_EQ(got.size(), expected.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
       EXPECT_EQ(got[i].event, expected[i].event);
@@ -221,6 +223,36 @@ TEST_F(StoreTest, ReopenWithoutCheckpointReplaysWal) {
   }
 }
 
+TEST_F(StoreTest, OpeningACheckpointedStoreLeavesItsFilesAsTheyWere) {
+  StoreOptions options;
+  options.dir = dir_;
+  options.segment_events = 64;
+  {
+    FlowEventStore store(options);
+    for (std::uint64_t i = 0; i < 300; ++i) {
+      const auto ev = event_at(i);
+      store.add(ev, ev.detected_at);
+    }
+    store.checkpoint();
+  }
+  const auto listing = [&] {
+    std::vector<std::pair<std::string, std::uint64_t>> files;
+    for (const auto& ref : list_wal_files(dir_)) files.emplace_back(ref.path, ref.bytes);
+    for (const auto& ref : list_segment_files(dir_)) {
+      files.emplace_back(ref.path, fs::file_size(ref.path));
+    }
+    return files;
+  };
+  const auto before = listing();
+  ASSERT_FALSE(before.empty());
+  // What inspect, query and tail do: open, read, close without appending.
+  for (int open = 0; open < 3; ++open) {
+    FlowEventStore store(options);
+    EXPECT_EQ(scan_rows(store).size(), 300u);
+  }
+  EXPECT_EQ(listing(), before);
+}
+
 TEST_F(StoreTest, RecoveryDropsSegmentsSupersededByCompactionOutput) {
   // Simulate a crash between compact()'s rename and its input deletes:
   // the merged output and both of its inputs are all on disk.
@@ -244,7 +276,7 @@ TEST_F(StoreTest, RecoveryDropsSegmentsSupersededByCompactionOutput) {
   EXPECT_EQ(store.recovery().segment_rows, 8u);
 
   // No duplicated rows, and the stale input files are gone from disk.
-  const auto rows = store.all();
+  const auto rows = scan_rows(store);
   ASSERT_EQ(rows.size(), 8u);
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(rows[i].event, merged[i].stored.event) << "row " << i;
@@ -325,7 +357,7 @@ TEST_F(StoreTest, TypeCountPrunesSegmentsWithoutThatType) {
   const auto pruned_before = store.stats().segments_pruned;
   backend::EventQuery pauses;
   pauses.type = core::EventType::kPause;
-  EXPECT_EQ(store.count(pauses), 8u);
+  EXPECT_EQ(scan_rows(store, pauses).size(), 8u);
   EXPECT_GE(store.stats().segments_pruned - pruned_before, 9u);
 }
 
@@ -367,7 +399,7 @@ TEST_F(StoreTest, WalDeathKeepsStoreServingFromMemory) {
   // Ingest and queries keep working in memory.
   EXPECT_EQ(store.size(), 40u);
   backend::EventQuery any;
-  EXPECT_EQ(store.count(any), 40u);
+  EXPECT_EQ(scan_rows(store, any).size(), 40u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/event.h"
+#include "scan_rows.h"
 #include "store/store.h"
 #include "store/subscription.h"
 
@@ -58,7 +59,7 @@ TEST(SubscriptionTest, ExactlyOnceAcrossFlushSealAndCompaction) {
   FlowEventStore fs(options);
 
   // Control: same stream into a second in-memory store that never
-  // seals or compacts mid-test — all() is the canonical LSN order.
+  // seals or compacts mid-test — a full scan is the canonical LSN order.
   StoreOptions flat;
   flat.shard_batch = 8;
   FlowEventStore control(flat);
@@ -82,7 +83,7 @@ TEST(SubscriptionTest, ExactlyOnceAcrossFlushSealAndCompaction) {
   }
 
   // Every LSN 1..N exactly once, ascending, with the control's payload.
-  const auto reference = control.all();
+  const auto reference = scan_rows(control);
   ASSERT_EQ(reference.size(), kEvents);
   ASSERT_EQ(deliveries.size(), kEvents);
   EXPECT_EQ(sub.delivered(), kEvents);

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/event.h"
+#include "scan_rows.h"
 #include "store/store.h"
 
 namespace netseer::store {
@@ -66,14 +67,14 @@ std::uint64_t run_workload(FlowEventStore& store) {
 TEST(WalCrashProperty, RecoveredRowsArePrefixOfAcknowledgedStream) {
   const auto dir = (fs::temp_directory_path() / "netseer_wal_crash_test").string();
 
-  // Control: the same workload fully in memory. Its all() order is the
+  // Control: the same workload fully in memory. Its full-scan order is the
   // canonical LSN order — flush points depend only on the add sequence
   // and shard_batch, which the crashed runs share.
   StoreOptions mem = small_options("");
   mem.dir.clear();
   FlowEventStore control(mem);
   run_workload(control);
-  const auto reference = control.all();
+  const auto reference = scan_rows(control);
   ASSERT_EQ(reference.size(), kEvents);
 
   // Measure a clean durable run to size the crash sweep.
@@ -109,7 +110,7 @@ TEST(WalCrashProperty, RecoveredRowsArePrefixOfAcknowledgedStream) {
 
     FlowEventStore recovered(small_options(dir));
     EXPECT_TRUE(recovered.recovery().ran);
-    const auto rows = recovered.all();
+    const auto rows = scan_rows(recovered);
 
     // (2) Nothing acknowledged before the crash may be missing.
     EXPECT_GE(rows.size(), acked);
@@ -161,13 +162,13 @@ TEST(WalCrashProperty, AcknowledgedRowsSurviveRepeatedCrashRecoverCycles) {
       }
       store.flush();
       ASSERT_TRUE(store.sync());
-      expected = store.all();
+      expected = scan_rows(store);
     }
 
     // Cycle 3: every acknowledged row comes back, exactly once, in order.
     FlowEventStore recovered(small_options(dir));
     EXPECT_FALSE(recovered.recovery().torn_tail) << "cycle-2 repair did not stick";
-    const auto rows = recovered.all();
+    const auto rows = scan_rows(recovered);
     ASSERT_EQ(rows.size(), expected.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       ASSERT_EQ(rows[i].event, expected[i].event) << "row " << i;
@@ -237,14 +238,14 @@ TEST(WalCrashProperty, GroupCommitTearsKeepEveryWatermarkedRow) {
     store.flush();
   };
 
-  // Control: identical batched stream fully in memory — its all() order
+  // Control: identical batched stream fully in memory — its full-scan order
   // is the canonical LSN order for every crashed run below.
   StoreOptions mem = small_options("");
   mem.dir.clear();
   FlowEventStore control(mem);
   std::uint64_t ignored = 0;
   run_batched(control, &ignored);
-  const auto reference = control.all();
+  const auto reference = scan_rows(control);
   ASSERT_EQ(reference.size(), kEvents);
 
   fs::remove_all(dir);
@@ -278,7 +279,7 @@ TEST(WalCrashProperty, GroupCommitTearsKeepEveryWatermarkedRow) {
 
     FlowEventStore recovered(small_options(dir));
     EXPECT_TRUE(recovered.recovery().ran);
-    const auto rows = recovered.all();
+    const auto rows = scan_rows(recovered);
 
     // Durability of the watermark: every row sync() acknowledged exists.
     EXPECT_GE(rows.size(), acked);

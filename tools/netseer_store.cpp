@@ -3,8 +3,7 @@
 //   netseer_store inspect <dir>            list segments, WAL files, fences
 //   netseer_store recover <dir>            replay the WAL, seal, checkpoint
 //   netseer_store compact <dir>            force compaction + checkpoint
-//   netseer_store query <dir> <spec> [th]  run a query (see --help for spec),
-//                                          scatter-gathered over th threads
+//   netseer_store query <dir> <spec>       run a query (see --help for spec)
 //   netseer_store tail <dir> [from-lsn]    subscription demo: stream every
 //                  [--metrics-out <path>]  durable row after from-lsn; prints
 //                                          subscription health on exit
@@ -16,10 +15,12 @@
 // `recover` is what an operator (or the CI recovery job) runs over a
 // directory left behind by a crash: it replays the log to the last valid
 // record, reports what was recovered and whether the tail was torn, and
-// rewrites the directory into a clean checkpointed state.
-#include <algorithm>
+// rewrites the directory into a clean checkpointed state. `inspect`,
+// `query` and `tail` leave a clean directory as they found it, and a
+// command line that does not parse exits 2 before anything is opened.
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,7 +41,7 @@ int usage(const char* argv0) {
                "  inspect <dir>\n"
                "  recover <dir>\n"
                "  compact <dir>\n"
-               "  query <dir> <spec> [threads]\n"
+               "  query <dir> <spec>\n"
                "                       spec: type=drop,switch=3,from=0,to=1000000,\n"
                "                       flow=10.0.0.1:1234>10.0.0.2:80/6\n"
                "  tail <dir> [from-lsn] [--metrics-out <path>]\n"
@@ -89,17 +90,11 @@ void print_segments(const store::FlowEventStore& fs) {
   }
 }
 
-int cmd_query(store::FlowEventStore& fs, const std::string& spec) {
-  std::string error;
-  const auto parsed = store::parse_query(spec, &error);
-  if (!parsed) {
-    std::fprintf(stderr, "bad query '%s': %s\n", spec.c_str(), error.c_str());
-    return 2;
-  }
+int cmd_query(const store::FlowEventStore& fs, const backend::EventQuery& query) {
   const auto scanned_before = fs.stats().segments_scanned;
   const auto pruned_before = fs.stats().segments_pruned;
   std::size_t matches = 0;
-  auto cursor = fs.scan(*parsed);
+  auto cursor = fs.scan(query);
   while (const backend::StoredEvent* stored = cursor.next()) {
     const auto& ev = stored->event;
     if (matches < 50) {
@@ -246,6 +241,32 @@ int main(int argc, char** argv) {
     return cmd_gen(dir, events, torn, group);
   }
 
+  // Parse the whole command line before opening the store: opening
+  // creates the directory, so a typo must not leave one behind.
+  std::optional<backend::EventQuery> query;
+  std::uint64_t from = 0;
+  std::string metrics_out;
+  if (cmd == "query") {
+    if (argc != 4) return usage(argv[0]);
+    std::string error;
+    query = store::parse_query(argv[3], &error);
+    if (!query) {
+      std::fprintf(stderr, "bad query '%s': %s\n", argv[3], error.c_str());
+      return 2;
+    }
+  } else if (cmd == "tail") {
+    for (int i = 3; i < argc; ++i) {
+      if (std::strcmp(argv[i], "--metrics-out") == 0) {
+        if (i + 1 >= argc) return usage(argv[0]);
+        metrics_out = argv[++i];
+      } else {
+        from = std::strtoull(argv[i], nullptr, 10);
+      }
+    }
+  } else if (cmd != "inspect" && cmd != "recover" && cmd != "compact") {
+    return usage(argv[0]);
+  }
+
   store::StoreOptions options;
   options.dir = dir;
   store::FlowEventStore fs(options);
@@ -270,26 +291,6 @@ int main(int argc, char** argv) {
                 fs.segment_count(), fs.size());
     return 0;
   }
-  if (cmd == "query") {
-    if (argc < 4) return usage(argv[0]);
-    if (argc > 4) {
-      const auto threads = std::strtoull(argv[4], nullptr, 10);
-      fs.set_query_threads(std::max<std::size_t>(1, std::min<std::size_t>(threads, 64)));
-    }
-    return cmd_query(fs, argv[3]);
-  }
-  if (cmd == "tail") {
-    std::uint64_t from = 0;
-    std::string metrics_out;
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--metrics-out") == 0) {
-        if (i + 1 >= argc) return usage(argv[0]);
-        metrics_out = argv[++i];
-      } else {
-        from = std::strtoull(argv[i], nullptr, 10);
-      }
-    }
-    return cmd_tail(fs, from, metrics_out);
-  }
-  return usage(argv[0]);
+  if (cmd == "query") return cmd_query(fs, *query);
+  return cmd_tail(fs, from, metrics_out);
 }
