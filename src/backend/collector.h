@@ -10,9 +10,8 @@
 namespace netseer::backend {
 
 /// Backend endpoint of the reliable report channel: deduplicates
-/// retransmitted segments, stores their events into any EventSink (the
-/// in-memory EventStore or store::FlowEventStore), and acks cumulatively
-/// per reporting switch.
+/// retransmitted segments, stores their events into an EventSink
+/// (store::FlowEventStore), and acks cumulatively per reporting switch.
 ///
 /// The out-of-order window is bounded: a segment more than
 /// kReorderWindow sequences ahead of the cumulative ack is dropped (and

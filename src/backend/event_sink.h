@@ -8,9 +8,10 @@
 
 namespace netseer::backend {
 
-/// Where the collector puts the events it accepts. Implemented by the
-/// in-memory EventStore and by store::FlowEventStore, so the reliable
-/// report path is independent of which storage engine backs it.
+/// Where the collector puts the events it accepts. store::FlowEventStore
+/// implements it, in memory or on disk; the interface keeps the reliable
+/// report path free of the store's headers, and lets a benchmark wrap
+/// the store in a timing shim.
 ///
 /// The interface is batch-first: collectors receive whole report
 /// batches off the wire, and handing the batch down in one call lets a
@@ -22,7 +23,7 @@ namespace netseer::backend {
 /// sequence number the sink guarantees is recoverable; callers that
 /// need an acknowledgement wait for the watermark to pass the sequence
 /// assigned to their batch (store::FlowEventStore::sync() does exactly
-/// that). Purely in-memory sinks report everything they hold.
+/// that). An in-memory store reports every row it has flushed.
 class EventSink {
  public:
   virtual ~EventSink() = default;
@@ -36,10 +37,9 @@ class EventSink {
     add_batch({&event, 1}, now);
   }
 
-  /// Highest sequence number guaranteed recoverable after a crash.
-  /// In-memory sinks return the count of applied events (nothing
-  /// survives a crash, but nothing is ever silently dropped either);
-  /// durable sinks return the group-commit durable-LSN watermark.
+  /// Highest sequence number guaranteed recoverable after a crash: the
+  /// group-commit durable-LSN watermark for a durable sink, the last
+  /// flushed LSN for an in-memory one.
   [[nodiscard]] virtual std::uint64_t durable_watermark() const { return 0; }
 };
 

@@ -53,11 +53,9 @@ class PathChangeDetector {
     slot.in_port = in_port;
     slot.out_port = out_port;
     slot.last_seen = now;
-    ++new_flows_;
     return Observation::kNewFlow;
   }
 
-  [[nodiscard]] std::uint64_t new_flows() const { return new_flows_; }
   [[nodiscard]] std::uint64_t changes() const { return changes_; }
 
  private:
@@ -71,7 +69,6 @@ class PathChangeDetector {
 
   PathChangeConfig config_;
   std::vector<Slot> slots_;
-  std::uint64_t new_flows_ = 0;
   std::uint64_t changes_ = 0;
 };
 

@@ -84,12 +84,6 @@ struct FunnelStats {
   std::uint64_t notify_bytes = 0;          // loss-notification traffic on the data plane
   std::uint64_t shim_bytes = 0;            // 4 B sequence shims (free if VLAN bits reused)
 
-  [[nodiscard]] double event_packet_ratio() const {
-    return traffic_bytes ? static_cast<double>(event_packet_bytes) / traffic_bytes : 0.0;
-  }
-  [[nodiscard]] double dedup_reduction() const {
-    return event_packets ? 1.0 - static_cast<double>(dedup_reports) / event_packets : 0.0;
-  }
   [[nodiscard]] double overhead_ratio() const {
     return traffic_bytes ? static_cast<double>(report_bytes) / traffic_bytes : 0.0;
   }
@@ -131,7 +125,6 @@ class NetSeerApp final : public pdp::SwitchAgent {
   [[nodiscard]] const PcieChannel& pcie() const { return *pcie_; }
   [[nodiscard]] const InterSwitchTx& tx_module(util::PortId port) const { return *tx_[port]; }
   [[nodiscard]] const InterSwitchRx& rx_module(util::PortId port) const { return *rx_[port]; }
-  [[nodiscard]] const PathChangeDetector& path_detector() const { return path_; }
   [[nodiscard]] const GroupCache& cache(EventType type) const {
     return caches_[cache_index(type)];
   }

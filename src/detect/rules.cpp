@@ -1,10 +1,11 @@
 #include "detect/rules.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "detect/detectors.h"
+#include "util/parse.h"
 
 namespace netseer::detect {
 
@@ -187,30 +188,26 @@ bool parse_scope(std::string_view text, Scope* out) {
   return true;
 }
 
-/// One `key=value` pair onto the matching Rule field.
-bool apply_rule_kv(Rule& rule, std::string_view key, const std::string& value) {
-  const auto num = [&] { return std::strtod(value.c_str(), nullptr); };
-  const auto u32 = [&] {
-    return static_cast<std::uint32_t>(std::strtoul(value.c_str(), nullptr, 10));
-  };
+/// One `key=value` pair onto the matching Rule field; false when the key
+/// is unknown or the value does not parse as that field's type.
+bool apply_rule_kv(Rule& rule, std::string_view key, std::string_view value) {
   if (key == "type") return parse_event_type(value, &rule.type);
   if (key == "family") return parse_family(value, &rule.family);
   if (key == "feature") return parse_feature(value, &rule.feature);
   if (key == "scope") return parse_scope(value, &rule.scope);
-  if (key == "threshold") rule.threshold = num();
-  else if (key == "clear_ratio") rule.clear_ratio = num();
-  else if (key == "alpha") rule.alpha = num();
-  else if (key == "k_sigma") rule.k_sigma = num();
-  else if (key == "min_sigma") rule.min_sigma = num();
-  else if (key == "warmup") rule.warmup = u32();
-  else if (key == "cusum_slack") rule.cusum_slack = num();
-  else if (key == "cusum_h") rule.cusum_h = num();
-  else if (key == "raise_after") rule.raise_after = u32();
-  else if (key == "clear_after") rule.clear_after = u32();
-  else if (key == "escalate_after") rule.escalate_after = u32();
-  else if (key == "damp_windows") rule.damp_windows = u32();
-  else return false;
-  return true;
+  if (key == "threshold") return util::parse_number(value, rule.threshold);
+  if (key == "clear_ratio") return util::parse_number(value, rule.clear_ratio);
+  if (key == "alpha") return util::parse_number(value, rule.alpha);
+  if (key == "k_sigma") return util::parse_number(value, rule.k_sigma);
+  if (key == "min_sigma") return util::parse_number(value, rule.min_sigma);
+  if (key == "warmup") return util::parse_number(value, rule.warmup);
+  if (key == "cusum_slack") return util::parse_number(value, rule.cusum_slack);
+  if (key == "cusum_h") return util::parse_number(value, rule.cusum_h);
+  if (key == "raise_after") return util::parse_number(value, rule.raise_after);
+  if (key == "clear_after") return util::parse_number(value, rule.clear_after);
+  if (key == "escalate_after") return util::parse_number(value, rule.escalate_after);
+  if (key == "damp_windows") return util::parse_number(value, rule.damp_windows);
+  return false;
 }
 
 }  // namespace
@@ -236,11 +233,19 @@ std::optional<RuleSet> parse_rules(const std::string& text, std::string* error) 
     if (!(line >> word)) continue;
 
     if (word == "window_us" || word == "lateness_us" || word == "idle_gc_windows") {
-      long long value = -1;
-      if (!(line >> value) || value < 0) return fail(line_no, "expected a number after " + word);
-      if (word == "window_us") set.window = util::microseconds(value);
-      else if (word == "lateness_us") set.lateness = util::microseconds(value);
-      else set.idle_gc_windows = static_cast<std::uint32_t>(value);
+      std::string number;
+      line >> number;
+      const auto bad_number = [&] { return fail(line_no, "expected a number after " + word); };
+      if (word == "idle_gc_windows") {
+        if (!util::parse_number(number, set.idle_gc_windows)) return bad_number();
+      } else {
+        // Whole microseconds, as many as a SimDuration holds.
+        constexpr std::int64_t kMaxUs =
+            std::numeric_limits<util::SimDuration>::max() / util::kMicrosecond;
+        std::int64_t us = 0;
+        if (!util::parse_number(number, us) || us < 0 || us > kMaxUs) return bad_number();
+        (word == "window_us" ? set.window : set.lateness) = util::microseconds(us);
+      }
     } else if (word == "rule") {
       Rule rule;
       if (!(line >> rule.name)) return fail(line_no, "rule needs a name");
@@ -248,7 +253,8 @@ std::optional<RuleSet> parse_rules(const std::string& text, std::string* error) 
       while (line >> kv) {
         const auto eq = kv.find('=');
         if (eq == std::string::npos) return fail(line_no, "expected key=value, got '" + kv + "'");
-        if (!apply_rule_kv(rule, std::string_view(kv).substr(0, eq), kv.substr(eq + 1))) {
+        const std::string_view pair = kv;
+        if (!apply_rule_kv(rule, pair.substr(0, eq), pair.substr(eq + 1))) {
           return fail(line_no, "bad rule setting '" + kv + "'");
         }
       }

@@ -113,9 +113,10 @@ struct RuleSet {
 ///   (one line per rule; shown wrapped here)
 ///   waive path.blackhole silent loss crosses no emission point
 ///
-/// Every `key=value` pair maps to the Rule field of the same name.
-/// Returns nullopt and fills `error` (with a line number) on the first
-/// malformed line.
+/// Every `key=value` pair maps to the Rule field of the same name. A
+/// number must be the whole value and fit its field ("20x", "abc" and a
+/// negative count are malformed). Returns nullopt and fills `error`
+/// (with a line number) on the first malformed line.
 [[nodiscard]] std::optional<RuleSet> parse_rules(const std::string& text,
                                                  std::string* error = nullptr);
 

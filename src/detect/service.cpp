@@ -12,6 +12,9 @@ namespace netseer::detect {
 
 namespace {
 
+/// Rows per Subscription::poll() round inside one pump.
+constexpr std::size_t kPollBatch = 4096;
+
 std::uint64_t initial_lsn(const DetectOptions& options) {
   if (!options.checkpoint_path.empty()) {
     if (const auto lsn = DetectService::load_checkpoint(options.checkpoint_path)) {
@@ -54,7 +57,7 @@ std::size_t DetectService::pump_locked() {
           for (auto& engine : engines_) engine.offer(row, sink_);
           if (row.event.detected_at > watermark_) watermark_ = row.event.detected_at;
         },
-        options_.poll_batch);
+        kPollBatch);
     if (n == 0) break;
     total += n;
   }

@@ -28,8 +28,6 @@ struct DetectOptions {
   /// Start after this LSN when no checkpoint file resumes (a checkpoint
   /// always wins — it is the stronger claim about what was consumed).
   std::uint64_t from_lsn = 0;
-  /// Rows per Subscription::poll() round inside one pump.
-  std::size_t poll_batch = 4096;
 };
 
 struct DetectServiceStats {

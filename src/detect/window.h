@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "backend/event_store.h"
+#include "backend/event_query.h"
 #include "detect/detector.h"
 #include "detect/rules.h"
 #include "util/ids.h"

@@ -93,7 +93,6 @@ class EverflowMonitor final : public pdp::SwitchAgent {
     return mirrors_.overhead_bytes() + telemetry_.overhead_bytes();
   }
   [[nodiscard]] std::size_t known_flow_count() const { return known_flows_.size(); }
-  [[nodiscard]] std::size_t selected_flow_count() const { return selected_.size(); }
 
   /// Re-pick the on-demand telemetry flow set (also runs periodically).
   void reselect() {

@@ -77,7 +77,6 @@ class Link : public PacketSink {
   void send(packet::PooledPacket pkt) override;
 
  private:
-  [[nodiscard]] LinkFault roll_fault();
   [[nodiscard]] bool roll(double steady, double burst) {
     return rng_.chance(in_burst_ ? burst : steady);
   }

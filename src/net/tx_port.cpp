@@ -65,7 +65,6 @@ void TxPort::maybe_start_transmission() {
   busy_ = true;
   const util::SimDuration ser = rate_.serialization_delay(pkt.wire_bytes());
   ++tx_packets_;
-  tx_bytes_ += pkt.wire_bytes();
   (void)sim_.schedule_after(ser, [this, slot = std::move(slot)]() mutable {
     busy_ = false;
     if (out_ != nullptr && up_) out_->send(std::move(slot));

@@ -53,7 +53,6 @@ class TxPort {
   [[nodiscard]] bool is_paused(util::QueueId queue) const;
 
   [[nodiscard]] std::uint64_t tx_packets() const { return tx_packets_; }
-  [[nodiscard]] std::uint64_t tx_bytes() const { return tx_bytes_; }
 
  private:
   void maybe_start_transmission();
@@ -69,7 +68,6 @@ class TxPort {
   bool up_ = true;
   bool busy_ = false;
   std::uint64_t tx_packets_ = 0;
-  std::uint64_t tx_bytes_ = 0;
 };
 
 }  // namespace netseer::net

@@ -31,23 +31,6 @@ const char* to_string(MetaField field) {
   return "?";
 }
 
-const std::vector<DropPoint>& drop_points() {
-  // Stage order mirrors Switch::receive -> run_pipeline -> enqueue.
-  static const std::vector<DropPoint> kPoints = {
-      {Stage::kWire, DropReason::kLinkLoss, DropHook::kUpstreamSeq},
-      {Stage::kWire, DropReason::kCorruption, DropHook::kUpstreamSeq},
-      {Stage::kMacRx, DropReason::kCorruption, DropHook::kMacRx},
-      {Stage::kParser, DropReason::kParserError, DropHook::kPipelineDrop},
-      {Stage::kRoute, DropReason::kRouteMiss, DropHook::kPipelineDrop},
-      {Stage::kAcl, DropReason::kAclDeny, DropHook::kPipelineDrop},
-      {Stage::kTtl, DropReason::kTtlExpired, DropHook::kPipelineDrop},
-      {Stage::kMtu, DropReason::kMtuExceeded, DropHook::kPipelineDrop},
-      {Stage::kPortHealth, DropReason::kPortDown, DropHook::kPipelineDrop},
-      {Stage::kMmuAdmit, DropReason::kCongestion, DropHook::kMmuDrop},
-  };
-  return kPoints;
-}
-
 PipelineView make_pipeline_view(const Switch& sw) {
   PipelineView view;
   view.name = sw.name();

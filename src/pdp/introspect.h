@@ -47,32 +47,6 @@ inline constexpr std::size_t kNumMetaFields = 3;
 
 [[nodiscard]] const char* to_string(MetaField field);
 
-/// Which observation hook (if any) fires when a packet is lost at a drop
-/// point. kNone means the loss is invisible to all programmable logic on
-/// this switch; kUpstreamSeq means the loss is recovered by inter-switch
-/// sequencing and the event is emitted by the upstream switch (§3.3).
-enum class DropHook : std::uint8_t {
-  kNone = 0,
-  kMacRx,         // SwitchAgent::on_mac_rx(corrupted=true)
-  kPipelineDrop,  // SwitchAgent::on_pipeline_drop
-  kMmuDrop,       // SwitchAgent::on_mmu_drop
-  kUpstreamSeq,   // inter-switch gap detection + loss notification
-};
-
-/// One place the data path can lose a packet, and how that loss is
-/// observable. The set is a static property of the pipeline program, not
-/// of any deployed table state.
-struct DropPoint {
-  Stage stage = Stage::kWire;
-  DropReason reason = DropReason::kNone;
-  DropHook hook = DropHook::kNone;
-};
-
-/// The static drop-point structure of the forwarding pipeline, in stage
-/// order. Analyzer passes iterate this instead of re-deriving it from
-/// the Switch implementation.
-[[nodiscard]] const std::vector<DropPoint>& drop_points();
-
 /// Administrative state of one egress port as the health check sees it.
 struct PortView {
   bool up = false;       // Switch::port_up

@@ -57,12 +57,6 @@ double ResourceModel::raw_total(Resource resource) const {
   return total;
 }
 
-std::uint64_t ResourceModel::total_overflows() const {
-  std::uint64_t total = 0;
-  for (const auto count : overflows_) total += count;
-  return total;
-}
-
 double ResourceModel::component_usage(const std::string& component, Resource resource) const {
   for (const auto& c : components_) {
     if (c.name == component) return c.usage[static_cast<std::size_t>(resource)];

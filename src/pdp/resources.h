@@ -53,8 +53,6 @@ class ResourceModel {
   [[nodiscard]] std::uint64_t overflows(Resource resource) const {
     return overflows_[static_cast<std::size_t>(resource)];
   }
-  /// Sum of overflows() over every resource class.
-  [[nodiscard]] std::uint64_t total_overflows() const;
 
   /// Usage of `resource` by one component (0 when unknown).
   [[nodiscard]] double component_usage(const std::string& component, Resource resource) const;

@@ -43,10 +43,6 @@ enum class HardwareFault : std::uint8_t {
 
 [[nodiscard]] const char* to_string(HardwareFault fault);
 
-[[nodiscard]] constexpr bool is_pipeline_drop(DropReason reason) {
-  return reason >= DropReason::kRouteMiss && reason <= DropReason::kParserError;
-}
-
 /// Per-packet pipeline metadata — the software analog of the PHV fields a
 /// P4 program would carry between stages. Created at ingress, consumed at
 /// egress; never serialized.

@@ -59,12 +59,9 @@ std::string format_evidence(const char* fmt, auto... args) {
 /// Run the streaming detection service over everything the settled
 /// harness stored, exactly as an online deployment would have seen it
 /// (windows are event-time, so offline replay == online detection).
-std::vector<IncidentAlert> detect_alerts(Harness& harness, const detect::RuleSet& rules,
-                                         telemetry::Registry* metrics) {
+std::vector<IncidentAlert> detect_alerts(Harness& harness, telemetry::Registry* metrics) {
   (void)harness.store().sync();  // the subscription tails the durable watermark
-  detect::DetectOptions options;
-  options.rules = rules;
-  detect::DetectService service(harness.store(), std::move(options));
+  detect::DetectService service(harness.store(), detect::DetectOptions{});
   service.pump();
   service.finish();
   if (metrics != nullptr) telemetry::collect(*metrics, service);
@@ -121,7 +118,7 @@ IncidentReport IncidentSuite::routing_error() {
 
   harness.run_and_settle(util::milliseconds(8));
   if (metrics_ != nullptr) harness.collect_metrics(*metrics_);
-  report.alerts = detect_alerts(harness, rules_, metrics_);
+  report.alerts = detect_alerts(harness, metrics_);
 
   std::size_t events = 0;
   report.detection_latency = first_detection(
@@ -162,7 +159,7 @@ IncidentReport IncidentSuite::acl_misconfiguration() {
 
   harness.run_and_settle(util::milliseconds(6));
   if (metrics_ != nullptr) harness.collect_metrics(*metrics_);
-  report.alerts = detect_alerts(harness, rules_, metrics_);
+  report.alerts = detect_alerts(harness, metrics_);
 
   // ACL drops aggregate by rule: query the device for kAclDrop events.
   backend::EventQuery query;
@@ -213,7 +210,7 @@ IncidentReport IncidentSuite::parity_error() {
 
   harness.run_and_settle(util::milliseconds(8));
   if (metrics_ != nullptr) harness.collect_metrics(*metrics_);
-  report.alerts = detect_alerts(harness, rules_, metrics_);
+  report.alerts = detect_alerts(harness, metrics_);
 
   // Operators query drop events toward the Redis service.
   backend::EventQuery query;
@@ -264,7 +261,7 @@ IncidentReport IncidentSuite::unexpected_volume() {
 
   harness.run_and_settle(util::milliseconds(10));
   if (metrics_ != nullptr) harness.collect_metrics(*metrics_);
-  report.alerts = detect_alerts(harness, rules_, metrics_);
+  report.alerts = detect_alerts(harness, metrics_);
 
   // The victim's congestion events point at the device...
   std::size_t victim_events = 0;
@@ -334,7 +331,7 @@ IncidentReport IncidentSuite::server_side_bug() {
 
   harness.run_and_settle(util::milliseconds(10));
   if (metrics_ != nullptr) harness.collect_metrics(*metrics_);
-  report.alerts = detect_alerts(harness, rules_, metrics_);
+  report.alerts = detect_alerts(harness, metrics_);
 
   // Query the victim's flows: no events -> network exonerated.
   std::size_t victim_events = 0;
@@ -385,7 +382,7 @@ IncidentReport IncidentSuite::baseline() {
 
   harness.run_and_settle(util::milliseconds(8));
   if (metrics_ != nullptr) harness.collect_metrics(*metrics_);
-  report.alerts = detect_alerts(harness, rules_, metrics_);
+  report.alerts = detect_alerts(harness, metrics_);
 
   report.fault_onset = 0;
   report.detection_latency = report.alerts.empty() ? 0 : -1;

@@ -4,12 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "detect/rules.h"
 #include "scenarios/harness.h"
-
-namespace netseer::detect {
-struct Alert;
-}
 
 namespace netseer::scenarios {
 
@@ -68,10 +63,6 @@ class IncidentSuite {
   /// after settling (see Harness::collect_metrics).
   void set_metrics(telemetry::Registry* registry) { metrics_ = registry; }
 
-  /// Replace the detection configuration every replay runs with (the
-  /// default is detect::RuleSet::defaults()).
-  void set_detect_rules(detect::RuleSet rules) { rules_ = std::move(rules); }
-
   /// #1 Routing error due to network update: wrong route installed at
   /// the core layer; victim traffic loops and dies by TTL.
   [[nodiscard]] IncidentReport routing_error();
@@ -102,7 +93,6 @@ class IncidentSuite {
  private:
   std::uint64_t seed_;
   telemetry::Registry* metrics_ = nullptr;
-  detect::RuleSet rules_ = detect::RuleSet::defaults();
 };
 
 }  // namespace netseer::scenarios

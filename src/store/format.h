@@ -13,7 +13,7 @@
 #include <unistd.h>
 #endif
 
-#include "backend/event_store.h"
+#include "backend/event_query.h"
 #include "core/event.h"
 #include "util/annotations.h"
 #include "util/hash.h"

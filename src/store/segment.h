@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "backend/event_store.h"
+#include "backend/event_query.h"
 #include "store/format.h"
 #include "util/annotations.h"
 

@@ -1,7 +1,6 @@
 #include "store/store.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -9,6 +8,7 @@
 #include "packet/addr.h"
 #include "store/subscription.h"
 #include "store/writer.h"
+#include "util/parse.h"
 
 namespace netseer::store {
 
@@ -512,11 +512,6 @@ void FlowEventStore::crash_after_wal_bytes(std::uint64_t budget) {
 
 namespace {
 
-[[nodiscard]] bool parse_int(std::string_view text, std::int64_t& out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), out);
-  return ec == std::errc{} && ptr == text.data() + text.size();
-}
-
 [[nodiscard]] std::optional<core::EventType> parse_type(std::string_view name) {
   for (const core::EventType type :
        {core::EventType::kDrop, core::EventType::kCongestion, core::EventType::kPathChange,
@@ -532,11 +527,8 @@ namespace {
   const auto colon = text.rfind(':');
   if (colon == std::string_view::npos) return false;
   const auto parsed = packet::Ipv4Addr::parse(std::string(text.substr(0, colon)));
-  if (!parsed) return false;
-  std::int64_t value = 0;
-  if (!parse_int(text.substr(colon + 1), value) || value < 0 || value > 0xffff) return false;
+  if (!parsed || !util::parse_number(text.substr(colon + 1), port)) return false;
   addr = *parsed;
-  port = static_cast<std::uint16_t>(value);
   return true;
 }
 
@@ -546,14 +538,12 @@ namespace {
   if (arrow == std::string_view::npos || slash == std::string_view::npos || slash < arrow) {
     return false;
   }
-  std::int64_t proto = 0;
-  if (!parse_int(text.substr(slash + 1), proto) || proto < 0 || proto > 255) return false;
   packet::FlowKey parsed;
+  if (!util::parse_number(text.substr(slash + 1), parsed.proto)) return false;
   if (!parse_endpoint(text.substr(0, arrow), parsed.src, parsed.sport)) return false;
   if (!parse_endpoint(text.substr(arrow + 1, slash - arrow - 1), parsed.dst, parsed.dport)) {
     return false;
   }
-  parsed.proto = static_cast<std::uint8_t>(proto);
   flow = parsed;
   return true;
 }
@@ -581,16 +571,16 @@ std::optional<backend::EventQuery> parse_query(const std::string& spec, std::str
       if (!type) return fail("unknown event type: " + std::string(value));
       query.type = *type;
     } else if (key == "switch") {
-      std::int64_t node = 0;
-      if (!parse_int(value, node) || node < 0) return fail("bad switch id");
-      query.switch_id = static_cast<util::NodeId>(node);
+      util::NodeId node = 0;
+      if (!util::parse_number(value, node)) return fail("bad switch id");
+      query.switch_id = node;
     } else if (key == "from") {
-      std::int64_t t = 0;
-      if (!parse_int(value, t)) return fail("bad from= timestamp");
+      util::SimTime t = 0;
+      if (!util::parse_number(value, t)) return fail("bad from= timestamp");
       query.from = t;
     } else if (key == "to") {
-      std::int64_t t = 0;
-      if (!parse_int(value, t)) return fail("bad to= timestamp");
+      util::SimTime t = 0;
+      if (!util::parse_number(value, t)) return fail("bad to= timestamp");
       query.to = t;
     } else if (key == "flow") {
       packet::FlowKey flow;

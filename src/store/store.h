@@ -9,8 +9,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "backend/event_query.h"
 #include "backend/event_sink.h"
-#include "backend/event_store.h"
 #include "sim/simulator.h"
 #include "store/segment.h"
 #include "store/wal.h"

@@ -306,7 +306,6 @@ bool WalWriter::sync() {
     current_dir_synced_ = true;
   }
   ++syncs_;
-  synced_bytes_ = bytes_written_;
   return true;
 }
 

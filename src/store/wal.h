@@ -136,10 +136,6 @@ class WalWriter {
     util::MutexLock lock(mu_);
     return files_deleted_;
   }
-  [[nodiscard]] std::uint64_t synced_bytes() const NETSEER_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return synced_bytes_;
-  }
 
  private:
   struct FileInfo {
@@ -180,7 +176,6 @@ class WalWriter {
   bool dead_ NETSEER_GUARDED_BY(mu_) = false;
 
   std::uint64_t bytes_written_ NETSEER_GUARDED_BY(mu_) = 0;
-  std::uint64_t synced_bytes_ NETSEER_GUARDED_BY(mu_) = 0;
   std::uint64_t records_written_ NETSEER_GUARDED_BY(mu_) = 0;
   std::uint64_t syncs_ NETSEER_GUARDED_BY(mu_) = 0;
   std::uint64_t files_opened_ NETSEER_GUARDED_BY(mu_) = 0;

@@ -36,7 +36,6 @@ void TcpReceiver::on_receive(net::Host& host, const packet::Packet& pkt) {
     ack.l4.flags |= 0x40;
     state.ce_pending = false;
   }
-  ++acks_sent_;
   host.send(std::move(ack));
 }
 

@@ -41,7 +41,6 @@ class TcpReceiver final : public net::HostApp {
     const auto it = flows_.find(flow.hash64());
     return it == flows_.end() ? 0 : it->second.next_expected;
   }
-  [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
 
  private:
   struct FlowState {
@@ -52,7 +51,6 @@ class TcpReceiver final : public net::HostApp {
 
   TcpConfig config_;
   std::unordered_map<std::uint64_t, FlowState> flows_;
-  std::uint64_t acks_sent_ = 0;
 };
 
 /// Sender side: attach to the source host (it consumes the ACKs of its

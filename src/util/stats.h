@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstddef>
 #include <limits>
-#include <vector>
 
 namespace netseer::util {
 
@@ -56,66 +54,6 @@ class Summary {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Sample reservoir with exact percentiles. Stores every sample; intended
-/// for experiment harnesses, not the hot simulation path.
-class Percentiles {
- public:
-  void add(double x) {
-    samples_.push_back(x);
-    sorted_ = false;
-  }
-
-  /// p in [0, 100]. Returns 0 when empty.
-  [[nodiscard]] double percentile(double p) {
-    if (samples_.empty()) return 0.0;
-    if (!sorted_) {
-      std::sort(samples_.begin(), samples_.end());
-      sorted_ = true;
-    }
-    const double rank = (p / 100.0) * static_cast<double>(samples_.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const auto hi = std::min(lo + 1, samples_.size() - 1);
-    const double frac = rank - static_cast<double>(lo);
-    return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
-  }
-
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
- private:
-  std::vector<double> samples_;
-  bool sorted_ = false;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the
-/// edge buckets. Cheap enough for per-packet hot paths.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets)
-      : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-  void add(double x) {
-    ++total_;
-    if (counts_.empty()) return;
-    double t = (x - lo_) / (hi_ - lo_);
-    t = std::clamp(t, 0.0, 1.0);
-    auto idx = static_cast<std::size_t>(t * static_cast<double>(counts_.size()));
-    if (idx >= counts_.size()) idx = counts_.size() - 1;
-    ++counts_[idx];
-  }
-
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-  [[nodiscard]] const std::vector<std::uint64_t>& buckets() const { return counts_; }
-  [[nodiscard]] double bucket_low(std::size_t i) const {
-    return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-  }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
 };
 
 }  // namespace netseer::util

@@ -4,11 +4,11 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "scan_rows.h"
 
 namespace netseer::core {
 namespace {
@@ -31,7 +31,7 @@ struct Rig {
     net.connect_host(*s1, 1, *h2, util::microseconds(1));
     net.compute_routes();
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     app = std::make_unique<NetSeerApp>(*s1, config, &channel, 1000);
   }
@@ -47,7 +47,7 @@ struct Rig {
   pdp::Switch* s1;
   net::Host* h1;
   net::Host* h2;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<NetSeerApp> app;
 };
@@ -71,7 +71,7 @@ TEST(CapacityLimits, MmuRedirectCeilingMissesAreCounted) {
 
   // Reported + missed = actual: nothing lost silently, nothing invented.
   std::uint64_t reported = 0;
-  for (const auto& stored : rig.store->all()) {
+  for (const auto& stored : rig.store->scan({})) {
     if (stored.event.type == EventType::kDrop &&
         stored.event.drop_code == static_cast<std::uint8_t>(pdp::DropReason::kCongestion)) {
       reported += stored.event.counter;
@@ -94,7 +94,7 @@ TEST(CapacityLimits, InternalPortBudgetGatesIngressEvents) {
   // The flow is still reported (the budget passes the first packets).
   backend::EventQuery query;
   query.flow = flow;
-  EXPECT_FALSE(rig.store->query(query).empty());
+  EXPECT_FALSE(store::scan_rows(*rig.store, query).empty());
 }
 
 TEST(CapacityLimits, EventStackOverflowCountedNotCrashed) {

@@ -4,8 +4,9 @@
 // switches (§3.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/multiboard.h"
@@ -13,6 +14,7 @@
 #include "monitors/pingmesh.h"
 #include "monitors/syslog.h"
 #include "packet/builder.h"
+#include "scan_rows.h"
 #include "traffic/tcp.h"
 
 namespace netseer::core {
@@ -41,7 +43,7 @@ struct Rig {
     (void)l21;
     net.compute_routes();
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     app1 = std::make_unique<NetSeerApp>(*s1, config, &channel, 1000);
     app2 = std::make_unique<NetSeerApp>(*s2, config, &channel, 1000);
@@ -68,7 +70,7 @@ struct Rig {
   net::Host* h2;
   net::Host* h3;
   net::Link* s1_to_s2;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<NetSeerApp> app1;
   std::unique_ptr<NetSeerApp> app2;
@@ -95,7 +97,7 @@ TEST(PartialDeployment, OnlyMonitoredPrefixReported) {
   rig.finish();
   backend::EventQuery drops;
   drops.type = EventType::kDrop;
-  EXPECT_FALSE(rig.store->query(drops).empty());
+  EXPECT_FALSE(store::scan_rows(*rig.store, drops).empty());
 }
 
 TEST(PartialDeployment, UnmonitoredFlowsFiltered) {
@@ -113,11 +115,11 @@ TEST(PartialDeployment, UnmonitoredFlowsFiltered) {
 
   backend::EventQuery by_monitored;
   by_monitored.flow = monitored;
-  EXPECT_FALSE(rig.store->query(by_monitored).empty());
+  EXPECT_FALSE(store::scan_rows(*rig.store, by_monitored).empty());
 
   backend::EventQuery by_unmonitored;
   by_unmonitored.flow = unmonitored;
-  EXPECT_TRUE(rig.store->query(by_unmonitored).empty());
+  EXPECT_TRUE(store::scan_rows(*rig.store, by_unmonitored).empty());
   EXPECT_GT(rig.app2->filtered_events(), 0u);
 }
 
@@ -129,7 +131,7 @@ TEST(PartialDeployment, EmptyFilterMonitorsEverything) {
   rig.finish();
   backend::EventQuery query;
   query.flow = flow;
-  EXPECT_FALSE(rig.store->query(query).empty());
+  EXPECT_FALSE(store::scan_rows(*rig.store, query).empty());
   EXPECT_EQ(rig.app2->filtered_events(), 0u);
 }
 
@@ -153,7 +155,7 @@ TEST(HardwareFailure, AsicFailureInvisibleToNetSeerButSyslogged) {
   // upstream switch cannot tell either — the peer simply went silent.)
   backend::EventQuery drops;
   drops.type = EventType::kDrop;
-  EXPECT_TRUE(rig.store->query(drops).empty());
+  EXPECT_TRUE(store::scan_rows(*rig.store, drops).empty());
   // But the self-check raised an alert — the §3.7 division of labor.
   EXPECT_TRUE(syslog.has_alert_for(rig.s2->id()));
 }
@@ -207,7 +209,7 @@ TEST(MultiBoard, InterCardDropsRecoveredLikeInterSwitch) {
   net.connect_host(*chassis.board_b, 0, h2, util::microseconds(1));
   net.compute_routes();
 
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(net.simulator(), 1000, channel, store);
   NetSeerConfig config;
   NetSeerApp app_a(*chassis.board_a, config, &channel, 1000);
@@ -236,7 +238,7 @@ TEST(MultiBoard, InterCardDropsRecoveredLikeInterSwitch) {
   std::uint64_t recovered = 0;
   backend::EventQuery query;
   query.flow = flow;
-  for (const auto& stored : store.query(query)) {
+  for (const auto& stored : store.scan(query)) {
     if (stored.event.type == EventType::kDrop) {
       // Attributed to the upstream BOARD — localizing the failing card.
       EXPECT_EQ(stored.event.switch_id, chassis.board_a->id());
@@ -248,6 +250,20 @@ TEST(MultiBoard, InterCardDropsRecoveredLikeInterSwitch) {
 }
 
 // ---- Flexible flow identifiers (§3.4) ----------------------------------------
+
+/// The distinct flows of the stored drop events, in store order, and the
+/// packets those events count.
+std::pair<std::vector<FlowKey>, std::uint64_t> drop_flows(const store::FlowEventStore& events) {
+  std::vector<FlowKey> flows;
+  std::uint64_t packets = 0;
+  for (const auto& stored : events.scan(backend::EventQuery{}.of_type(EventType::kDrop))) {
+    if (std::find(flows.begin(), flows.end(), stored.event.flow) == flows.end()) {
+      flows.push_back(stored.event.flow);
+    }
+    packets += stored.event.counter;
+  }
+  return {flows, packets};
+}
 
 TEST(FlowIdModes, CanonicalFlowZeroesOutOfScopeFields) {
   const FlowKey full{Ipv4Addr::from_octets(1, 2, 3, 4), Ipv4Addr::from_octets(5, 6, 7, 8), 6,
@@ -278,13 +294,11 @@ TEST(FlowIdModes, HostPairAggregatesAcrossPorts) {
   rig.finish();
 
   // All drops merge into ONE host-pair flow event stream.
-  backend::EventQuery drops;
-  drops.type = EventType::kDrop;
-  const auto flows = rig.store->distinct_flows(drops);
+  const auto [flows, dropped] = drop_flows(*rig.store);
   ASSERT_EQ(flows.size(), 1u);
   EXPECT_EQ(flows[0].sport, 0);
   EXPECT_EQ(flows[0].src, rig.h1->addr());
-  EXPECT_EQ(rig.store->total_counter(drops), 40u);
+  EXPECT_EQ(dropped, 40u);
 }
 
 TEST(FlowIdModes, DstOnlyAggregatesAcrossSenders) {
@@ -297,12 +311,10 @@ TEST(FlowIdModes, DstOnlyAggregatesAcrossSenders) {
     rig.h3->send(packet::make_tcp(FlowKey{rig.h3->addr(), rig.h2->addr(), 6, 6000, 80}, 400));
   }
   rig.finish();
-  backend::EventQuery drops;
-  drops.type = EventType::kDrop;
-  const auto flows = rig.store->distinct_flows(drops);
+  const auto [flows, dropped] = drop_flows(*rig.store);
   ASSERT_EQ(flows.size(), 1u);  // one destination-service event stream
   EXPECT_EQ(flows[0].dst, rig.h2->addr());
-  EXPECT_EQ(rig.store->total_counter(drops), 20u);
+  EXPECT_EQ(dropped, 20u);
 }
 
 // ---- Closed-loop transport meets NetSeer (Case #5's observable) -------------
@@ -345,7 +357,7 @@ TEST(ClosedLoop, TcpRetransmissionsExplainedByBackendEvents) {
   backend::EventQuery query;
   query.flow = flow;
   std::uint64_t data_drops = 0;
-  for (const auto& stored : rig.store->query(query)) {
+  for (const auto& stored : rig.store->scan(query)) {
     if (stored.event.type == EventType::kDrop) data_drops += stored.event.counter;
   }
   // ACK-direction losses can also force retransmits; the data-direction
@@ -365,7 +377,7 @@ TEST(ClosedLoop, CleanTcpTransferProducesNoAnomalyEvents) {
   rig.finish();
 
   ASSERT_TRUE(sender.done());
-  for (const auto& stored : rig.store->all()) {
+  for (const auto& stored : rig.store->scan({})) {
     EXPECT_EQ(stored.event.type, EventType::kPathChange) << stored.event.to_string();
   }
 }

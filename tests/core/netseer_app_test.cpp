@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
 #include "packet/builder.h"
+#include "scan_rows.h"
 
 namespace netseer::core {
 namespace {
@@ -37,7 +39,7 @@ struct Rig {
     s2_to_s1 = l21;
     net.compute_routes();
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     app1 = std::make_unique<NetSeerApp>(*s1, config, &channel, 1000);
     app2 = std::make_unique<NetSeerApp>(*s2, config, &channel, 1000);
@@ -76,7 +78,7 @@ struct Rig {
   [[nodiscard]] std::vector<backend::StoredEvent> events(EventType type) const {
     backend::EventQuery query;
     query.type = type;
-    return store->query(query);
+    return store::scan_rows(*store, query);
   }
 
   fabric::Network net;
@@ -88,7 +90,7 @@ struct Rig {
   net::Host* h3;
   net::Link* s1_to_s2;
   net::Link* s2_to_s1;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<NetSeerApp> app1;
   std::unique_ptr<NetSeerApp> app2;
@@ -232,9 +234,9 @@ TEST(NetSeerApp, CongestionEventsCarryLatency) {
     EXPECT_EQ(stored.event.egress_port, 1);
   }
   // Both contending flows show up.
-  backend::EventQuery query;
-  query.type = EventType::kCongestion;
-  EXPECT_EQ(rig.store->distinct_flows(query).size(), 2u);
+  std::unordered_set<FlowKey, packet::FlowKeyHash> flows;
+  for (const auto& stored : congestion) flows.insert(stored.event.flow);
+  EXPECT_EQ(flows.size(), 2u);
 }
 
 TEST(NetSeerApp, MmuDropsReported) {
@@ -396,15 +398,15 @@ TEST(NetSeerApp, QueryByDeviceAndPeriod) {
 
   backend::EventQuery by_device;
   by_device.switch_id = rig.s2->id();
-  EXPECT_FALSE(rig.store->query(by_device).empty());
+  EXPECT_FALSE(store::scan_rows(*rig.store, by_device).empty());
 
   backend::EventQuery by_flow;
   by_flow.flow = rig.flow(1000);
-  EXPECT_FALSE(rig.store->query(by_flow).empty());
+  EXPECT_FALSE(store::scan_rows(*rig.store, by_flow).empty());
 
   backend::EventQuery wrong_period;
   wrong_period.from = util::seconds(100);
-  EXPECT_TRUE(rig.store->query(wrong_period).empty());
+  EXPECT_TRUE(store::scan_rows(*rig.store, wrong_period).empty());
 }
 
 }  // namespace

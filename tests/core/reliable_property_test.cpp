@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/reliable.h"
+#include "scan_rows.h"
 
 namespace netseer::core {
 namespace {
@@ -15,7 +15,7 @@ TEST_P(ReliableProperty, ExactlyOnceDeliveryUnderLoss) {
   const double loss = GetParam();
   sim::Simulator sim;
   ReportChannel channel(sim, util::Rng(17), util::milliseconds(1), loss);
-  backend::EventStore store;
+  store::FlowEventStore store;
   backend::Collector collector(sim, 100, channel, store);
   ReliableReporter reporter(sim, channel, 1, 100);
   channel.register_endpoint(1, [&](util::NodeId, const ReportMsg& msg) {
@@ -42,7 +42,7 @@ TEST_P(ReliableProperty, ExactlyOnceDeliveryUnderLoss) {
     backend::EventQuery query;
     query.flow = packet::FlowKey{packet::Ipv4Addr::from_octets(10, 0, 0, 1),
                                  packet::Ipv4Addr::from_octets(10, 0, 0, 2), 6, s, 80};
-    EXPECT_EQ(store.query(query).size(), 1u) << "sport " << s;
+    EXPECT_EQ(store::scan_rows(store, query).size(), 1u) << "sport " << s;
   }
   if (loss > 0.05) EXPECT_GT(reporter.retransmits(), 0u);
 }

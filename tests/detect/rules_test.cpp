@@ -84,6 +84,30 @@ TEST(RulesParseTest, ErrorsNameTheLine) {
   EXPECT_NE(error.find("no rules defined"), std::string::npos);
 }
 
+// Every number is the whole token and fits its field: a raise_after of
+// -1 would otherwise read as 2^32-1, a rule that can never raise.
+TEST(RulesParseTest, NumbersMustParseWholeAndFit) {
+  std::string error;
+  EXPECT_FALSE(parse_rules("rule r threshold=abc\n", &error).has_value());
+  EXPECT_EQ(error, "line 1: bad rule setting 'threshold=abc'");
+  EXPECT_FALSE(parse_rules("rule r threshold=20x\n", &error).has_value());
+  EXPECT_EQ(error, "line 1: bad rule setting 'threshold=20x'");
+  EXPECT_FALSE(parse_rules("rule r threshold=nan\n", &error).has_value());
+  EXPECT_FALSE(parse_rules("rule r raise_after=-1\n", &error).has_value());
+  EXPECT_EQ(error, "line 1: bad rule setting 'raise_after=-1'");
+  EXPECT_FALSE(parse_rules("rule r warmup=4294967296\n", &error).has_value());
+  EXPECT_FALSE(parse_rules("window_us 20x\nrule r\n", &error).has_value());
+  EXPECT_EQ(error, "line 1: expected a number after window_us");
+  EXPECT_FALSE(parse_rules("rule r\nidle_gc_windows 4294967296\n", &error).has_value());
+  EXPECT_EQ(error, "line 2: expected a number after idle_gc_windows");
+  EXPECT_FALSE(parse_rules("lateness_us 9223372036854775807\nrule r\n", &error).has_value());
+
+  const auto set = parse_rules("rule r threshold=2.5e1 raise_after=4294967295\n", &error);
+  ASSERT_TRUE(set.has_value()) << error;
+  EXPECT_DOUBLE_EQ(set->rules[0].threshold, 25.0);
+  EXPECT_EQ(set->rules[0].raise_after, 4294967295u);
+}
+
 TEST(RulesParseTest, CommentsAndBlankLinesAreIgnored) {
   std::string error;
   const auto set = parse_rules("\n# header\nrule r threshold=3  # trailing\n\n", &error);

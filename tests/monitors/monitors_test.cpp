@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "backend/collector.h"
-#include "backend/event_store.h"
 #include "core/netseer_app.h"
 #include "core/nic_agent.h"
 #include "fabric/network.h"
@@ -12,6 +11,7 @@
 #include "monitors/sampling.h"
 #include "monitors/snmp.h"
 #include "packet/builder.h"
+#include "store/store.h"
 
 namespace netseer::monitors {
 namespace {
@@ -58,7 +58,7 @@ struct Rig {
     delivery = std::make_unique<NetSightMonitor::DeliveryTracker>(netsight);
     for (auto& host : net.hosts()) host->add_app(delivery.get());
 
-    store = std::make_unique<backend::EventStore>();
+    store = std::make_unique<store::FlowEventStore>();
     collector = std::make_unique<backend::Collector>(net.simulator(), 1000, channel, *store);
     core::NetSeerConfig ns;
     ns.congestion_threshold = kCongestionThreshold;
@@ -98,7 +98,7 @@ struct Rig {
   /// NetSeer's detected groups from the backend store.
   [[nodiscard]] EventGroupSet netseer_groups(std::optional<core::EventType> type = {}) const {
     EventGroupSet set;
-    for (const auto& stored : store->all()) {
+    for (const auto& stored : store->scan({})) {
       if (type && stored.event.type != *type) continue;
       set.insert(EventGroup{stored.event.switch_id, stored.event.flow.hash64(),
                             stored.event.type});
@@ -120,7 +120,7 @@ struct Rig {
   SamplingMonitor sampler1000;
   EverflowMonitor everflow;
   std::unique_ptr<NetSightMonitor::DeliveryTracker> delivery;
-  std::unique_ptr<backend::EventStore> store;
+  std::unique_ptr<store::FlowEventStore> store;
   std::unique_ptr<backend::Collector> collector;
   std::unique_ptr<core::NetSeerApp> app1;
   std::unique_ptr<core::NetSeerApp> app2;

@@ -1,5 +1,5 @@
-// Test helper shared by the store suites: a scan() drained into a vector,
-// for tests that compare whole result sets.
+// Test helper shared by every suite that reads a FlowEventStore: a scan()
+// drained into a vector, for tests that compare whole result sets.
 #pragma once
 
 #include <vector>

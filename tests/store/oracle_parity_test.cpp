@@ -1,18 +1,19 @@
-// EventQuery parity. The same event stream goes into the reference
-// backend::EventStore (the oracle) and into store::FlowEventStore, and
-// every query shape must return identical results — element for
-// element, in the same order — in every lifecycle state: with rows still
-// in shard buffers, after sealing, after compaction, after a durable
-// round trip through segment files, and after a reopen that replays
-// every row out of the WAL into the memtable.
+// EventQuery parity. The same event stream goes into a plain vector (the
+// oracle, answered by filtering every row with EventQuery::matches) and
+// into store::FlowEventStore, and every query shape must return identical
+// results — element for element, in the same order — in every lifecycle
+// state: with rows still in shard buffers, after sealing, after
+// compaction, after a durable round trip through segment files, and after
+// a reopen that replays every row out of the WAL into the memtable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
-#include "backend/event_store.h"
+#include "backend/event_query.h"
 #include "core/event.h"
 #include "scan_rows.h"
 #include "store/store.h"
@@ -108,13 +109,22 @@ std::vector<backend::EventQuery> query_shapes() {
   return shapes;
 }
 
-void expect_parity(const backend::EventStore& oracle, const FlowEventStore& fstore,
+/// Every row the oracle holds, in insertion order, that `query` matches.
+std::vector<backend::StoredEvent> filter(const std::vector<backend::StoredEvent>& oracle,
+                                         const backend::EventQuery& query) {
+  std::vector<backend::StoredEvent> out;
+  std::copy_if(oracle.begin(), oracle.end(), std::back_inserter(out),
+               [&](const backend::StoredEvent& row) { return query.matches(row); });
+  return out;
+}
+
+void expect_parity(const std::vector<backend::StoredEvent>& oracle, const FlowEventStore& fstore,
                    const std::string& state) {
   ASSERT_EQ(oracle.size(), fstore.size()) << state;
   std::size_t shape_idx = 0;
   for (const auto& query : query_shapes()) {
     SCOPED_TRACE(state + ", query shape #" + std::to_string(shape_idx++));
-    const auto want = oracle.query(query);
+    const auto want = filter(oracle, query);
     const auto got = scan_rows(fstore, query);
     ASSERT_EQ(got.size(), want.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -136,12 +146,12 @@ StoreOptions parity_options() {
 }
 
 TEST(QueryParity, MatchesOracleAcrossLifecycleStates) {
-  backend::EventStore oracle;
+  std::vector<backend::StoredEvent> oracle;
   FlowEventStore fstore(parity_options());
   Gen gen;
   for (std::uint64_t i = 0; i < kEvents; ++i) {
     const auto ev = gen.next(i);
-    oracle.add(ev, ev.detected_at + 1);
+    oracle.push_back({ev, ev.detected_at + 1});
     fstore.add(ev, ev.detected_at + 1);
   }
   // Mixed state: sealed segments plus a memtable remainder.
@@ -157,7 +167,7 @@ TEST(QueryParity, MatchesOracleAcrossLifecycleStates) {
 TEST(QueryParity, MatchesOracleThroughDurableReopen) {
   const auto dir = (fs::temp_directory_path() / "netseer_oracle_parity_test").string();
   fs::remove_all(dir);
-  backend::EventStore oracle;
+  std::vector<backend::StoredEvent> oracle;
   {
     auto options = parity_options();
     options.dir = dir;
@@ -165,7 +175,7 @@ TEST(QueryParity, MatchesOracleThroughDurableReopen) {
     Gen gen;
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       const auto ev = gen.next(i);
-      oracle.add(ev, ev.detected_at + 1);
+      oracle.push_back({ev, ev.detected_at + 1});
       fstore.add(ev, ev.detected_at + 1);
     }
     fstore.checkpoint();
@@ -181,7 +191,7 @@ TEST(QueryParity, MatchesOracleThroughDurableReopen) {
 TEST(QueryParity, MatchesOracleThroughWalReplay) {
   const auto dir = (fs::temp_directory_path() / "netseer_oracle_parity_wal_test").string();
   fs::remove_all(dir);
-  backend::EventStore oracle;
+  std::vector<backend::StoredEvent> oracle;
   auto options = parity_options();
   options.dir = dir;
   {
@@ -189,7 +199,7 @@ TEST(QueryParity, MatchesOracleThroughWalReplay) {
     Gen gen;
     for (std::uint64_t i = 0; i < kEvents; ++i) {
       const auto ev = gen.next(i);
-      oracle.add(ev, ev.detected_at + 1);
+      oracle.push_back({ev, ev.detected_at + 1});
       fstore.add(ev, ev.detected_at + 1);
     }
     // No checkpoint: the segments sealed so far were never persisted,
@@ -205,14 +215,14 @@ TEST(QueryParity, MatchesOracleThroughWalReplay) {
 // With real shard batching the LSN order differs from insertion order,
 // but the *set* of results must still agree for every query shape.
 TEST(QueryParity, BatchedShardsAgreeAsMultisets) {
-  backend::EventStore oracle;
+  std::vector<backend::StoredEvent> oracle;
   auto options = parity_options();
   options.shard_batch = 16;
   FlowEventStore fstore(options);
   Gen gen;
   for (std::uint64_t i = 0; i < kEvents; ++i) {
     const auto ev = gen.next(i);
-    oracle.add(ev, ev.detected_at + 1);
+    oracle.push_back({ev, ev.detected_at + 1});
     fstore.add(ev, ev.detected_at + 1);
   }
   const auto sort_key = [](const backend::StoredEvent& a, const backend::StoredEvent& b) {
@@ -225,7 +235,7 @@ TEST(QueryParity, BatchedShardsAgreeAsMultisets) {
   std::size_t shape_idx = 0;
   for (const auto& query : query_shapes()) {
     SCOPED_TRACE("query shape #" + std::to_string(shape_idx++));
-    auto want = oracle.query(query);
+    auto want = filter(oracle, query);
     auto got = scan_rows(fstore, query);
     ASSERT_EQ(got.size(), want.size());
     std::sort(want.begin(), want.end(), sort_key);

@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "backend/event_store.h"
+#include "backend/event_query.h"
 #include "core/event.h"
 #include "scan_rows.h"
 #include "store/store.h"

@@ -383,6 +383,24 @@ TEST_F(StoreTest, ParseQueryAcceptsFullSpecAndRejectsGarbage) {
   EXPECT_FALSE(parse_query("from=abc", &error).has_value());
 }
 
+// A number must be the whole term and fit its field: a switch id past 32
+// bits is an error, not the switch it wraps around to.
+TEST_F(StoreTest, ParseQueryRejectsNumbersThatDoNotFit) {
+  std::string error;
+  EXPECT_FALSE(parse_query("switch=4294967297", &error).has_value());
+  EXPECT_EQ(error, "bad switch id");
+  EXPECT_FALSE(parse_query("switch=-1", &error).has_value());
+  EXPECT_FALSE(parse_query("switch=7x", &error).has_value());
+  EXPECT_FALSE(parse_query("to=9223372036854775808", &error).has_value());
+  EXPECT_FALSE(parse_query("flow=10.0.0.1:65536>10.0.0.2:80/6", &error).has_value());
+  EXPECT_FALSE(parse_query("flow=10.0.0.1:1234>10.0.0.2:80/256", &error).has_value());
+
+  const auto widest = parse_query("switch=4294967295,from=-5", &error);
+  ASSERT_TRUE(widest.has_value()) << error;
+  EXPECT_EQ(widest->switch_id, 4294967295u);
+  EXPECT_EQ(widest->from, -5);
+}
+
 TEST_F(StoreTest, WalDeathKeepsStoreServingFromMemory) {
   StoreOptions options;
   options.dir = dir_;

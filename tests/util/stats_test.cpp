@@ -33,46 +33,5 @@ TEST(Summary, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(Percentiles, EmptyIsZero) {
-  Percentiles p;
-  EXPECT_EQ(p.percentile(50), 0.0);
-}
-
-TEST(Percentiles, MedianAndTails) {
-  Percentiles p;
-  for (int i = 1; i <= 101; ++i) p.add(i);
-  EXPECT_DOUBLE_EQ(p.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 51.0);
-  EXPECT_DOUBLE_EQ(p.percentile(100), 101.0);
-  EXPECT_NEAR(p.percentile(99), 100.0, 1.0);
-}
-
-TEST(Percentiles, AddAfterQueryResorts) {
-  Percentiles p;
-  p.add(10);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 10.0);
-  p.add(0);
-  p.add(20);
-  EXPECT_DOUBLE_EQ(p.percentile(50), 10.0);
-  EXPECT_DOUBLE_EQ(p.percentile(0), 0.0);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);   // bucket 0
-  h.add(9.5);   // bucket 9
-  h.add(-5.0);  // clamps to bucket 0
-  h.add(50.0);  // clamps to bucket 9
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.buckets()[0], 2u);
-  EXPECT_EQ(h.buckets()[9], 2u);
-}
-
-TEST(Histogram, BucketLow) {
-  Histogram h(0.0, 100.0, 10);
-  EXPECT_DOUBLE_EQ(h.bucket_low(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bucket_low(5), 50.0);
-}
-
 }  // namespace
 }  // namespace netseer::util

@@ -30,6 +30,7 @@
 #include "detect/service.h"
 #include "telemetry/collect.h"
 #include "telemetry/snapshot.h"
+#include "util/parse.h"
 
 using namespace netseer;
 
@@ -74,7 +75,7 @@ int main(int argc, char** argv) {
   detect::DetectOptions options;
   std::uint64_t from_lsn = 0;
   bool follow = false;
-  long long poll_ms = 50;
+  std::uint32_t poll_ms = 50;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -95,14 +96,12 @@ int main(int argc, char** argv) {
       options.checkpoint_path = v;
     } else if (arg == "--from-lsn") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      from_lsn = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !util::parse_number(v, from_lsn)) return usage(argv[0]);
     } else if (arg == "--follow") {
       follow = true;
     } else if (arg == "--poll-ms") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      poll_ms = std::strtoll(v, nullptr, 10);
+      if (v == nullptr || !util::parse_number(v, poll_ms)) return usage(argv[0]);
     } else if (arg == "--metrics-out") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
   if (follow) {
     std::signal(SIGINT, handle_signal);
     std::signal(SIGTERM, handle_signal);
-    service.run_follow(g_stop, std::chrono::milliseconds(std::max(1ll, poll_ms)));
+    service.run_follow(g_stop, std::chrono::milliseconds(std::max<std::uint32_t>(1, poll_ms)));
   } else {
     service.pump();
   }

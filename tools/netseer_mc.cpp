@@ -18,6 +18,7 @@
 #include "mc/harnesses.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
+#include "util/parse.h"
 
 namespace {
 
@@ -52,14 +53,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto number = [&]() -> std::uint64_t {
+      const char* text = value();
+      std::uint64_t n = 0;
+      if (!netseer::util::parse_number(text, n)) {
+        std::fprintf(stderr, "netseer_mc: %s needs a number, got '%s'\n", arg.c_str(), text);
+        std::exit(2);
+      }
+      return n;
+    };
     if (arg == "--list") {
       list = true;
     } else if (arg == "--harness") {
       selected.emplace_back(value());
     } else if (arg == "--max-schedules") {
-      max_schedules = std::strtoull(value(), nullptr, 10);
+      max_schedules = number();
     } else if (arg == "--max-steps") {
-      max_steps = std::strtoull(value(), nullptr, 10);
+      max_steps = number();
     } else if (arg == "--metrics-out") {
       metrics_out = value();
     } else if (arg == "--trace") {

@@ -30,6 +30,7 @@
 #include "store/subscription.h"
 #include "telemetry/collect.h"
 #include "telemetry/snapshot.h"
+#include "util/parse.h"
 
 using namespace netseer;
 
@@ -234,15 +235,19 @@ int main(int argc, char** argv) {
   const std::string cmd = argv[1];
   const std::string dir = argv[2];
 
-  if (cmd == "gen") {
-    const std::uint64_t events = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 2000;
-    const long long torn = argc > 4 ? std::strtoll(argv[4], nullptr, 10) : -1;
-    const bool group = argc > 5 && std::strcmp(argv[5], "group") == 0;
-    return cmd_gen(dir, events, torn, group);
-  }
-
   // Parse the whole command line before opening the store: opening
   // creates the directory, so a typo must not leave one behind.
+  if (cmd == "gen") {
+    std::uint64_t events = 2000;
+    long long torn = -1;
+    if (argc > 6 || (argc > 3 && !util::parse_number(argv[3], events)) ||
+        (argc > 4 && !util::parse_number(argv[4], torn)) ||
+        (argc > 5 && std::strcmp(argv[5], "group") != 0)) {
+      return usage(argv[0]);
+    }
+    return cmd_gen(dir, events, torn, /*group_commit=*/argc > 5);
+  }
+
   std::optional<backend::EventQuery> query;
   std::uint64_t from = 0;
   std::string metrics_out;
@@ -260,7 +265,7 @@ int main(int argc, char** argv) {
         if (i + 1 >= argc) return usage(argv[0]);
         metrics_out = argv[++i];
       } else {
-        from = std::strtoull(argv[i], nullptr, 10);
+        if (!util::parse_number(argv[i], from)) return usage(argv[0]);
       }
     }
   } else if (cmd != "inspect" && cmd != "recover" && cmd != "compact") {
