@@ -1,7 +1,7 @@
 // Streaming-detection microbench: tail-and-detect throughput — events
 // flowing store -> subscription -> window engines -> detectors ->
 // alert pipeline, with ingest and pump interleaved the way the service
-// actually runs (netseer_detect --follow, or start() on the simulator).
+// actually runs (start() on the simulator).
 //
 //   bench_detect --events 2000000 --reps 3
 //   bench_detect --events 2000000 --baseline bench/BENCH_detect.json
@@ -194,10 +194,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Phase 2: the same interleave over a group-commit durable store —
-  // the netseer_detect --follow shape. Informational (disk variance is
-  // the WAL's problem, bench_store gates it), but the lag assertion
-  // still holds: durability must not make the tail fall behind.
+  // Phase 2: the same interleave over a group-commit durable store.
+  // Informational (disk variance is the WAL's problem, bench_store
+  // gates it), but the lag assertion still holds: durability must not
+  // make the tail fall behind.
   const auto dir = std::filesystem::temp_directory_path() / "netseer_bench_detect";
   double best_wal = -1.0;
   for (int rep = 0; rep < reps; ++rep) {

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   std::string only_workload;
   int duration_ms = 20;
   ExperimentOptions cli{"Figure 9 — event coverage ratios per monitoring system"};
-  cli.flag("workload", &only_workload, "run a single workload (the CI bench-smoke path)")
+  cli.flag("workload", &only_workload, "run a single workload (the ctest smoke path)")
       .flag("duration-ms", &duration_ms, "simulated run length per workload")
       .parse(argc, argv);
 

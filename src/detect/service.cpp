@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <thread>
 
 #include "util/hash.h"
 #include "util/sync.h"
@@ -88,13 +87,6 @@ void DetectService::finish() {
 
 sim::TaskHandle DetectService::start(sim::Simulator& sim, util::SimDuration interval) {
   return sim.schedule_every(interval, [this] { pump(); });
-}
-
-void DetectService::run_follow(const std::atomic<bool>& stop, std::chrono::milliseconds poll) {
-  while (!stop.load(std::memory_order_relaxed)) {
-    if (pump() == 0 && poll.count() > 0) std::this_thread::sleep_for(poll);
-  }
-  pump();  // drain whatever landed while we were told to stop
 }
 
 namespace {

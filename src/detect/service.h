@@ -1,7 +1,5 @@
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -42,9 +40,8 @@ struct DetectServiceStats {
 /// store's durable watermark, fanned into one WindowEngine per rule,
 /// all feeding one AlertManager. pump() is the only engine entry point,
 /// so the service runs wherever its owner calls it from — inline with
-/// the simulator's maintenance loop (start()), or on a dedicated thread
-/// (run_follow(), for the CLI; safe because that process is the store's
-/// only user).
+/// the simulator's maintenance loop (start()), or once over a store
+/// directory (netseer_detect).
 ///
 /// Restarts are exactly-once at row granularity: pump() checkpoints the
 /// last consumed LSN (after the rows are applied), and a new service
@@ -63,9 +60,9 @@ class DetectService {
 
   /// Drain everything currently durable through the detectors, advance
   /// the event-time watermark, checkpoint. Returns rows consumed.
-  /// Serialized against finish() and other pumps by mu_, so an inline
-  /// start() driver and a run_follow() thread cannot interleave engine
-  /// updates. Blocking: the checkpoint write is file I/O.
+  /// Serialized against finish() and other pumps by mu_, so two threads
+  /// that drive one service cannot interleave engine updates. Blocking:
+  /// the checkpoint write is file I/O.
   NETSEER_BLOCKING std::size_t pump() NETSEER_EXCLUDES(mu_);
 
   /// End-of-stream flush: force every open window closed (including the
@@ -78,15 +75,10 @@ class DetectService {
   /// draining the simulation.
   [[nodiscard]] sim::TaskHandle start(sim::Simulator& sim, util::SimDuration interval);
 
-  /// Dedicated-thread driver: pump, sleep `poll`, repeat until `stop`.
-  NETSEER_BLOCKING void run_follow(const std::atomic<bool>& stop,
-                                   std::chrono::milliseconds poll)
-      NETSEER_EXCLUDES(mu_);
-
   // Quiescent read-only views: call them only while no pump()/finish()
-  // is in flight (between simulator steps, or after run_follow joined).
-  // They deliberately bypass the analysis — taking mu_ here would make
-  // every accessor a lock site inside test assertions.
+  // is in flight (between simulator steps, or after a driving thread
+  // joined). They deliberately bypass the analysis — taking mu_ here
+  // would make every accessor a lock site inside test assertions.
   [[nodiscard]] const RuleSet& rules() const { return options_.rules; }
   [[nodiscard]] const std::vector<WindowEngine>& engines() const
       NETSEER_NO_THREAD_SAFETY_ANALYSIS {

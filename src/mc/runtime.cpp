@@ -293,7 +293,9 @@ class Runtime {
 };
 
 std::string Runtime::describe(int tid, OpKind kind, std::uint32_t obj, std::memory_order mo) const {
-  std::string out = "T" + std::to_string(tid) + " ";
+  std::string out = "T";
+  out += std::to_string(tid);
+  out += ' ';
   switch (kind) {
     case OpKind::kAtomicLoad:
     case OpKind::kAtomicStore:
@@ -606,8 +608,9 @@ void Runtime::schedule_loop(std::unique_lock<std::mutex>& lk) {
       for (std::size_t t = 0; t < recs_.size(); ++t) {
         const ThreadRec& rec = *recs_[t];
         if (rec.finished) continue;
-        msg += " " + describe(static_cast<int>(t), rec.pending.kind, rec.pending.obj,
-                              rec.pending.mo) + " blocked;";
+        msg += ' ';
+        msg += describe(static_cast<int>(t), rec.pending.kind, rec.pending.obj, rec.pending.mo);
+        msg += " blocked;";
       }
       record_failure_locked(std::move(msg));
       abort_run_locked(lk);
@@ -789,34 +792,6 @@ void assert_fail(const char* expr, const char* file, int line) {
                        std::to_string(line) + ")");
 }
 
-/// Hooks behind the NETSEER_MC build of util::Mutex (see
-/// util/thread_annotations.h): same instrumented-mutex semantics as
-/// mc::Mutex, with a real std::mutex fallback outside model runs.
-void* instrumented_mutex_make() { return new std::mutex(); }
-
-void instrumented_mutex_drop(void* real, const void* self) {
-  Runtime::inst().forget(self);
-  delete static_cast<std::mutex*>(real);
-}
-
-void instrumented_mutex_lock(void* real, const void* self) {
-  if (Runtime::inst().active() && tls_tid >= 0) {
-    Runtime::inst().perform(self, OpKind::kMutexLock, std::memory_order_seq_cst, nullptr, nullptr,
-                            nullptr, -1);
-    return;
-  }
-  static_cast<std::mutex*>(real)->lock();
-}
-
-void instrumented_mutex_unlock(void* real, const void* self) {
-  if (Runtime::inst().active() && tls_tid >= 0) {
-    Runtime::inst().perform(self, OpKind::kMutexUnlock, std::memory_order_seq_cst, nullptr,
-                            nullptr, nullptr, -1);
-    return;
-  }
-  static_cast<std::mutex*>(real)->unlock();
-}
-
 }  // namespace detail
 
 bool in_model() { return Runtime::inst().active() && tls_tid >= 0; }
@@ -852,9 +827,31 @@ void race_write(const void* addr, const char* what) {
   Runtime::inst().race_access(addr, what, /*is_write=*/true);
 }
 
-Mutex::Mutex() : real_(detail::instrumented_mutex_make()) {}
-Mutex::~Mutex() { detail::instrumented_mutex_drop(real_, this); }
-void Mutex::lock() { detail::instrumented_mutex_lock(real_, this); }
-void Mutex::unlock() { detail::instrumented_mutex_unlock(real_, this); }
+// Inside a model run lock and unlock are scheduling points; outside one
+// the real std::mutex takes them.
+Mutex::Mutex() : real_(new std::mutex()) {}
+
+Mutex::~Mutex() {
+  Runtime::inst().forget(this);
+  delete static_cast<std::mutex*>(real_);
+}
+
+void Mutex::lock() {
+  if (in_model()) {
+    Runtime::inst().perform(this, OpKind::kMutexLock, std::memory_order_seq_cst, nullptr, nullptr,
+                            nullptr, -1);
+    return;
+  }
+  static_cast<std::mutex*>(real_)->lock();
+}
+
+void Mutex::unlock() {
+  if (in_model()) {
+    Runtime::inst().perform(this, OpKind::kMutexUnlock, std::memory_order_seq_cst, nullptr, nullptr,
+                            nullptr, -1);
+    return;
+  }
+  static_cast<std::mutex*>(real_)->unlock();
+}
 
 }  // namespace netseer::mc

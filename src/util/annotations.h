@@ -1,10 +1,9 @@
 #pragma once
 
-/// Hot-path discipline annotations, consumed by tools/netseer_lint (and,
-/// on clang, attached to the AST as annotate attributes so the LibTooling
-/// frontend sees them without re-lexing). They expand to nothing under
-/// GCC, exactly like util/thread_annotations.h: plain builds compile the
-/// same code; only the analyzer assigns them meaning.
+/// Hot-path discipline annotations, consumed by tools/netseer_lint (on
+/// clang they also attach annotate attributes to the AST). They expand
+/// to nothing under GCC, exactly like util/thread_annotations.h: plain
+/// builds compile the same code; only the analyzer assigns them meaning.
 ///
 /// The contracts the linter enforces (see DESIGN.md "Static analysis
 /// layer" and tools/netseer_lint):

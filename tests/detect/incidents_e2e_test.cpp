@@ -2,9 +2,9 @@
 // streaming detection service, fed each incident's event store, must
 // raise exactly the expected alert set — right rule, right device,
 // right flow fingerprint — and stay silent on the fault-free baseline.
-// These are the pinned expectations the detect-e2e CI job runs under
-// ASan/UBSan; the replays are fully deterministic, so exact counts and
-// fingerprints are stable.
+// CI's sanitize job runs these pinned expectations under ASan/UBSan;
+// the replays are fully deterministic, so exact counts and fingerprints
+// are stable.
 #include <gtest/gtest.h>
 
 #include <set>

@@ -1,6 +1,6 @@
 // raw-sync fixture: raw standard-library synchronization in first-party
-// code. util::Mutex keeps thread-safety analysis and the mc shim in the
-// loop; mc_shim::atomic keeps model-checked sources explorable.
+// code. util::Mutex keeps thread-safety analysis in the loop;
+// mc_shim::atomic keeps model-checked sources explorable.
 #include <atomic>
 #include <mutex>
 

@@ -32,7 +32,7 @@ TEST(MetricsSnapshot, CaptureCopiesState) {
 TEST(MetricsSnapshot, JsonIsWellFormedAndComplete) {
   const auto snapshot = MetricsSnapshot::capture(populated());
   const std::string json = snapshot.to_json();
-  // Structure anchors (full parse happens in CI's bench-smoke job).
+  // Structure anchors (bench_fig9_snapshot checks a real run's series).
   EXPECT_NE(json.find("\"counters\": ["), std::string::npos);
   EXPECT_NE(json.find("\"gauges\": ["), std::string::npos);
   EXPECT_NE(json.find("\"histograms\": ["), std::string::npos);

@@ -3,26 +3,21 @@
 //
 //   netseer_detect --store-dir <dir> [options]
 //
-//   --store-dir <dir>       store directory to tail (required)
+//   --store-dir <dir>       store directory to drain (required)
 //   --rules <path>          rule file (see src/detect/rules.h); default
 //                           is the built-in RuleSet::defaults()
 //   --checkpoint <path>     resume-LSN checkpoint file: restarts resume
 //                           exactly-once after the last consumed row
 //   --from-lsn <n>          start after LSN n (ignored when a checkpoint
 //                           file exists)
-//   --follow                keep tailing until SIGINT/SIGTERM instead of
-//                           draining once and exiting
-//   --poll-ms <n>           sleep between pumps in --follow mode (default 50)
 //   --metrics-out <path>    write a metrics snapshot on exit
 //                           (.csv => CSV, else JSON)
 //
-// One-shot mode drains everything durable, force-closes the open
-// windows, prints the alert table, and exits 0 when no alert is active
+// It drains everything durable once, force-closes the open windows,
+// prints the alert table, and exits 0 when no alert is active
 // (resolved alerts are history, not a page) and 1 otherwise — so the
 // exit code is usable from scripts: "did this store contain an
 // unresolved anomaly?".
-#include <atomic>
-#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -36,15 +31,10 @@ using namespace netseer;
 
 namespace {
 
-std::atomic<bool> g_stop{false};
-
-void handle_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
 int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s --store-dir <dir> [--rules <path>] [--checkpoint <path>]\n"
-               "          [--from-lsn <n>] [--follow] [--poll-ms <n>]\n"
-               "          [--metrics-out <path>]\n",
+               "          [--from-lsn <n>] [--metrics-out <path>]\n",
                argv0);
   return 2;
 }
@@ -74,8 +64,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   detect::DetectOptions options;
   std::uint64_t from_lsn = 0;
-  bool follow = false;
-  std::uint32_t poll_ms = 50;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -97,11 +85,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--from-lsn") {
       const char* v = value();
       if (v == nullptr || !util::parse_number(v, from_lsn)) return usage(argv[0]);
-    } else if (arg == "--follow") {
-      follow = true;
-    } else if (arg == "--poll-ms") {
-      const char* v = value();
-      if (v == nullptr || !util::parse_number(v, poll_ms)) return usage(argv[0]);
     } else if (arg == "--metrics-out") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -137,13 +120,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(service.stats().resumed_lsn));
   }
 
-  if (follow) {
-    std::signal(SIGINT, handle_signal);
-    std::signal(SIGTERM, handle_signal);
-    service.run_follow(g_stop, std::chrono::milliseconds(std::max<std::uint32_t>(1, poll_ms)));
-  } else {
-    service.pump();
-  }
+  service.pump();
   service.finish();
 
   print_alerts(service.alerts());

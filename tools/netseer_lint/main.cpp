@@ -10,10 +10,8 @@
 //                  discipline checks on status returns, telemetry metric
 //                  literals, and raw std::mutex/std::atomic in src/
 //
-// This binary uses the self-contained token-level frontend, which builds
-// with any C++20 toolchain and needs no clang libraries; configuring with
-// -DNETSEER_LINT_CLANG=ON adds the LibTooling frontend on top (same model,
-// same passes) for AST-exact analysis on CI's pinned clang-18.
+// The frontend is a self-contained token-level scanner, which builds with
+// any C++20 toolchain and needs no clang libraries.
 
 #include <algorithm>
 #include <cstdio>
@@ -44,9 +42,6 @@ int usage(const char* argv0) {
                "  --fixture-mode        treat every file as first-party src/ code\n"
                "  --check-expectations  findings must exactly match LINT-EXPECT comments\n"
                "  --metrics-out <file>  export lint.* counters (.csv or .json)\n"
-               "  --frontend <name>     token (default) or clang (needs a build with\n"
-               "                        -DNETSEER_LINT_CLANG=ON)\n"
-               "  --extra-arg <flag>    extra compile flag for the clang frontend (repeatable)\n"
                "  --quiet               suppress per-finding lines\n",
                argv0);
   return 2;
@@ -153,10 +148,8 @@ int main(int argc, char** argv) {
   PassOptions options;
   bool expectations = false;
   bool quiet = false;
-  bool use_clang = false;
   std::string metrics_out;
   std::vector<std::string> inputs;
-  std::vector<std::string> extra_args;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -171,15 +164,6 @@ int main(int argc, char** argv) {
       options.only.insert(argv[++i]);
     } else if (arg == "--metrics-out" && i + 1 < argc) {
       metrics_out = argv[++i];
-    } else if (arg == "--frontend" && i + 1 < argc) {
-      const std::string frontend = argv[++i];
-      if (frontend == "clang") {
-        use_clang = true;
-      } else if (frontend != "token") {
-        return usage(argv[0]);
-      }
-    } else if (arg == "--extra-arg" && i + 1 < argc) {
-      extra_args.push_back(argv[++i]);
     } else if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0) {
       return usage(argv[0]);
     } else {
@@ -187,14 +171,6 @@ int main(int argc, char** argv) {
     }
   }
   if (inputs.empty()) return usage(argv[0]);
-#if !NETSEER_LINT_HAVE_CLANG
-  if (use_clang) {
-    std::fprintf(stderr,
-                 "netseer_lint: this build has no clang frontend; reconfigure with "
-                 "-DNETSEER_LINT_CLANG=ON\n");
-    return 2;
-  }
-#endif
 
   std::vector<std::string> files;
   for (const std::string& in : inputs) {
@@ -215,14 +191,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     models.push_back(netseer::lint::build_model(stream));
-#if NETSEER_LINT_HAVE_CLANG
-    // The token lex above still supplies the comment channels
-    // (suppressions, expectations); the parse replaces the facts.
-    if (use_clang && !netseer::lint::refine_model_clang(&models.back(), extra_args)) {
-      std::fprintf(stderr, "netseer_lint: clang frontend failed to parse %s\n", f.c_str());
-      return 2;
-    }
-#endif
   }
 
   const std::vector<Finding> findings = netseer::lint::run_passes(models, options);

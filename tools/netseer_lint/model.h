@@ -93,14 +93,4 @@ FileModel build_model(const TokenStream& stream);
 /// True when `line` carries a suppression for `pass` in `model`.
 bool is_suppressed(const FileModel& model, int line, const std::string& pass);
 
-#if NETSEER_LINT_HAVE_CLANG
-/// AST-exact frontend (frontend_clang.cpp, -DNETSEER_LINT_CLANG=ON):
-/// re-derive the function facts of `model` from a clang-18 parse of
-/// `model->path`, keeping the comment-derived fields (suppressions,
-/// expectations) from the token frontend. `extra_args` are appended to
-/// the synthesized compile command (-I flags and the like). Returns
-/// false when the file does not parse.
-bool refine_model_clang(FileModel* model, const std::vector<std::string>& extra_args);
-#endif
-
 }  // namespace netseer::lint

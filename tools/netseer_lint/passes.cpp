@@ -37,15 +37,7 @@ bool raw_sync_exempt(const std::string& path, const PassOptions& opt) {
 /// atomics must go through mc_shim::atomic so the model checker can
 /// interpose; raw std::atomic would silently escape exploration.
 bool mc_protocol_file(const std::string& path, const PassOptions& opt) {
-  if (opt.fixture_mode) return true;
-  static constexpr std::string_view kSet[] = {
-      "sim/spsc.h",           "telemetry/metrics.h",    "telemetry/metrics.cpp",
-      "telemetry/snapshot.h", "telemetry/snapshot.cpp",
-  };
-  for (const std::string_view s : kSet) {
-    if (ends_with(path, s)) return true;
-  }
-  return false;
+  return opt.fixture_mode || ends_with(path, "sim/spsc.h");
 }
 
 bool pass_enabled(const PassOptions& opt, const char* pass) {
@@ -434,7 +426,7 @@ void raw_sync_pass(const FileModel& file, const PassOptions& opt,
       if (is_suppressed(file, u.line, kPassRawSync)) continue;
       out.push_back(Finding{kPassRawSync, file.path, u.line,
                             u.type + " in src/; use util::Mutex / util::MutexLock so "
-                                     "thread-safety analysis and the mc shim see it"});
+                                     "thread-safety analysis sees it"});
     }
   }
   if (mc_protocol_file(file.path, opt)) {
