@@ -1,7 +1,7 @@
 // Streaming-detection microbench: tail-and-detect throughput — events
 // flowing store -> subscription -> window engines -> detectors ->
-// alert pipeline, with ingest and pump interleaved the way the service
-// actually runs (start() on the simulator).
+// alert pipeline, with ingest and pump interleaved the way a service
+// pumped on a simulator timer runs.
 //
 //   bench_detect --events 2000000 --reps 3
 //   bench_detect --events 2000000 --baseline bench/BENCH_detect.json

@@ -8,26 +8,6 @@ std::uint8_t port8(util::PortId port) {
 }
 }  // namespace
 
-packet::FlowKey canonical_flow(const packet::FlowKey& flow, FlowIdMode mode) {
-  packet::FlowKey key = flow;
-  switch (mode) {
-    case FlowIdMode::k5Tuple:
-      break;
-    case FlowIdMode::kHostPair:
-      key.proto = 0;
-      key.sport = 0;
-      key.dport = 0;
-      break;
-    case FlowIdMode::kDstOnly:
-      key.src = packet::Ipv4Addr{};
-      key.proto = 0;
-      key.sport = 0;
-      key.dport = 0;
-      break;
-  }
-  return key;
-}
-
 NetSeerApp::NetSeerApp(pdp::Switch& sw, const NetSeerConfig& config, ReportChannel* channel,
                        util::NodeId backend)
     : sw_(sw), config_(config), path_(config.path_change), acl_(config.acl_report_interval),
@@ -54,7 +34,7 @@ NetSeerApp::NetSeerApp(pdp::Switch& sw, const NetSeerConfig& config, ReportChann
 
   cpu_ = std::make_unique<SwitchCpu>(sim, sw_.id(), config_.cpu, [this](EventBatch&& batch) {
     funnel_.cpu_forwarded_events += batch.events.size();
-    funnel_.report_bytes += batch.wire_size() + 40;  // management framing
+    funnel_.report_bytes += ReportMsg::data_wire_size(batch);
     if (reporter_) reporter_->submit(std::move(batch));
   });
 
@@ -185,12 +165,12 @@ void NetSeerApp::on_egress(pdp::Switch& sw, packet::Packet& pkt, const pdp::Egre
     // Path change: flow-level by nature, bypasses group caching (§3.4).
     // Partial deployment: unmonitored flows are not tracked at all,
     // saving the flow-table entries too.
-    const auto path_key = canonical_flow(pkt.flow(), config_.flow_id_mode);
-    const auto obs = monitored(pkt.flow())
-                         ? path_.observe(path_key, info.ingress_port, info.egress_port, now)
+    const packet::FlowKey flow = pkt.flow();
+    const auto obs = monitored(flow)
+                         ? path_.observe(flow, info.ingress_port, info.egress_port, now)
                          : PathChangeDetector::Observation::kKnownPath;
     if (obs != PathChangeDetector::Observation::kKnownPath) {
-      FlowEvent ev = make_event(EventType::kPathChange, path_key, sw_.id(), now);
+      FlowEvent ev = make_event(EventType::kPathChange, flow, sw_.id(), now);
       ev.ingress_port = port8(info.ingress_port);
       ev.egress_port = port8(info.egress_port);
       ++funnel_.event_packets;
@@ -249,15 +229,10 @@ void NetSeerApp::detect(const FlowEvent& event, std::uint32_t trigger_bytes) {
     ++filtered_events_;
     return;
   }
-  FlowEvent keyed = event;
-  if (config_.flow_id_mode != FlowIdMode::k5Tuple) {
-    keyed.flow = canonical_flow(event.flow, config_.flow_id_mode);
-    keyed.flow_hash = keyed.flow.crc32();
-  }
   ++funnel_.event_packets;
   ++funnel_.eligible_event_packets;
   funnel_.event_packet_bytes += trigger_bytes;
-  caches_[cache_index(keyed.type)].offer(keyed, [this](const FlowEvent& out) {
+  caches_[cache_index(event.type)].offer(event, [this](const FlowEvent& out) {
     ++funnel_.dedup_reports;
     ++funnel_.eligible_reports;
     extract(out);

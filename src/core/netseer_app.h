@@ -19,19 +19,6 @@
 
 namespace netseer::core {
 
-/// §3.4: "an exact flow 5-tuple (or other flow identifiers that can be
-/// flexibly defined)". The identifier granularity used for event
-/// aggregation, dedup, and reporting.
-enum class FlowIdMode : std::uint8_t {
-  k5Tuple = 0,   // src, dst, proto, sport, dport (default)
-  kHostPair,     // src, dst only — aggregate across ports/protocols
-  kDstOnly,      // destination service aggregation
-};
-
-/// Apply a flow-identifier mode: out-of-scope fields are zeroed, so two
-/// packets with the same canonical key aggregate into one flow event.
-[[nodiscard]] packet::FlowKey canonical_flow(const packet::FlowKey& flow, FlowIdMode mode);
-
 /// Everything configurable about one switch's NetSeer instance, mirroring
 /// Figure 6 left to right.
 struct NetSeerConfig {
@@ -52,8 +39,6 @@ struct NetSeerConfig {
   util::BitRate mmu_redirect_rate = util::BitRate::gbps(40);
   std::uint32_t acl_report_interval = 64;
   std::size_t event_stack_capacity = 4096;
-  /// Flow identifier used for all event aggregation and reporting.
-  FlowIdMode flow_id_mode = FlowIdMode::k5Tuple;
   /// Run inter-switch drop detection on every port.
   bool enable_interswitch = true;
 

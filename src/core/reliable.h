@@ -76,11 +76,7 @@ class ReliableReporter {
     const auto it = inflight_.find(seq);
     if (it == inflight_.end()) return;  // already acked
 
-    ReportMsg msg;
-    msg.kind = ReportMsg::Kind::kData;
-    msg.seq = seq;
-    msg.batch = it->second.batch;
-    const auto bytes = static_cast<std::int64_t>(msg.wire_size());
+    const auto bytes = static_cast<std::int64_t>(ReportMsg::data_wire_size(it->second.batch));
 
     // Pacing: delay the send until the token bucket admits it.
     const util::SimTime ready = pacer_.time_available(sim_.now(), bytes);

@@ -16,9 +16,10 @@ struct ReportMsg {
   std::uint32_t seq = 0;  // data: segment seq. ack: cumulative (next expected).
   EventBatch batch;       // kData only
 
-  [[nodiscard]] std::size_t wire_size() const {
-    // seq + kind + TCP/IP-ish framing overhead on the management network.
-    return kind == Kind::kData ? batch.wire_size() + 40 : 40;
+  /// Bytes on the management network of a data segment carrying `batch`:
+  /// the batch plus seq, kind and TCP/IP-ish framing.
+  [[nodiscard]] static std::size_t data_wire_size(const EventBatch& batch) {
+    return batch.wire_size() + 40;
   }
 };
 

@@ -85,10 +85,6 @@ void DetectService::finish() {
   for (auto& engine : engines_) engine.advance(flush, sink_);
 }
 
-sim::TaskHandle DetectService::start(sim::Simulator& sim, util::SimDuration interval) {
-  return sim.schedule_every(interval, [this] { pump(); });
-}
-
 namespace {
 
 constexpr char kCheckpointMagic[4] = {'N', 'S', 'D', 'C'};

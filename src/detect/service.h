@@ -8,7 +8,6 @@
 #include "detect/alerts.h"
 #include "detect/rules.h"
 #include "detect/window.h"
-#include "sim/simulator.h"
 #include "store/store.h"
 #include "store/subscription.h"
 #include "util/annotations.h"
@@ -39,9 +38,9 @@ struct DetectServiceStats {
 /// The streaming anomaly-detection service: one subscription tailing the
 /// store's durable watermark, fanned into one WindowEngine per rule,
 /// all feeding one AlertManager. pump() is the only engine entry point,
-/// so the service runs wherever its owner calls it from — inline with
-/// the simulator's maintenance loop (start()), or once over a store
-/// directory (netseer_detect).
+/// so the service runs wherever its owner calls it from: on a simulator
+/// timer the owner schedules (perfbench), once over a settled store
+/// (`scenarios::incidents`), or over a store directory (netseer_detect).
 ///
 /// Restarts are exactly-once at row granularity: pump() checkpoints the
 /// last consumed LSN (after the rows are applied), and a new service
@@ -69,11 +68,6 @@ class DetectService {
   /// quiet windows that resolve still-active alerts). Call once after
   /// the final pump(); pumping again afterwards would double-close.
   void finish() NETSEER_EXCLUDES(mu_);
-
-  /// Inline driver: pump on `sim` every `interval`, like
-  /// FlowEventStore::start_maintenance. Cancel the handle before
-  /// draining the simulation.
-  [[nodiscard]] sim::TaskHandle start(sim::Simulator& sim, util::SimDuration interval);
 
   // Quiescent read-only views: call them only while no pump()/finish()
   // is in flight (between simulator steps, or after a driving thread

@@ -10,9 +10,8 @@
 
 namespace netseer::packet {
 
-/// The 13-byte 5-tuple NetSeer uses as its default flow identifier
-/// (§3.4: "an exact flow 5-tuple, or other flow identifiers that can be
-/// flexibly defined"). Packed layout matches the event wire format:
+/// The 13-byte 5-tuple NetSeer uses as its flow identifier (§3.4: "an
+/// exact flow 5-tuple"). Packed layout matches the event wire format:
 /// src(4) dst(4) proto(1) sport(2) dport(2).
 struct FlowKey {
   Ipv4Addr src{};

@@ -39,7 +39,6 @@ PipelineView make_pipeline_view(const Switch& sw) {
   view.mtu = sw.config().mtu;
   view.ecmp_seed = sw.config().ecmp_seed;
   view.queue_capacity_bytes = sw.config().mmu.queue_capacity_bytes;
-  view.fault = sw.hardware_fault();
   view.ports.reserve(view.num_ports);
   for (util::PortId p = 0; p < view.num_ports; ++p) {
     PortView port;

@@ -66,7 +66,6 @@ struct PipelineView {
   std::uint32_t mtu = 0;
   std::uint64_t ecmp_seed = 0;
   std::int64_t queue_capacity_bytes = 0;
-  HardwareFault fault = HardwareFault::kNone;
   std::vector<PortView> ports;
   const LpmTable* routes = nullptr;
   const AclTable* acl = nullptr;

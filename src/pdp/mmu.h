@@ -14,9 +14,6 @@ struct MmuConfig {
   /// xoff == 0 disables PFC generation entirely.
   std::int64_t pfc_xoff_bytes = 0;
   std::int64_t pfc_xon_bytes = 0;
-  /// DCTCP-style ECN marking: ECT packets enqueued while the queue holds
-  /// more than this get CE-marked. 0 disables marking.
-  std::int64_t ecn_mark_bytes = 0;
 };
 
 /// The memory-management-unit model: tail-drop admission against per-queue

@@ -45,13 +45,6 @@ std::uint64_t Switch::total_drops() const {
 }
 
 void Switch::receive(packet::PooledPacket slot, util::PortId in_port) {
-  // A dead ASIC eats everything before any programmable logic runs —
-  // the one failure class NetSeer cannot cover (§3.7).
-  if (hardware_fault_ == HardwareFault::kAsicFailure) {
-    ++hardware_discards_;
-    return;
-  }
-
   packet::Packet& pkt = *slot;
   auto& counters = counters_[in_port];
   pkt.meta.ingress_port = in_port;
@@ -158,13 +151,6 @@ void Switch::run_pipeline(packet::PooledPacket slot, PipelineContext ctx) {
 }
 
 void Switch::enqueue(packet::PooledPacket slot, const PipelineContext& ctx) {
-  // A failed MMU loses the packet without the drop-redirect path ever
-  // firing: no agent callback, no counter a collector could read.
-  if (hardware_fault_ == HardwareFault::kMmuFailure) {
-    ++hardware_discards_;
-    return;
-  }
-
   packet::Packet& pkt = *slot;
   auto& port = *ports_[ctx.egress_port];
 
@@ -185,13 +171,6 @@ void Switch::enqueue(packet::PooledPacket slot, const PipelineContext& ctx) {
 
   const bool paused = port.is_paused(ctx.queue);
   for (auto* agent : agents_) agent->on_enqueue(*this, pkt, ctx, paused);
-
-  // DCTCP-style ECN: CE-mark ECT packets above the marking threshold.
-  if (config_.mmu.ecn_mark_bytes > 0 && pkt.ip && pkt.ip->ecn != 0 &&
-      port.queue_bytes(ctx.queue) > config_.mmu.ecn_mark_bytes) {
-    pkt.ip->ecn = 3;  // CE
-    ++stages_.ecn_marked;
-  }
 
   pkt.meta.mmu_accounted = true;
   auto& queue_stats = queue_counters_[ctx.queue];
@@ -245,13 +224,6 @@ void Switch::inject(packet::Packet&& pkt, util::PortId egress_port, util::QueueI
   if (egress_port >= ports_.size() || !port_up_[egress_port]) return;
   pkt.meta.origin_node = id();
   ports_[egress_port]->enqueue(packet::Pool::local().acquire(std::move(pkt)), queue);
-}
-
-void Switch::inject_hardware_fault(HardwareFault fault, bool self_check_detects) {
-  hardware_fault_ = fault;
-  if (fault != HardwareFault::kNone && self_check_detects && syslog_) {
-    syslog_(id(), std::string("self-check: ") + to_string(fault));
-  }
 }
 
 void Switch::drop(const packet::Packet& pkt, PipelineContext& ctx, DropReason reason) {

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,7 +48,6 @@ struct StageCounters {
   std::uint64_t lpm_misses = 0;    // blackholes / parity-corrupted entries
   std::uint64_t acl_evaluated = 0;
   std::uint64_t acl_denied = 0;
-  std::uint64_t ecn_marked = 0;    // CE marks applied at enqueue
 };
 
 /// Per-queue-class counters, aggregated over all ports of the switch.
@@ -89,17 +87,6 @@ class Switch : public net::Node {
 
   void add_agent(SwitchAgent* agent);
 
-  /// Inject an ASIC/MMU hardware failure (§3.7). If `self_check_detects`
-  /// (the common case on modern switches), the syslog callback fires;
-  /// the Case-#3 class of fault is a failure OUTSIDE the detection zone,
-  /// i.e. self_check_detects = false. kNone heals the switch.
-  void inject_hardware_fault(HardwareFault fault, bool self_check_detects = true);
-  [[nodiscard]] HardwareFault hardware_fault() const { return hardware_fault_; }
-  /// Packets eaten by a failed ASIC/MMU (invisible to all agents).
-  [[nodiscard]] std::uint64_t hardware_discards() const { return hardware_discards_; }
-
-  using SyslogFn = std::function<void(util::NodeId node, const std::string& message)>;
-  void set_syslog(SyslogFn fn) { syslog_ = std::move(fn); }
 
   // ---- Data path ----------------------------------------------------------
   void receive(packet::PooledPacket slot, util::PortId in_port) override;
@@ -144,9 +131,6 @@ class Switch : public net::Node {
   AclTable acl_;
   Mmu mmu_;
   std::vector<SwitchAgent*> agents_;
-  HardwareFault hardware_fault_ = HardwareFault::kNone;
-  std::uint64_t hardware_discards_ = 0;
-  SyslogFn syslog_;
 };
 
 }  // namespace netseer::pdp

@@ -18,13 +18,4 @@ const char* to_string(DropReason reason) {
   return "?";
 }
 
-const char* to_string(HardwareFault fault) {
-  switch (fault) {
-    case HardwareFault::kNone: return "none";
-    case HardwareFault::kAsicFailure: return "asic-failure";
-    case HardwareFault::kMmuFailure: return "mmu-failure";
-  }
-  return "?";
-}
-
 }  // namespace netseer::pdp

@@ -31,18 +31,6 @@ enum class DropReason : std::uint8_t {
 
 [[nodiscard]] const char* to_string(DropReason reason);
 
-/// Hardware failure modes NetSeer explicitly cannot cover (§3.7 /
-/// Figure 4 "malfunctioning"): a dead ASIC or MMU silently eats packets
-/// without ever invoking the programmable pipeline. Modern switches'
-/// self-checks usually (not always) raise a Syslog alert instead.
-enum class HardwareFault : std::uint8_t {
-  kNone = 0,
-  kAsicFailure,  // the switch stops processing packets entirely
-  kMmuFailure,   // every enqueue silently fails; pipeline still runs
-};
-
-[[nodiscard]] const char* to_string(HardwareFault fault);
-
 /// Per-packet pipeline metadata — the software analog of the PHV fields a
 /// P4 program would carry between stages. Created at ingress, consumed at
 /// egress; never serialized.

@@ -56,9 +56,10 @@ std::string format_evidence(const char* fmt, auto... args) {
   return buf;
 }
 
-/// Run the streaming detection service over everything the settled
-/// harness stored, exactly as an online deployment would have seen it
-/// (windows are event-time, so offline replay == online detection).
+/// Run the detection service over everything the settled harness
+/// stored: one pump over the whole durable store, then finish(). The
+/// alerts are those of this single pump; a service pumped during the
+/// run can close different windows and raise different alerts.
 std::vector<IncidentAlert> detect_alerts(Harness& harness, telemetry::Registry* metrics) {
   (void)harness.store().sync();  // the subscription tails the durable watermark
   detect::DetectService service(harness.store(), detect::DetectOptions{});

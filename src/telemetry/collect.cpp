@@ -35,7 +35,6 @@ void collect(Registry& registry, const pdp::Switch& sw) {
     if (count == 0) continue;
     registry.counter(kPdp, std::string("drops.") + pdp::to_string(reason), node).add(count);
   }
-  registry.counter(kPdp, "hardware_discards", node).add(sw.hardware_discards());
 
   // Per-stage table hits.
   const auto& stages = sw.stages();
@@ -44,7 +43,6 @@ void collect(Registry& registry, const pdp::Switch& sw) {
   registry.counter(kPdp, "stage.lpm_misses", node).add(stages.lpm_misses);
   registry.counter(kPdp, "stage.acl_evaluated", node).add(stages.acl_evaluated);
   registry.counter(kPdp, "stage.acl_denied", node).add(stages.acl_denied);
-  registry.counter(kPdp, "stage.ecn_marked", node).add(stages.ecn_marked);
 
   // Per-queue-class counters (only classes that saw traffic).
   for (util::QueueId q = 0; q < util::kNumQueues; ++q) {

@@ -104,7 +104,7 @@ struct SymPacket {
 
 enum class PathVerdict : std::uint8_t {
   kForward = 0,  // admitted to an egress queue toward a wired port
-  kDrop,         // discarded; `reason` says where (kNone = hardware eats it)
+  kDrop,         // discarded; `reason` says where
   kConsumed,     // MAC-control traffic consumed before the pipeline
   kBlackhole,    // admitted to the queue of an unwired port: never
                  // delivered, never reported — the silent-loss class

@@ -105,18 +105,10 @@ void report_coverage(Report& report, const pdp::Switch& sw, const core::NetSeerC
     const auto [reason, stage] = key;
     std::string component = "path.";
     component += pdp::to_string(stage);
-    if (reason == pdp::DropReason::kNone) {
-      std::snprintf(buf, sizeof(buf),
-                    "%zu reachable path(s) where hardware discards the packet with no "
-                    "emission point crossed — losses in this state are invisible to NetSeer "
-                    "(the §3.7 malfunction class)",
-                    count);
-    } else {
-      std::snprintf(buf, sizeof(buf),
-                    "%zu reachable drop path(s) with reason %s cross no event-emission "
-                    "point — a false negative by construction",
-                    count, pdp::to_string(reason));
-    }
+    std::snprintf(buf, sizeof(buf),
+                  "%zu reachable drop path(s) with reason %s cross no event-emission "
+                  "point — a false negative by construction",
+                  count, pdp::to_string(reason));
     report.add(make(Severity::kError, kPassCoverage, sw, std::move(component), buf,
                     static_cast<double>(count)));
   }

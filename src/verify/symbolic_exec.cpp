@@ -27,17 +27,6 @@ class Walker {
 
   void run() {
     enumerate_wire_paths();
-    if (view_.fault == pdp::HardwareFault::kAsicFailure) {
-      // A dead ASIC eats everything before any programmable logic runs:
-      // the single remaining path covers all packets and emits nothing.
-      SymbolicPath path;
-      path.verdict = PathVerdict::kDrop;
-      path.reason = pdp::DropReason::kNone;
-      path.steps.push_back({pdp::Stage::kMacRx, "hardware: failed ASIC discards all frames"});
-      emit(path);
-      finish();
-      return;
-    }
     enumerate_mac_paths();
     enumerate_ip_paths();
     finish();
@@ -334,15 +323,6 @@ class Walker {
   }
 
   void enumerate_mmu(const SymbolicPath& base) {
-    if (view_.fault == pdp::HardwareFault::kMmuFailure) {
-      // Every enqueue silently fails: no hook, no counter. One path.
-      SymbolicPath path = base;
-      path.verdict = PathVerdict::kDrop;
-      path.reason = pdp::DropReason::kNone;
-      path.steps.push_back({pdp::Stage::kMmuAdmit, "hardware: failed MMU discards enqueue"});
-      emit(path);
-      return;
-    }
     {
       // Tail drop is reachable whenever queues can fill — a dynamic
       // condition the static model keeps as an unconditional branch.
@@ -411,9 +391,6 @@ std::vector<SymbolicPath> collect_paths(const pdp::PipelineView& view,
 
 bool SymbolicPath::admits(const packet::Packet& pkt, const pdp::PipelineView& view) const {
   if (synthetic) return false;
-  if (view.fault == pdp::HardwareFault::kAsicFailure) {
-    return verdict == PathVerdict::kDrop && reason == pdp::DropReason::kNone;
-  }
   if (!packet.admits(pkt)) return false;
   if (packet.corrupted || packet.is_pfc || !packet.is_ipv4) return true;
 

@@ -8,6 +8,7 @@
 
 #include "core/event.h"
 #include "detect/service.h"
+#include "sim/simulator.h"
 
 namespace netseer::detect {
 namespace {
@@ -163,7 +164,7 @@ TEST(DetectServiceTest, InlineSimulatorDriverPumps) {
   store::FlowEventStore fs{store::StoreOptions{}};
   sim::Simulator sim;
   DetectService service(fs);
-  auto handle = service.start(sim, util::microseconds(500));
+  auto handle = sim.schedule_every(util::microseconds(500), [&service] { service.pump(); });
   for (util::SimTime t = 0; t < util::milliseconds(2); t += util::microseconds(20)) {
     (void)sim.schedule_at(t, [&fs, t] { fs.add(drop_event(t), t); });
   }

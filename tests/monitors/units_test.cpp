@@ -5,7 +5,6 @@
 #include "monitors/netsight.h"
 #include "monitors/observation.h"
 #include "monitors/sampling.h"
-#include "monitors/syslog.h"
 #include "packet/builder.h"
 #include "pdp/switch.h"
 
@@ -167,36 +166,6 @@ TEST(SamplingUnit, IgnoresControlTraffic) {
     sampler.on_egress(rig.sw, copy, info);
   }
   EXPECT_TRUE(sampler.log().observations().empty());
-}
-
-TEST(SyslogUnit, CollectsAlertsWithTimestamps) {
-  sim::Simulator sim;
-  pdp::SwitchConfig config;
-  config.num_ports = 2;
-  pdp::Switch sw(sim, 5, "sw", config);
-  SyslogCollector syslog(sim);
-  syslog.attach(sw);
-  (void)sim.schedule_at(util::milliseconds(3), [&] {
-    sw.inject_hardware_fault(pdp::HardwareFault::kMmuFailure);
-  });
-  sim.run();
-  ASSERT_EQ(syslog.alerts().size(), 1u);
-  EXPECT_EQ(syslog.alerts()[0].node, 5u);
-  EXPECT_EQ(syslog.alerts()[0].at, util::milliseconds(3));
-  EXPECT_NE(syslog.alerts()[0].message.find("mmu-failure"), std::string::npos);
-  EXPECT_TRUE(syslog.has_alert_for(5));
-  EXPECT_FALSE(syslog.has_alert_for(6));
-}
-
-TEST(SyslogUnit, UndetectedFaultProducesNoAlert) {
-  sim::Simulator sim;
-  pdp::SwitchConfig config;
-  config.num_ports = 2;
-  pdp::Switch sw(sim, 5, "sw", config);
-  SyslogCollector syslog(sim);
-  syslog.attach(sw);
-  sw.inject_hardware_fault(pdp::HardwareFault::kAsicFailure, /*self_check_detects=*/false);
-  EXPECT_TRUE(syslog.alerts().empty());
 }
 
 }  // namespace

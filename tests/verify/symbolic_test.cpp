@@ -284,18 +284,6 @@ TEST(SymbolicPassTest, DisabledInterswitchUncoversWireLoss) {
   EXPECT_FALSE(report.ok(false)) << report.render_text();
 }
 
-TEST(SymbolicPassTest, HardwareFaultIsAnUncoverableSilentDrop) {
-  const fabric::Testbed tb = fabric::make_testbed();
-  tb.tors[0]->inject_hardware_fault(pdp::HardwareFault::kAsicFailure, false);
-  Report report;
-  check_symbolic(report, *tb.tors[0], core::NetSeerConfig{}, VerifyOptions{});
-  bool found = false;
-  for (const auto& d : report.diagnostics()) {
-    found = found || (d.pass == "symbolic.coverage" && d.severity == Severity::kError);
-  }
-  EXPECT_TRUE(found) << report.render_text();
-}
-
 TEST(SymbolicPassTest, ExtraEmissionIsADuplicateError) {
   const fabric::Testbed tb = fabric::make_testbed();
   pdp::Switch& sw = *tb.tors[0];
