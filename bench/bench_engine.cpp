@@ -65,7 +65,7 @@ struct EngineBench {
 
   void hop(packet::PooledPacket slot) {
     ++hops;
-    slot->payload_bytes = static_cast<std::uint32_t>(64 + (rnd() & 1023));
+    slot->l4.seq = static_cast<std::uint32_t>(64 + (rnd() & 1023));
     slot->meta.enqueue_time = sim.now();
     // Identical shape to Link::send: this + the frame's pool handle, 24 B
     // inline, handed on without a copy.

@@ -4,7 +4,7 @@
 #include <optional>
 #include <vector>
 
-#include "packet/flow_key.h"
+#include "util/annotations.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -21,7 +21,9 @@ struct PathChangeConfig {
 
 /// Learns each flow's (ingress port, egress port) at this switch and
 /// reports the first packet of a new flow, or of an old flow whose ports
-/// changed, as a path-change event packet (§3.3).
+/// changed, as a path-change event packet (§3.3). A flow is known by its
+/// 64-bit hash (FlowKey::hash64): the slot index and the stored
+/// identity both come from the hash the frame already carries.
 class PathChangeDetector {
  public:
   enum class Observation : std::uint8_t { kKnownPath, kNewFlow, kPathChanged };
@@ -29,14 +31,15 @@ class PathChangeDetector {
   explicit PathChangeDetector(const PathChangeConfig& config)
       : config_(config), slots_(config.entries) {}
 
-  /// Record one forwarded packet; reports whether its path is news.
-  Observation observe(const packet::FlowKey& flow, util::PortId in_port, util::PortId out_port,
-                      util::SimTime now) {
+  /// Record one forwarded packet of the flow hashing to `flow_hash`;
+  /// reports whether its path is news.
+  NETSEER_HOT Observation observe(std::uint64_t flow_hash, util::PortId in_port,
+                                  util::PortId out_port, util::SimTime now) {
     if (slots_.empty()) return Observation::kNewFlow;
-    Slot& slot = slots_[flow.hash64() % slots_.size()];
+    Slot& slot = slots_[flow_hash % slots_.size()];
     const bool expired = slot.last_seen + config_.expiry < now;
 
-    if (slot.valid && !expired && slot.flow == flow) {
+    if (slot.valid && !expired && slot.flow_hash == flow_hash) {
       slot.last_seen = now;
       if (slot.in_port == in_port && slot.out_port == out_port) {
         return Observation::kKnownPath;
@@ -49,7 +52,7 @@ class PathChangeDetector {
 
     // New flow, expired entry, or collision eviction: (re)learn.
     slot.valid = true;
-    slot.flow = flow;
+    slot.flow_hash = flow_hash;
     slot.in_port = in_port;
     slot.out_port = out_port;
     slot.last_seen = now;
@@ -60,11 +63,11 @@ class PathChangeDetector {
 
  private:
   struct Slot {
-    bool valid = false;
-    packet::FlowKey flow{};
+    std::uint64_t flow_hash = 0;
+    util::SimTime last_seen = 0;
     util::PortId in_port = util::kInvalidPort;
     util::PortId out_port = util::kInvalidPort;
-    util::SimTime last_seen = 0;
+    bool valid = false;
   };
 
   PathChangeConfig config_;

@@ -166,9 +166,9 @@ void NetSeerApp::on_egress(pdp::Switch& sw, packet::Packet& pkt, const pdp::Egre
     // Partial deployment: unmonitored flows are not tracked at all,
     // saving the flow-table entries too.
     const packet::FlowKey flow = pkt.flow();
-    const auto obs = monitored(flow)
-                         ? path_.observe(flow, info.ingress_port, info.egress_port, now)
-                         : PathChangeDetector::Observation::kKnownPath;
+    const auto obs = monitored(flow) ? path_.observe(pkt.flow_hash(), info.ingress_port,
+                                                     info.egress_port, now)
+                                     : PathChangeDetector::Observation::kKnownPath;
     if (obs != PathChangeDetector::Observation::kKnownPath) {
       FlowEvent ev = make_event(EventType::kPathChange, flow, sw_.id(), now);
       ev.ingress_port = port8(info.ingress_port);

@@ -1,6 +1,8 @@
 #pragma once
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/event.h"
@@ -8,6 +10,8 @@
 #include "net/link.h"
 #include "pdp/agent.h"
 #include "pdp/switch.h"
+#include "util/annotations.h"
+#include "util/hash.h"
 
 namespace netseer::monitors {
 
@@ -24,6 +28,77 @@ struct TrueEvent {
   std::uint8_t ingress_port = 0xff;
   std::uint8_t egress_port = 0xff;
   util::SimDuration queue_delay = 0;
+};
+
+/// Ground truth's exact, unbounded path memory: the last (ingress port,
+/// egress port) pair seen per (node, flow hash). Open addressing in the
+/// scheme of LpmTable's index: a power-of-two slot array, linear probing,
+/// at most half full so every probe chain ends at an empty slot, and
+/// growth by rehash into twice the slots. Entries leave only through
+/// clear(), so probing needs no tombstones.
+class TruePathTable {
+ public:
+  /// Record that the flow hashing to `flow_hash` crossed `node` from `in`
+  /// to `out`. True when that is a path event: the flow's first sighting
+  /// at the node, or a port pair unlike the last one seen there. `node`
+  /// must not be util::kInvalidNode, which marks an empty slot.
+  NETSEER_HOT bool record(util::NodeId node, std::uint64_t flow_hash, util::PortId in,
+                          util::PortId out) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    for (std::size_t i = slot_of(node, flow_hash);; i = (i + 1) & mask_) {
+      Slot& slot = slots_[i];
+      if (slot.node == util::kInvalidNode) {
+        slot = Slot{flow_hash, node, in, out};
+        ++size_;
+        return true;
+      }
+      if (slot.node == node && slot.flow_hash == flow_hash) {
+        if (slot.in == in && slot.out == out) return false;
+        slot.in = in;
+        slot.out = out;
+        return true;
+      }
+    }
+  }
+
+  /// Forget every path; the slot array keeps its size.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  }
+
+  /// Distinct (node, flow hash) keys held.
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  static constexpr std::size_t kInitialSlots = 1024;
+
+  struct Slot {
+    std::uint64_t flow_hash = 0;
+    util::NodeId node = util::kInvalidNode;
+    util::PortId in = util::kInvalidPort;
+    util::PortId out = util::kInvalidPort;
+  };
+
+  [[nodiscard]] std::size_t slot_of(util::NodeId node, std::uint64_t flow_hash) const {
+    return static_cast<std::size_t>(util::mix64(util::hash_combine(node, flow_hash))) & mask_;
+  }
+
+  NETSEER_HOT_ALLOW_INIT void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.node == util::kInvalidNode) continue;
+      std::size_t i = slot_of(slot.node, slot.flow_hash);
+      while (slots_[i].node != util::kInvalidNode) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
 };
 
 /// Omniscient event recorder: attach to every switch (FIRST, before any
@@ -78,12 +153,7 @@ class GroundTruth final : public pdp::SwitchAgent, public net::LinkObserver {
 
     // Exact, unbounded path tracking: first packet of a flow at a switch
     // and any later port change are path events.
-    const PathKey key{sw.id(), pkt.flow().hash64()};
-    auto [it, inserted] = paths_.try_emplace(key, Ports{info.ingress_port, info.egress_port});
-    const bool changed =
-        !inserted && (it->second.in != info.ingress_port || it->second.out != info.egress_port);
-    if (inserted || changed) {
-      it->second = Ports{info.ingress_port, info.egress_port};
+    if (paths_.record(sw.id(), pkt.flow_hash(), info.ingress_port, info.egress_port)) {
       TrueEvent ev;
       ev.type = core::EventType::kPathChange;
       ev.flow = pkt.flow();
@@ -169,24 +239,9 @@ class GroundTruth final : public pdp::SwitchAgent, public net::LinkObserver {
     events_.push_back(ev);
   }
 
-  struct PathKey {
-    util::NodeId node;
-    std::uint64_t flow_hash;
-    bool operator==(const PathKey&) const = default;
-  };
-  struct PathKeyHash {
-    std::size_t operator()(const PathKey& key) const noexcept {
-      return util::hash_combine(key.node, key.flow_hash);
-    }
-  };
-  struct Ports {
-    util::PortId in;
-    util::PortId out;
-  };
-
   util::SimDuration congestion_threshold_;
   std::vector<TrueEvent> events_;
-  std::unordered_map<PathKey, Ports, PathKeyHash> paths_;
+  TruePathTable paths_;
 };
 
 }  // namespace netseer::monitors

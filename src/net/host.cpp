@@ -7,12 +7,13 @@ Host::Host(sim::Simulator& sim, util::NodeId id, std::string name, packet::Ipv4A
     : Node(id, std::move(name)), sim_(sim), addr_(addr), tx_(sim, nic_rate) {}
 
 void Host::send(packet::Packet&& frame) {
+  // Defaults first: the pool stamps the flow hash from the final 5-tuple.
+  if (frame.eth.src == packet::MacAddr{}) frame.eth.src = mac();
+  if (frame.ip && frame.ip->src == packet::Ipv4Addr{}) frame.ip->src = addr_;
+  frame.meta.origin_node = id();
+  frame.meta.created_time = sim_.now();
   packet::PooledPacket slot = packet::Pool::local().acquire(std::move(frame));
   packet::Packet& pkt = *slot;
-  if (pkt.eth.src == packet::MacAddr{}) pkt.eth.src = mac();
-  if (pkt.ip && pkt.ip->src == packet::Ipv4Addr{}) pkt.ip->src = addr_;
-  pkt.meta.origin_node = id();
-  pkt.meta.created_time = sim_.now();
   if (nic_agent_) nic_agent_->on_tx(*this, pkt);
   const util::QueueId queue = queue_for(pkt);
   tx_.enqueue(std::move(slot), queue);

@@ -5,6 +5,7 @@
 
 #include "net/node.h"
 #include "sim/simulator.h"
+#include "util/annotations.h"
 #include "util/rate.h"
 #include "util/rng.h"
 
@@ -59,9 +60,10 @@ class Link : public PacketSink {
   [[nodiscard]] const LinkFaultModel& fault_model() const { return faults_; }
   void set_observer(LinkObserver* observer) { observer_ = observer; }
 
-  /// Administrative state: a downed link discards everything (both the
-  /// topology and the transmitter usually know, but packets already in
-  /// flight are lost).
+  /// Administrative state. send() reads it when a frame's serialization
+  /// ends, so a downed link loses every frame that finishes serializing
+  /// onto it, and tells the observer of each as a silent drop; a frame
+  /// already propagating when the link goes down is still delivered.
   void set_up(bool up) { up_ = up; }
   [[nodiscard]] bool is_up() const { return up_; }
 
@@ -74,7 +76,7 @@ class Link : public PacketSink {
   [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
 
-  void send(packet::PooledPacket pkt) override;
+  NETSEER_HOT void send(packet::PooledPacket pkt) override;
 
  private:
   [[nodiscard]] bool roll(double steady, double burst) {

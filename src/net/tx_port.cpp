@@ -1,6 +1,32 @@
 #include "net/tx_port.h"
 
+#include <bit>
+
 namespace netseer::net {
+
+void TxPort::Ring::push(packet::PooledPacket pkt) {
+  if (size_ == capacity_) grow();
+  slots_[(head_ + size_) & (capacity_ - 1)] = std::move(pkt);
+  ++size_;
+}
+
+packet::PooledPacket TxPort::Ring::pop() {
+  packet::PooledPacket front = std::move(slots_[head_]);
+  head_ = (head_ + 1) & (capacity_ - 1);
+  --size_;
+  return front;
+}
+
+void TxPort::Ring::grow() {
+  const std::uint32_t capacity = capacity_ == 0 ? kInitialSlots : 2 * capacity_;
+  auto slots = std::make_unique<packet::PooledPacket[]>(capacity);
+  for (std::uint32_t i = 0; i < size_; ++i) {
+    slots[i] = std::move(slots_[(head_ + i) & (capacity_ - 1)]);
+  }
+  slots_ = std::move(slots);
+  capacity_ = capacity;
+  head_ = 0;
+}
 
 void TxPort::set_up(bool up) {
   up_ = up;
@@ -11,7 +37,8 @@ void TxPort::enqueue(packet::PooledPacket pkt, util::QueueId queue) {
   pkt->meta.enqueue_time = sim_.now();
   pkt->meta.queue = queue;
   queue_bytes_[queue] += pkt->wire_bytes();
-  queues_[queue].push_back(std::move(pkt));
+  queues_[queue].push(std::move(pkt));
+  backlogged_ |= static_cast<std::uint8_t>(1u << queue);
   maybe_start_transmission();
 }
 
@@ -40,9 +67,11 @@ bool TxPort::is_paused(util::QueueId queue) const {
 }
 
 int TxPort::pick_queue() const {
-  // Strict priority, highest class first.
-  for (int q = util::kNumQueues - 1; q >= 0; --q) {
-    if (!queues_[q].empty() && !is_paused(static_cast<util::QueueId>(q))) return q;
+  // Strict priority: the highest backlogged class that is not paused.
+  for (unsigned waiting = backlogged_; waiting != 0;) {
+    const int q = static_cast<int>(std::bit_width(waiting)) - 1;
+    if (!is_paused(static_cast<util::QueueId>(q))) return q;
+    waiting &= ~(1u << q);
   }
   return -1;
 }
@@ -52,8 +81,9 @@ void TxPort::maybe_start_transmission() {
   const int q = pick_queue();
   if (q < 0) return;
 
-  packet::PooledPacket slot = std::move(queues_[q].front());
-  queues_[q].pop_front();
+  Ring& ring = queues_[q];
+  packet::PooledPacket slot = ring.pop();
+  if (ring.empty()) backlogged_ &= static_cast<std::uint8_t>(~(1u << q));
   packet::Packet& pkt = *slot;
   const std::uint32_t bytes = pkt.wire_bytes();
   queue_bytes_[q] -= bytes;

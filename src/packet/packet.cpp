@@ -1,6 +1,5 @@
 #include "packet/packet.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 
@@ -23,11 +22,6 @@ const char* to_string(PacketKind kind) {
   return "?";
 }
 
-FlowKey Packet::flow() const {
-  if (!ip) return FlowKey{};
-  return FlowKey{ip->src, ip->dst, ip->proto, l4.sport, l4.dport};
-}
-
 std::uint32_t Packet::header_bytes() const {
   std::uint32_t bytes = kEthHeaderBytes;
   if (vlan) bytes += kVlanTagBytes;
@@ -47,10 +41,10 @@ std::uint32_t Packet::header_bytes() const {
   return bytes + kEthFcsBytes;
 }
 
-std::uint32_t Packet::wire_bytes() const {
-  std::uint32_t bytes = header_bytes() + payload_bytes;
+std::uint32_t Packet::unshimmed_bytes() const {
+  std::uint32_t bytes = header_bytes() - (seq_tag ? kSeqTagBytes : 0) + payload_bytes;
   if (control) bytes += control->wire_size();
-  return std::max(bytes, kMinFrameBytes);
+  return bytes;
 }
 
 std::string Packet::summary() const {

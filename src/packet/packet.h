@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -56,10 +57,22 @@ struct PacketMeta {
   bool mmu_accounted = false;  // packet holds PFC ingress-buffer credit
 };
 
+class Pool;
+
 /// The simulated frame. A value type: pipelines mutate their copy and the
 /// link layer moves it. Headers mirror what the wire serializer emits;
 /// `payload_bytes` stands in for application payload content we never
 /// need to materialize.
+///
+/// Pool::acquire stamps two facts on a frame, the way a switch pipeline
+/// computes a hash once into packet metadata for every later stage to
+/// read: its flow hash and its length without the sequence shim. Every
+/// hop reads the stamp instead of re-deriving it from the headers, so no
+/// field that feeds either fact (IP addresses and protocol, L4 ports,
+/// VLAN tag, PFC body, payload length, control payload) may change once
+/// a frame is pooled. The shim may come and go: wire_bytes() adds it on
+/// read. MAC addresses, TTL, DSCP and `corrupted` feed neither fact. A
+/// frame never pooled derives both from its headers.
 struct Packet {
   util::PacketUid uid = 0;
   PacketKind kind = PacketKind::kData;
@@ -84,7 +97,16 @@ struct Packet {
   PacketMeta meta{};
 
   /// 5-tuple of an IPv4 packet; zero key for non-IP frames.
-  [[nodiscard]] FlowKey flow() const;
+  [[nodiscard]] FlowKey flow() const {
+    if (!ip) return FlowKey{};
+    return FlowKey{ip->src, ip->dst, ip->proto, l4.sport, l4.dport};
+  }
+
+  /// flow().hash64(): the one flow hash ECMP, the path-change table and
+  /// ground truth share. Read from the stamp once the frame is pooled.
+  [[nodiscard]] std::uint64_t flow_hash() const {
+    return stamped_bytes_ != 0 ? stamped_hash_ : flow().hash64();
+  }
 
   [[nodiscard]] bool is_ipv4() const { return ip.has_value(); }
   [[nodiscard]] bool is_tcp() const {
@@ -96,13 +118,29 @@ struct Packet {
 
   /// Total frame length on the wire in bytes, including Ethernet header,
   /// shims, IP/L4 headers, payload (or control payload), and FCS; padded
-  /// to the 64-byte Ethernet minimum.
+  /// to the 64-byte Ethernet minimum. A pooled frame adds the shim, if it
+  /// carries one, to its stamped length.
   [[nodiscard]] std::uint32_t wire_bytes() const;
 
   /// Header-only bytes (wire_bytes minus payload and padding).
   [[nodiscard]] std::uint32_t header_bytes() const;
 
   [[nodiscard]] std::string summary() const;
+
+ private:
+  friend class Pool;
+
+  /// Length without the sequence shim and before padding.
+  [[nodiscard]] std::uint32_t unshimmed_bytes() const;
+  /// Record both frame facts from the current headers (Pool::acquire).
+  void stamp() {
+    stamped_hash_ = flow().hash64();
+    stamped_bytes_ = unshimmed_bytes();
+  }
+
+  std::uint64_t stamped_hash_ = 0;
+  /// 0 until stamped: every frame has at least an Ethernet header.
+  std::uint32_t stamped_bytes_ = 0;
 };
 
 inline constexpr std::uint32_t kEthHeaderBytes = 14;
@@ -114,6 +152,11 @@ inline constexpr std::uint32_t kVlanTagBytes = 4;
 inline constexpr std::uint32_t kSeqTagBytes = 6;
 inline constexpr std::uint32_t kMinFrameBytes = 64;
 inline constexpr std::uint32_t kDefaultMtu = 1500;  // max IP datagram bytes
+
+inline std::uint32_t Packet::wire_bytes() const {
+  const std::uint32_t unshimmed = stamped_bytes_ != 0 ? stamped_bytes_ : unshimmed_bytes();
+  return std::max(unshimmed + (seq_tag ? kSeqTagBytes : 0), kMinFrameBytes);
+}
 
 /// Process-wide monotonically increasing packet uid source. Determinism
 /// note: uids order packet *creation*, they carry no timing meaning.

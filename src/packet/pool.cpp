@@ -28,6 +28,7 @@ PooledPacket Pool::acquire(Packet&& pkt) {
     slot = materialize_slot();
   }
   *slot = std::move(pkt);
+  slot->stamp();
   return PooledPacket(this, slot);
 }
 

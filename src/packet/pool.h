@@ -85,7 +85,8 @@ class Pool {
   /// Process-wide pool every frame in the simulation lives in.
   [[nodiscard]] static Pool& local();
 
-  /// Park `pkt` in a recycled slot and get the small handle for it.
+  /// Park `pkt` in a recycled slot, stamp its frame facts (flow hash and
+  /// unshimmed length, see Packet) and get the small handle for it.
   [[nodiscard]] NETSEER_HOT PooledPacket acquire(Packet&& pkt);
 
   [[nodiscard]] std::uint64_t acquires() const { return acquires_; }

@@ -90,7 +90,6 @@ void Switch::run_pipeline(packet::PooledPacket slot, PipelineContext ctx) {
   ++stages_.parsed;
 
   // L3 route lookup + ECMP member selection.
-  const packet::FlowKey flow = pkt.flow();
   const EcmpGroup* group = routes_.lookup(pkt.ip->dst);
   if (group == nullptr || group->empty()) {
     ++stages_.lpm_misses;
@@ -98,7 +97,7 @@ void Switch::run_pipeline(packet::PooledPacket slot, PipelineContext ctx) {
     return;
   }
   ++stages_.lpm_hits;
-  ctx.egress_port = group->select(flow, config_.ecmp_seed);
+  ctx.egress_port = group->select(pkt.flow_hash(), config_.ecmp_seed);
   if (ctx.egress_port >= ports_.size()) {
     drop(pkt, ctx, DropReason::kRouteMiss);
     return;
@@ -106,7 +105,7 @@ void Switch::run_pipeline(packet::PooledPacket slot, PipelineContext ctx) {
 
   // ACL.
   ++stages_.acl_evaluated;
-  const auto verdict = acl_.evaluate(flow);
+  const auto verdict = acl_.evaluate(pkt.flow());
   if (!verdict.permit) {
     ++stages_.acl_denied;
     ctx.acl_rule_id = verdict.rule_id;

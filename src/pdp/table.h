@@ -6,23 +6,23 @@
 #include <vector>
 
 #include "packet/addr.h"
-#include "packet/flow_key.h"
 #include "util/hash.h"
 #include "util/ids.h"
 
 namespace netseer::pdp {
 
-/// A set of equal-cost next-hop ports. Member selection hashes the flow
-/// key with a per-switch seed so different switches pick independently,
-/// like hardware ECMP hash-seed rotation.
+/// A set of equal-cost next-hop ports. Member selection mixes the flow
+/// hash (FlowKey::hash64, which a pooled frame carries stamped as
+/// Packet::flow_hash) with a per-switch seed so different switches pick
+/// independently, like hardware ECMP hash-seed rotation.
 struct EcmpGroup {
   std::vector<util::PortId> ports;
 
   [[nodiscard]] bool empty() const { return ports.empty(); }
 
-  [[nodiscard]] util::PortId select(const packet::FlowKey& flow, std::uint64_t seed) const {
+  [[nodiscard]] util::PortId select(std::uint64_t flow_hash, std::uint64_t seed) const {
     if (ports.empty()) return util::kInvalidPort;
-    const std::uint64_t h = util::hash_combine(flow.hash64(), util::mix64(seed));
+    const std::uint64_t h = util::hash_combine(flow_hash, util::mix64(seed));
     return ports[h % ports.size()];
   }
 };

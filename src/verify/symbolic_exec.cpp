@@ -401,8 +401,8 @@ bool SymbolicPath::admits(const packet::Packet& pkt, const pdp::PipelineView& vi
   // packet.admits(). ECMP member choice is evaluated concretely.
   if (ecmp_selected && view.routes != nullptr) {
     const auto& entries = view.routes->entries();
-    const util::PortId selected =
-        entries[static_cast<std::size_t>(lpm_entry)].nexthops.select(flow, view.ecmp_seed);
+    const auto& nexthops = entries[static_cast<std::size_t>(lpm_entry)].nexthops;
+    const util::PortId selected = nexthops.select(flow.hash64(), view.ecmp_seed);
     if (selected != egress_port) return false;
   }
 

@@ -189,30 +189,30 @@ TEST(AclAggregator, RulesIndependent) {
 
 TEST(PathChange, NewFlowThenKnown) {
   PathChangeDetector det(PathChangeConfig{});
-  EXPECT_EQ(det.observe(flow(1), 0, 1, 0), PathChangeDetector::Observation::kNewFlow);
-  EXPECT_EQ(det.observe(flow(1), 0, 1, 10), PathChangeDetector::Observation::kKnownPath);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 1, 0), PathChangeDetector::Observation::kNewFlow);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 1, 10), PathChangeDetector::Observation::kKnownPath);
 }
 
 TEST(PathChange, PortChangeDetected) {
   PathChangeDetector det(PathChangeConfig{});
-  (void)det.observe(flow(1), 0, 1, 0);
-  EXPECT_EQ(det.observe(flow(1), 0, 2, 10), PathChangeDetector::Observation::kPathChanged);
-  EXPECT_EQ(det.observe(flow(1), 0, 2, 20), PathChangeDetector::Observation::kKnownPath);
+  (void)det.observe(flow(1).hash64(), 0, 1, 0);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 2, 10), PathChangeDetector::Observation::kPathChanged);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 2, 20), PathChangeDetector::Observation::kKnownPath);
   EXPECT_EQ(det.changes(), 1u);
 }
 
 TEST(PathChange, IngressChangeAlsoDetected) {
   PathChangeDetector det(PathChangeConfig{});
-  (void)det.observe(flow(1), 0, 1, 0);
-  EXPECT_EQ(det.observe(flow(1), 3, 1, 10), PathChangeDetector::Observation::kPathChanged);
+  (void)det.observe(flow(1).hash64(), 0, 1, 0);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 3, 1, 10), PathChangeDetector::Observation::kPathChanged);
 }
 
 TEST(PathChange, ExpiryMakesFlowNewAgain) {
   PathChangeConfig config;
   config.expiry = util::milliseconds(10);
   PathChangeDetector det(config);
-  (void)det.observe(flow(1), 0, 1, 0);
-  EXPECT_EQ(det.observe(flow(1), 0, 1, util::milliseconds(20)),
+  (void)det.observe(flow(1).hash64(), 0, 1, 0);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 1, util::milliseconds(20)),
             PathChangeDetector::Observation::kNewFlow);
 }
 
@@ -220,10 +220,10 @@ TEST(PathChange, CollisionEvictsSilently) {
   PathChangeConfig config;
   config.entries = 1;
   PathChangeDetector det(config);
-  EXPECT_EQ(det.observe(flow(1), 0, 1, 0), PathChangeDetector::Observation::kNewFlow);
-  EXPECT_EQ(det.observe(flow(2), 0, 1, 1), PathChangeDetector::Observation::kNewFlow);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 1, 0), PathChangeDetector::Observation::kNewFlow);
+  EXPECT_EQ(det.observe(flow(2).hash64(), 0, 1, 1), PathChangeDetector::Observation::kNewFlow);
   // Flow 1 evicted: reported as new again, never as a (wrong) change.
-  EXPECT_EQ(det.observe(flow(1), 0, 1, 2), PathChangeDetector::Observation::kNewFlow);
+  EXPECT_EQ(det.observe(flow(1).hash64(), 0, 1, 2), PathChangeDetector::Observation::kNewFlow);
 }
 
 }  // namespace

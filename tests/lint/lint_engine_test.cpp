@@ -195,6 +195,24 @@ TEST(LintPasses, HotAllocAllowInitEscapeHatch) {
   EXPECT_TRUE(fs.empty());
 }
 
+TEST(LintPasses, HotAllocAllowInitIsPerFunctionNotPerName) {
+  // An exempt grow() in one file does not exempt another class's grow()
+  // in a second file.
+  PassOptions opt;
+  opt.fixture_mode = true;
+  std::vector<FileModel> files;
+  files.push_back(model_of("a.h", "struct A {\n"
+                                  "  NETSEER_HOT_ALLOW_INIT void grow() { buf.push_back(1); }\n"
+                                  "};\n"));
+  files.push_back(model_of("b.cpp", "void B::grow() { buf.push_back(1); }\n"
+                                    "NETSEER_HOT void B::push() { grow(); }\n"));
+  const std::vector<Finding> fs = run_passes(files, opt);
+  ASSERT_EQ(fs.size(), 1u);
+  EXPECT_EQ(fs[0].pass, "hot-alloc");
+  EXPECT_EQ(fs[0].file, "b.cpp");
+  EXPECT_EQ(fs[0].line, 2);
+}
+
 TEST(LintPasses, LockBlockingRequiresAnnotation) {
   const std::vector<Finding> bad = lint("t.cpp",
                                         "void f() {\n"

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/tx_port.h"
 #include "packet/builder.h"
 #include "packet/pool.h"
 
@@ -113,6 +114,35 @@ TEST(Link, DownLinkDropsEverything) {
   sim.run();
   EXPECT_TRUE(peer.packets.empty());
   EXPECT_EQ(observer.drops, 10);
+}
+
+TEST(Link, GoingDownLosesFramesStillSerializingButNotFramesInFlight) {
+  // The link reads its up state when a frame's serialization ends. Frame
+  // A finishes at 8368 ns and propagates until 11368 ns; the link goes
+  // down at 9000 ns, while frame B is still serializing (until 16736).
+  sim::Simulator sim;
+  CaptureNode peer;
+  CountingObserver observer;
+  Link link(sim, util::Rng(6), peer, 0, util::microseconds(3), 1);
+  link.set_observer(&observer);
+  TxPort port(sim, util::BitRate::gbps(1));
+  port.set_out(&link);
+  auto a = data();
+  a.payload_bytes = 1000;  // 1046 bytes: 8368 ns at 1 Gbps
+  auto b = a;
+  b.l4.sport = 9;
+  port.enqueue(packet::Pool::local().acquire(std::move(a)), 0);
+  port.enqueue(packet::Pool::local().acquire(std::move(b)), 0);
+
+  sim.run_until(9000);
+  link.set_up(false);
+  sim.run();
+
+  ASSERT_EQ(peer.packets.size(), 1u);  // A, already in flight, arrives
+  EXPECT_EQ(peer.packets[0].l4.sport, 1);
+  EXPECT_EQ(observer.drops, 1);  // B, still serializing, is lost and reported
+  EXPECT_EQ(link.packets_dropped(), 1u);
+  EXPECT_EQ(link.packets_carried(), 1u);
 }
 
 TEST(Link, ObserverSeesEndpoints) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "packet/builder.h"
+#include "packet/pool.h"
 
 namespace netseer::packet {
 namespace {
@@ -99,6 +100,57 @@ TEST(Packet, SummaryMentionsCorruption) {
   EXPECT_EQ(pkt.summary().find("CORRUPT"), std::string::npos);
   pkt.corrupted = true;
   EXPECT_NE(pkt.summary().find("CORRUPT"), std::string::npos);
+}
+
+TEST(Packet, PooledFrameStampsItsFlowHash) {
+  auto pkt = make_tcp(sample_flow(), 100);
+  EXPECT_EQ(pkt.flow_hash(), sample_flow().hash64());  // never pooled: from headers
+  auto slot = Pool::local().acquire(std::move(pkt));
+  EXPECT_EQ(slot->flow_hash(), sample_flow().hash64());
+  const std::uint32_t bytes = slot->wire_bytes();
+  slot->ip->ttl = 3;  // TTL feeds no stamped fact
+  EXPECT_EQ(slot->flow_hash(), slot->flow().hash64());
+
+  // The stamp is read, not re-derived: a port or payload changed after
+  // acquire, which no code may do, moves neither fact.
+  slot->l4.sport = 1;
+  slot->payload_bytes = 900;
+  EXPECT_EQ(slot->flow_hash(), sample_flow().hash64());
+  EXPECT_EQ(slot->wire_bytes(), bytes);
+
+  auto pfc = Pool::local().acquire(make_pfc(3, 100));
+  EXPECT_EQ(pfc->flow_hash(), FlowKey{}.hash64());
+}
+
+TEST(Packet, StampedLengthPadsLikeTheHeadersJustUnderTheMinimum) {
+  // UDP headers and FCS take 46 bytes: payloads 12..17 make unpadded
+  // frames of 58..63 bytes, which the 6-byte shim lifts to 64..69.
+  for (std::uint32_t payload = 12; payload <= 17; ++payload) {
+    const std::uint32_t unpadded = 46 + payload;
+    auto slot = Pool::local().acquire(make_udp(sample_flow(), payload));
+    Packet unpooled = make_udp(sample_flow(), payload);
+    EXPECT_EQ(slot->wire_bytes(), kMinFrameBytes) << "payload " << payload;
+
+    slot->seq_tag = 77;
+    unpooled.seq_tag = 77;
+    EXPECT_EQ(slot->wire_bytes(), std::max(unpadded + kSeqTagBytes, kMinFrameBytes))
+        << "payload " << payload;
+    EXPECT_EQ(slot->wire_bytes(), unpooled.wire_bytes()) << "payload " << payload;
+
+    slot->seq_tag.reset();
+    unpooled.seq_tag.reset();
+    EXPECT_EQ(slot->wire_bytes(), kMinFrameBytes) << "payload " << payload;
+    EXPECT_EQ(slot->wire_bytes(), unpooled.wire_bytes()) << "payload " << payload;
+
+    // Pooled with the shim already on: the stamp leaves it out.
+    Packet shimmed = make_udp(sample_flow(), payload);
+    shimmed.seq_tag = 78;
+    auto tagged = Pool::local().acquire(std::move(shimmed));
+    EXPECT_EQ(tagged->wire_bytes(), std::max(unpadded + kSeqTagBytes, kMinFrameBytes))
+        << "payload " << payload;
+    tagged->seq_tag.reset();
+    EXPECT_EQ(tagged->wire_bytes(), kMinFrameBytes) << "payload " << payload;
+  }
 }
 
 TEST(Packet, VlanTciRoundTrip) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "packet/flow_key.h"
 #include "packet/headers.h"
 
 namespace netseer::pdp {
@@ -17,24 +18,24 @@ packet::FlowKey flow(std::uint16_t sport) {
 
 TEST(EcmpGroup, EmptyGroupReturnsInvalid) {
   EcmpGroup group;
-  EXPECT_EQ(group.select(flow(1), 0), util::kInvalidPort);
+  EXPECT_EQ(group.select(flow(1).hash64(), 0), util::kInvalidPort);
 }
 
 TEST(EcmpGroup, SingleMemberAlwaysSelected) {
   EcmpGroup group{{5}};
-  for (std::uint16_t s = 0; s < 50; ++s) EXPECT_EQ(group.select(flow(s), 7), 5);
+  for (std::uint16_t s = 0; s < 50; ++s) EXPECT_EQ(group.select(flow(s).hash64(), 7), 5);
 }
 
 TEST(EcmpGroup, SameFlowSamePort) {
   EcmpGroup group{{1, 2, 3, 4}};
-  const auto first = group.select(flow(99), 42);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(group.select(flow(99), 42), first);
+  const auto first = group.select(flow(99).hash64(), 42);
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(group.select(flow(99).hash64(), 42), first);
 }
 
 TEST(EcmpGroup, FlowsSpreadAcrossMembers) {
   EcmpGroup group{{1, 2, 3, 4}};
   std::array<int, 8> counts{};
-  for (std::uint16_t s = 0; s < 4000; ++s) ++counts[group.select(flow(s), 42)];
+  for (std::uint16_t s = 0; s < 4000; ++s) ++counts[group.select(flow(s).hash64(), 42)];
   for (int p = 1; p <= 4; ++p) EXPECT_GT(counts[p], 700) << "port " << p;
 }
 
@@ -42,7 +43,7 @@ TEST(EcmpGroup, SeedChangesSelection) {
   EcmpGroup group{{1, 2, 3, 4}};
   int differing = 0;
   for (std::uint16_t s = 0; s < 100; ++s) {
-    if (group.select(flow(s), 1) != group.select(flow(s), 2)) ++differing;
+    if (group.select(flow(s).hash64(), 1) != group.select(flow(s).hash64(), 2)) ++differing;
   }
   EXPECT_GT(differing, 30);  // different seeds pick differently often
 }

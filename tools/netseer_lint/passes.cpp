@@ -71,7 +71,6 @@ class AnnotationDb {
         q.requires_lock |= fn.requires_lock;
         q.nodiscard |= fn.nodiscard;
         Flags& s = by_name_[fn.name];
-        s.allow_init |= fn.allow_init;
         s.blocking |= fn.blocking;
       }
     }
@@ -96,10 +95,6 @@ class AnnotationDb {
   [[nodiscard]] bool name_blocking(const std::string& name) const {
     const auto it = by_name_.find(name);
     return it != by_name_.end() && it->second.blocking;
-  }
-  [[nodiscard]] bool name_allow_init(const std::string& name) const {
-    const auto it = by_name_.find(name);
-    return it != by_name_.end() && it->second.allow_init;
   }
 
  private:
@@ -160,7 +155,9 @@ class HotAllocPass {
   }
 
   bool call_reaches_alloc(const FunctionModel::Call& c, std::string& chain) {
-    if (db_.name_allow_init(c.name)) return false;
+    // A same-TU candidate's own NETSEER_HOT_ALLOW_INIT (merged from its
+    // declaration by qualified name) is the only exemption: another
+    // function that shares its simple name elsewhere exempts nothing.
     const auto it = by_name_.find(c.name);
     if (it == by_name_.end()) return false;  // out-of-TU or unresolvable: trust
     // Flag only if every same-TU candidate allocates; overload sets where
