@@ -28,19 +28,13 @@ struct ScaleResult {
   double report_mbps_per_switch;
 };
 
-ScaleResult run_scale(int k_or_testbed, util::SimTime duration,
-                      telemetry::Registry* metrics) {
+ScaleResult run_scale(const char* topology, util::SimTime duration, telemetry::Registry* metrics) {
   scenarios::HarnessOptions options;
   options.seed = 13;
-  options.topo.host_rate = util::BitRate::gbps(5);
-  options.topo.fabric_rate = util::BitRate::gbps(20);
-  if (k_or_testbed > 0) {
-    options.topo.num_pods = k_or_testbed;
-    options.topo.aggs_per_pod = k_or_testbed / 2;
-    options.topo.tors_per_pod = k_or_testbed / 2;
-    options.topo.num_cores = (k_or_testbed / 2) * (k_or_testbed / 2);
-    options.topo.hosts_per_tor = k_or_testbed / 2;
-  }
+  fabric::TestbedConfig rates;
+  rates.host_rate = util::BitRate::gbps(5);
+  rates.fabric_rate = util::BitRate::gbps(20);
+  options.topo = *fabric::resolve_topology(topology, rates);
   scenarios::Harness harness{options};
   auto& tb = harness.testbed();
 
@@ -88,14 +82,14 @@ int main(int argc, char** argv) {
               "traffic MB", "overhead", "report Mb/s/sw");
   struct Row {
     const char* name;
-    int k;
+    const char* topology;
     util::SimTime duration;
   };
-  for (const Row& row : {Row{"testbed(10sw)", 0, util::milliseconds(15)},
-                         Row{"fat-tree k=4", 4, util::milliseconds(15)},
-                         Row{"fat-tree k=6", 6, util::milliseconds(10)},
-                         Row{"fat-tree k=8", 8, util::milliseconds(8)}}) {
-    const auto result = run_scale(row.k, row.duration, cli.sink());
+  for (const Row& row : {Row{"testbed(10sw)", "testbed", util::milliseconds(15)},
+                         Row{"fat-tree k=4", "fat4", util::milliseconds(15)},
+                         Row{"fat-tree k=6", "fat6", util::milliseconds(10)},
+                         Row{"fat-tree k=8", "fat8", util::milliseconds(8)}}) {
+    const auto result = run_scale(row.topology, row.duration, cli.sink());
     std::printf("  %-14s %8d %8d %12.1f %12s %16.2f\n", row.name, result.switches,
                 result.hosts, result.traffic_mb, pct(result.overhead_ratio).c_str(),
                 result.report_mbps_per_switch);

@@ -3,192 +3,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 
-#include "telemetry/snapshot.h"
 #include "traffic/generator.h"
 
 namespace netseer::bench {
 
-ExperimentOptions::ExperimentOptions(std::string summary) : summary_(std::move(summary)) {}
-
-ExperimentOptions& ExperimentOptions::add(std::string_view name, Kind kind, void* out,
-                                          std::string_view help) {
-  specs_.push_back(Spec{std::string(name), kind, out, std::string(help)});
-  return *this;
-}
-
-ExperimentOptions& ExperimentOptions::flag(std::string_view name, std::string* out,
-                                           std::string_view help) {
-  return add(name, Kind::kString, out, help);
-}
-ExperimentOptions& ExperimentOptions::flag(std::string_view name, int* out,
-                                           std::string_view help) {
-  return add(name, Kind::kInt, out, help);
-}
-ExperimentOptions& ExperimentOptions::flag(std::string_view name, double* out,
-                                           std::string_view help) {
-  return add(name, Kind::kDouble, out, help);
-}
-ExperimentOptions& ExperimentOptions::flag(std::string_view name, std::uint64_t* out,
-                                           std::string_view help) {
-  return add(name, Kind::kUint64, out, help);
-}
-ExperimentOptions& ExperimentOptions::flag(std::string_view name, bool* out,
-                                           std::string_view help) {
-  return add(name, Kind::kSwitch, out, help);
-}
-
-ExperimentOptions& ExperimentOptions::allow_unknown() {
-  allow_unknown_ = true;
-  return *this;
-}
-
-ExperimentOptions& ExperimentOptions::parse(int& argc, char** argv) {
-  if (argc > 0 && argv[0] != nullptr) {
-    const std::string_view path = argv[0];
-    const auto slash = path.rfind('/');
-    program_ = std::string(slash == std::string_view::npos ? path : path.substr(slash + 1));
-  }
-
-  const auto fail = [this](const std::string& message) {
-    std::fprintf(stderr, "%s: %s\n\n%s", program_.c_str(), message.c_str(), usage().c_str());
-    std::exit(2);
-  };
-
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(usage().c_str(), stdout);
-      std::exit(0);
-    }
-
-    std::string_view name = arg;
-    std::optional<std::string> inline_value;
-    if (const auto eq = arg.find('='); arg.starts_with("--") && eq != std::string_view::npos) {
-      name = arg.substr(0, eq);
-      inline_value = std::string(arg.substr(eq + 1));
-    }
-    const auto take_value = [&]() -> std::string {
-      if (inline_value) return *inline_value;
-      if (i + 1 < argc) return argv[++i];
-      fail(std::string(name) + " needs a value");
-      return {};  // unreachable
-    };
-
-    if (name == "--metrics-out") {
-      metrics_path_ = take_value();
-      continue;
-    }
-    if (name == "--verify") {
-      verify_requested_ = true;
-      verify_strict_ = inline_value && *inline_value == "strict";
-      if (inline_value && !inline_value->empty() && !verify_strict_) {
-        std::fprintf(stderr, "ignoring unknown --verify mode '%s' (want --verify[=strict])\n",
-                     inline_value->c_str());
-      }
-      continue;
-    }
-
-    const Spec* match = nullptr;
-    if (name.starts_with("--")) {
-      for (const auto& spec : specs_) {
-        if (name.substr(2) == spec.name) {
-          match = &spec;
-          break;
-        }
-      }
-    }
-    if (match == nullptr) {
-      if (!allow_unknown_) fail("unknown argument '" + std::string(arg) + "'");
-      argv[kept++] = argv[i];
-      continue;
-    }
-
-    if (match->kind == Kind::kSwitch) {
-      *static_cast<bool*>(match->out) = true;
-      continue;
-    }
-    const std::string text = take_value();
-    char* end = nullptr;
-    switch (match->kind) {
-      case Kind::kString:
-        *static_cast<std::string*>(match->out) = text;
-        break;
-      case Kind::kInt:
-        *static_cast<int*>(match->out) = static_cast<int>(std::strtol(text.c_str(), &end, 10));
-        break;
-      case Kind::kDouble:
-        *static_cast<double*>(match->out) = std::strtod(text.c_str(), &end);
-        break;
-      case Kind::kUint64:
-        *static_cast<std::uint64_t*>(match->out) = std::strtoull(text.c_str(), &end, 10);
-        break;
-      case Kind::kSwitch:
-        break;  // handled above
-    }
-    if (end != nullptr && (end == text.c_str() || *end != '\0')) {
-      fail("bad value '" + text + "' for --" + match->name);
-    }
-  }
-  argc = kept;
-  argv[argc] = nullptr;
-  return *this;
-}
-
-std::string ExperimentOptions::default_of(const Spec& spec) const {
-  switch (spec.kind) {
-    case Kind::kString:
-      return *static_cast<const std::string*>(spec.out);
-    case Kind::kInt:
-      return std::to_string(*static_cast<const int*>(spec.out));
-    case Kind::kDouble: {
-      char buffer[32];
-      std::snprintf(buffer, sizeof(buffer), "%g", *static_cast<const double*>(spec.out));
-      return buffer;
-    }
-    case Kind::kUint64:
-      return std::to_string(*static_cast<const std::uint64_t*>(spec.out));
-    case Kind::kSwitch:
-      return {};
-  }
-  return {};
-}
-
-std::string ExperimentOptions::usage() const {
-  std::string text = summary_;
-  text += "\n\nusage: " + program_ + " [flags]\n";
-  const auto row = [&text](const std::string& lhs, const std::string& help) {
-    char line[160];
-    std::snprintf(line, sizeof(line), "  %-26s %s\n", lhs.c_str(), help.c_str());
-    text += line;
-  };
-  for (const auto& spec : specs_) {
-    const std::string lhs =
-        "--" + spec.name + (spec.kind == Kind::kSwitch ? "" : "=<value>");
-    std::string help = spec.help;
-    if (const std::string dflt = default_of(spec); !dflt.empty()) {
-      help += " (default " + dflt + ")";
-    }
-    row(lhs, help);
-  }
-  row("--metrics-out=<path>", "write a metrics snapshot (.json or .csv) on exit");
-  row("--verify[=strict]", "statically verify the deployment before running");
-  row("--help", "show this message");
-  return text;
-}
-
-int ExperimentOptions::write_metrics() const {
-  if (metrics_path_.empty()) return 0;
-  const auto snapshot = telemetry::MetricsSnapshot::capture(registry_);
-  if (!snapshot.write_file(metrics_path_)) {
-    std::fprintf(stderr, "failed to write metrics snapshot to %s\n", metrics_path_.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "metrics snapshot (%zu series) written to %s\n", registry_.size(),
-               metrics_path_.c_str());
-  return 0;
+ExperimentOptions::ExperimentOptions(std::string summary) : util::CommandLine(std::move(summary)) {
+  flag("metrics-out", &metrics_path_, "write a metrics snapshot (.json or .csv) on exit");
+  flag("verify", &verify_, "strict", "statically verify the deployment before running");
 }
 
 namespace {

@@ -1,14 +1,15 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/netseer_app.h"
 #include "scenarios/harness.h"
 #include "telemetry/metrics.h"
+#include "telemetry/snapshot.h"
 #include "traffic/distributions.h"
+#include "util/cli.h"
 
 namespace netseer::bench {
 
@@ -79,45 +80,26 @@ struct ExperimentConfig {
   VerifyMode verify = VerifyMode::kOff;
 };
 
-/// The single command-line surface shared by every bench binary and
-/// example. Construct with a one-line program summary, bind any
-/// binary-specific flags to variables, then call parse(), which strips
-/// everything it recognises from argv:
+/// The command line of every bench binary and of netseer_sim: the util
+/// parser with two flags they share, --metrics-out=<path> (collect a
+/// telemetry snapshot, written by write_metrics()) and --verify[=strict]
+/// (statically verify deployments before running). Bind a binary's own
+/// flags with flag(), then parse():
 ///
 ///   int duration_ms = 20;
 ///   ExperimentOptions cli{"Figure 9 — event coverage per monitor"};
-///   cli.flag("duration-ms", &duration_ms, "simulated run length")
-///      .parse(argc, argv);
-///
-/// Three flags come built in: --metrics-out=<path> (collect a telemetry
-/// snapshot, written by write_metrics()), --verify[=strict] (statically
-/// verify deployments before running), and --help (print the
-/// synthesized usage, which lists every bound flag with its default,
-/// and exit 0). `--name value` and `--name=value` both work. An unknown
-/// flag prints the usage to stderr and exits 2, unless allow_unknown()
-/// opted into leaving unrecognised arguments in argv for a second-stage
-/// parser (google-benchmark in bench_cpu_micro).
-class ExperimentOptions {
+///   cli.flag("duration-ms", &duration_ms, "simulated run length").parse(argc, argv);
+class ExperimentOptions : public util::CommandLine {
  public:
   explicit ExperimentOptions(std::string summary);
+  // The built-in flags write into this object's members.
+  ExperimentOptions(const ExperimentOptions&) = delete;
+  ExperimentOptions& operator=(const ExperimentOptions&) = delete;
 
-  ExperimentOptions& flag(std::string_view name, std::string* out, std::string_view help);
-  ExperimentOptions& flag(std::string_view name, int* out, std::string_view help);
-  ExperimentOptions& flag(std::string_view name, double* out, std::string_view help);
-  ExperimentOptions& flag(std::string_view name, std::uint64_t* out, std::string_view help);
-  /// A value-less switch: presence sets *out to true.
-  ExperimentOptions& flag(std::string_view name, bool* out, std::string_view help);
-  ExperimentOptions& allow_unknown();
-
-  /// Parse and strip recognised flags, compacting argv/argc down to
-  /// whatever remains. Bound variables keep their initial value (the
-  /// default shown by --help) when their flag is absent.
-  ExperimentOptions& parse(int& argc, char** argv);
-
-  /// The --verify[=strict] switches folded into a mode.
+  /// The --verify[=strict] switch as a mode.
   [[nodiscard]] VerifyMode verify() const {
-    return verify_requested_ ? (verify_strict_ ? VerifyMode::kStrict : VerifyMode::kOn)
-                             : VerifyMode::kOff;
+    if (!verify_) return VerifyMode::kOff;
+    return verify_->empty() ? VerifyMode::kOn : VerifyMode::kStrict;
   }
 
   [[nodiscard]] telemetry::Registry& registry() { return registry_; }
@@ -125,7 +107,6 @@ class ExperimentOptions {
   /// --metrics-out was not given (skips collection on hot benches).
   [[nodiscard]] telemetry::Registry* sink() { return metrics_enabled() ? &registry_ : nullptr; }
   [[nodiscard]] bool metrics_enabled() const { return !metrics_path_.empty(); }
-  [[nodiscard]] const std::string& metrics_path() const { return metrics_path_; }
 
   /// Point an experiment config at this option set (metrics sink +
   /// verify mode) — the common prologue of the workload benches.
@@ -134,33 +115,16 @@ class ExperimentOptions {
     config.verify = verify();
   }
 
-  /// The synthesized --help text.
-  [[nodiscard]] std::string usage() const;
-
-  /// Write the --metrics-out snapshot if requested. Returns 0 on
-  /// success (or when disabled), 1 on I/O failure — main's exit code.
-  int write_metrics() const;
+  /// Write the --metrics-out snapshot if one was asked for; main's exit
+  /// status (see telemetry::write_metrics).
+  [[nodiscard]] int write_metrics() const {
+    return telemetry::write_metrics(registry_, metrics_path_);
+  }
 
  private:
-  enum class Kind { kString, kInt, kDouble, kUint64, kSwitch };
-  struct Spec {
-    std::string name;  // without the leading "--"
-    Kind kind;
-    void* out;
-    std::string help;
-  };
-
-  ExperimentOptions& add(std::string_view name, Kind kind, void* out, std::string_view help);
-  [[nodiscard]] std::string default_of(const Spec& spec) const;
-
-  std::string summary_;
-  std::string program_ = "bench";
-  std::vector<Spec> specs_;
   telemetry::Registry registry_;
   std::string metrics_path_;
-  bool verify_requested_ = false;
-  bool verify_strict_ = false;
-  bool allow_unknown_ = false;
+  std::optional<std::string> verify_;
 };
 
 /// Run the §5.2 benchmark setup on one workload: all-to-all traffic at

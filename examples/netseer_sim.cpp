@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
   bench::ExperimentOptions cli{
       "netseer_sim — assemble a topology, workload, and fault from flags; run it\n"
       "with NetSeer deployed everywhere; print what the backend knows."};
-  cli.flag("topology", &args.topology, "testbed | fat4 | fat6 | fat8")
+  cli.flag("topology", &args.topology, "testbed | fat<k>, k even (fat4, fat6, fat8)")
       .flag("workload", &args.workload, "dctcp | vl2 | cache | hadoop | web")
       .flag("load", &args.load, "average link utilization, 0..1")
       .flag("duration-ms", &args.duration_ms, "simulated run length")
@@ -67,11 +67,7 @@ int main(int argc, char** argv) {
       .parse(argc, argv);
 
   const auto* workload = workload_by_name(args.workload);
-  if (workload == nullptr) {
-    std::fprintf(stderr, "unknown workload '%s'\n\n%s", args.workload.c_str(),
-                 cli.usage().c_str());
-    return 2;
-  }
+  if (workload == nullptr) cli.fail("unknown workload '" + args.workload + "'");
 
   scenarios::HarnessOptions options;
   options.seed = args.seed;
@@ -83,28 +79,14 @@ int main(int argc, char** argv) {
   if (!args.store_query.empty()) {
     std::string error;
     store_query = store::parse_query(args.store_query, &error);
-    if (!store_query) {
-      std::fprintf(stderr, "bad --store-query: %s\n", error.c_str());
-      return 2;
-    }
+    if (!store_query) cli.fail("bad --store-query: " + error);
   }
-  options.topo.host_rate = util::BitRate::gbps(5);
-  options.topo.fabric_rate = util::BitRate::gbps(20);
-  if (args.topology.starts_with("fat")) {
-    const int k = std::atoi(args.topology.c_str() + 3);
-    if (k < 2 || k % 2) {
-      std::fprintf(stderr, "bad fat-tree arity in '%s'\n", args.topology.c_str());
-      return 2;
-    }
-    options.topo.num_pods = k;
-    options.topo.aggs_per_pod = k / 2;
-    options.topo.tors_per_pod = k / 2;
-    options.topo.num_cores = (k / 2) * (k / 2);
-    options.topo.hosts_per_tor = k / 2;
-  } else if (args.topology != "testbed") {
-    std::fprintf(stderr, "unknown topology '%s'\n", args.topology.c_str());
-    return 2;
-  }
+  fabric::TestbedConfig rates;
+  rates.host_rate = util::BitRate::gbps(5);
+  rates.fabric_rate = util::BitRate::gbps(20);
+  const auto topo = fabric::resolve_topology(args.topology, rates);
+  if (!topo) cli.fail("unknown topology '" + args.topology + "'");
+  options.topo = *topo;
 
   scenarios::Harness harness{options};
   auto& tb = harness.testbed();
@@ -163,8 +145,7 @@ int main(int argc, char** argv) {
     traffic::launch_incast(senders, tb.hosts[0]->addr(), 150 * 1000, 1000, onset);
     fault_desc = "incast into " + tb.hosts[0]->addr().to_string();
   } else if (args.fault != "none") {
-    std::fprintf(stderr, "unknown fault '%s'\n", args.fault.c_str());
-    return 2;
+    cli.fail("unknown fault '" + args.fault + "'");
   }
 
   std::printf("topology=%s (%zu switches, %zu hosts)  workload=%s load=%.0f%%  fault=%s\n",

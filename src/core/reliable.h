@@ -11,8 +11,7 @@
 namespace netseer::core {
 
 struct ReliableReporterConfig {
-  std::uint32_t window = 32;                      // outstanding segments
-  util::SimDuration rto = util::milliseconds(10); // retransmission timeout
+  std::uint32_t window = 32;  // outstanding segments
   util::BitRate pacing_rate = util::BitRate::mbps(200);
   std::int64_t pacing_burst = 64 * 1024;
 };
@@ -23,6 +22,9 @@ struct ReliableReporterConfig {
 /// timeout retransmission over the lossy management datagram channel.
 class ReliableReporter {
  public:
+  /// Retransmission timeout: a segment unacked this long is sent again.
+  static constexpr util::SimDuration kRto = util::milliseconds(10);
+
   ReliableReporter(sim::Simulator& sim, ReportChannel& channel, util::NodeId self,
                    util::NodeId backend, const ReliableReporterConfig& config = {})
       : sim_(sim), channel_(channel), self_(self), backend_(backend), config_(config),
@@ -96,7 +98,7 @@ class ReliableReporter {
   }
 
   void arm_timer(std::uint32_t seq) {
-    (void)sim_.schedule_after(config_.rto, [this, seq] {
+    (void)sim_.schedule_after(kRto, [this, seq] {
       if (inflight_.contains(seq)) transmit(seq, /*retransmit=*/true);
     });
   }

@@ -1,12 +1,15 @@
 #include "fabric/fat_tree.h"
 
 #include <cstdio>
-#include <stdexcept>
 #include <string>
+
+#include "util/parse.h"
 
 namespace netseer::fabric {
 
 namespace {
+
+constexpr util::SimDuration kLinkDelay = util::microseconds(1);
 
 /// printf-style device names ("agg0-1", "h0-1-7"). GCC 12's -Wrestrict
 /// misfires on chained operator+ over std::to_string temporaries, so the
@@ -66,7 +69,7 @@ Testbed make_testbed(const TestbedConfig& config, std::uint64_t seed) {
         // Agg uplink ports start after its ToR-facing ports.
         const auto agg_port = static_cast<util::PortId>(config.tors_per_pod + c);
         const auto core_port = static_cast<util::PortId>(p * config.aggs_per_pod + a);
-        net.connect_switches(agg, agg_port, *tb.cores[c], core_port, config.link_delay);
+        net.connect_switches(agg, agg_port, *tb.cores[c], core_port, kLinkDelay);
       }
     }
   }
@@ -80,7 +83,7 @@ Testbed make_testbed(const TestbedConfig& config, std::uint64_t seed) {
         // ToR uplink ports start after its host-facing ports.
         const auto tor_port = static_cast<util::PortId>(config.hosts_per_tor + a);
         const auto agg_port = static_cast<util::PortId>(t);
-        net.connect_switches(tor, tor_port, agg, agg_port, config.link_delay);
+        net.connect_switches(tor, tor_port, agg, agg_port, kLinkDelay);
       }
     }
   }
@@ -95,7 +98,7 @@ Testbed make_testbed(const TestbedConfig& config, std::uint64_t seed) {
             static_cast<std::uint8_t>(h + 1));
         auto& host =
             net.add_host(device_name("h%d-%d-%d", p, t, h), addr, config.host_rate);
-        net.connect_host(tor, static_cast<util::PortId>(h), host, config.link_delay);
+        net.connect_host(tor, static_cast<util::PortId>(h), host, kLinkDelay);
         tb.hosts.push_back(&host);
       }
     }
@@ -105,15 +108,19 @@ Testbed make_testbed(const TestbedConfig& config, std::uint64_t seed) {
   return tb;
 }
 
-Testbed make_fat_tree(int k, const TestbedConfig& config, std::uint64_t seed) {
-  if (k < 2 || k % 2 != 0) throw std::invalid_argument("fat-tree arity must be even and >= 2");
-  TestbedConfig ft = config;
+std::optional<TestbedConfig> resolve_topology(std::string_view name, const TestbedConfig& base) {
+  if (name == "testbed") return base;
+  int k = 0;
+  if (!name.starts_with("fat") || !util::parse_number(name.substr(3), k) || k < 2 || k % 2 != 0) {
+    return std::nullopt;
+  }
+  TestbedConfig ft = base;
   ft.num_pods = k;
   ft.aggs_per_pod = k / 2;
   ft.tors_per_pod = k / 2;
   ft.num_cores = (k / 2) * (k / 2);
   ft.hosts_per_tor = k / 2;
-  return make_testbed(ft, seed);
+  return ft;
 }
 
 }  // namespace netseer::fabric

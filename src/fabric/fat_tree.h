@@ -1,6 +1,8 @@
 #pragma once
 
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "fabric/network.h"
@@ -18,7 +20,6 @@ struct TestbedConfig {
   int hosts_per_tor = 8;
   util::BitRate fabric_rate = util::BitRate::gbps(100);
   util::BitRate host_rate = util::BitRate::gbps(25);
-  util::SimDuration link_delay = util::microseconds(1);
   pdp::MmuConfig mmu{};
   util::SimDuration pipeline_latency = util::nanoseconds(400);
 };
@@ -39,13 +40,16 @@ struct Testbed {
   }
 };
 
-/// Build the testbed topology with routes installed. Host addresses are
-/// 10.<pod>.<tor-in-pod>.<host+1>.
+/// Build the testbed topology with routes installed. Every link has a
+/// 1 us propagation delay. Host addresses are 10.<pod>.<tor-in-pod>.<host+1>.
 [[nodiscard]] Testbed make_testbed(const TestbedConfig& config = {}, std::uint64_t seed = 1);
 
-/// Build a canonical k-ary fat-tree (k even): (k/2)^2 cores, k pods of
-/// k/2 aggregation and k/2 edge switches, k/2 hosts per edge switch.
-[[nodiscard]] Testbed make_fat_tree(int k, const TestbedConfig& config = {},
-                                    std::uint64_t seed = 1);
+/// The topology a command line names, built on `base`: "testbed" is
+/// `base` as given; "fat<k>" is the canonical k-ary fat-tree, with k even
+/// and at least 2: (k/2)^2 cores, k pods of k/2 aggregation and k/2 edge
+/// switches, k/2 hosts per edge switch, and `base`'s rates, MMU and
+/// pipeline latency. Any other name ("fat3", "fat4abc") is nullopt.
+[[nodiscard]] std::optional<TestbedConfig> resolve_topology(std::string_view name,
+                                                            const TestbedConfig& base = {});
 
 }  // namespace netseer::fabric

@@ -45,28 +45,24 @@ Harness::Harness(const HarnessOptions& options)
     register_monitor(snmp_.get());
   }
 
-  if (options_.enable_netseer) {
-    channel_ = std::make_unique<core::ReportChannel>(sim, net.rng().fork(),
-                                                     util::milliseconds(1), 0.0);
-    store_ = std::make_unique<store::FlowEventStore>(options_.store);
-    collector_ = std::make_unique<backend::Collector>(sim, kCollectorId, *channel_, *store_);
-    for (auto* sw : testbed_.all_switches()) {
-      apps_.push_back(std::make_unique<core::NetSeerApp>(*sw, options_.netseer, channel_.get(),
-                                                         kCollectorId));
-    }
-    for (auto* host : testbed_.hosts) {
-      nics_.push_back(std::make_unique<core::NetSeerNicAgent>(options_.netseer.interswitch));
-      host->set_nic_agent(nics_.back().get());
-    }
-  } else {
-    store_ = std::make_unique<store::FlowEventStore>(options_.store);  // empty store
+  channel_ = std::make_unique<core::ReportChannel>(sim, net.rng().fork(),
+                                                   util::milliseconds(1), 0.0);
+  store_ = std::make_unique<store::FlowEventStore>(options_.store);
+  collector_ = std::make_unique<backend::Collector>(sim, kCollectorId, *channel_, *store_);
+  for (auto* sw : testbed_.all_switches()) {
+    apps_.push_back(std::make_unique<core::NetSeerApp>(*sw, options_.netseer, channel_.get(),
+                                                       kCollectorId));
+  }
+  for (auto* host : testbed_.hosts) {
+    nics_.push_back(std::make_unique<core::NetSeerNicAgent>(options_.netseer.interswitch));
+    host->set_nic_agent(nics_.back().get());
   }
 }
 
 core::NetSeerApp* Harness::app_for(util::NodeId switch_id) {
   const auto all = testbed_.all_switches();
   for (std::size_t i = 0; i < all.size(); ++i) {
-    if (all[i]->id() == switch_id) return apps_.empty() ? nullptr : apps_[i].get();
+    if (all[i]->id() == switch_id) return apps_[i].get();
   }
   return nullptr;
 }
@@ -131,8 +127,8 @@ void Harness::collect_metrics(telemetry::Registry& registry) const {
                        sw->id());
   }
   for (const auto& app : apps_) telemetry::collect(registry, *app);
-  if (collector_) telemetry::collect(registry, *collector_);
-  if (store_) telemetry::collect(registry, *store_);
+  telemetry::collect(registry, *collector_);
+  telemetry::collect(registry, *store_);
   telemetry::collect(registry, testbed_.net->simulator(), wall_seconds_);
 }
 

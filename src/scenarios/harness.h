@@ -27,7 +27,6 @@ struct HarnessOptions {
   core::NetSeerConfig netseer{};
   std::uint64_t seed = 1;
 
-  bool enable_netseer = true;
   bool enable_netsight = false;
   /// Sampling denominators to instantiate (e.g. {10, 100, 1000}).
   std::vector<std::uint32_t> sampling_rates;

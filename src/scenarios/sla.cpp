@@ -10,6 +10,9 @@ namespace netseer::scenarios {
 
 namespace {
 
+/// Host metric aggregation window (the paper's 15 s, scaled).
+constexpr util::SimDuration kMetricWindow = util::milliseconds(10);
+
 struct Attribution {
   bool app = false;
   bool net = false;
@@ -110,11 +113,11 @@ SlaStudyResult run_sla_study(const SlaStudyConfig& config) {
   // ---- Host metrics model: per metric window, did the server report an
   // elevated average processing delay? (That is all a 15 s counter shows.)
   const auto window_has_app_slowness = [&](util::SimTime at) {
-    const util::SimTime window_start = (at / config.metric_window) * config.metric_window;
+    const util::SimTime window_start = (at / kMetricWindow) * kMetricWindow;
     // Sample the window at 10 points; elevated if >= 2 are slow.
     int slow_points = 0;
     for (int i = 0; i < 10; ++i) {
-      if (server.slow_at(window_start + i * config.metric_window / 10)) ++slow_points;
+      if (server.slow_at(window_start + i * kMetricWindow / 10)) ++slow_points;
     }
     return slow_points >= 2;
   };

@@ -50,8 +50,6 @@ struct SlaStudyConfig {
   util::SimTime duration = util::milliseconds(60);
   /// RPC slower than this violates the SLA.
   util::SimDuration slow_threshold = util::milliseconds(1);
-  /// Host metric aggregation window (the paper's 15 s, scaled).
-  util::SimDuration metric_window = util::milliseconds(10);
   /// When non-null, the study folds its harness counters in after settling.
   telemetry::Registry* metrics = nullptr;
 };

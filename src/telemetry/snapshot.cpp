@@ -1,52 +1,20 @@
 #include "telemetry/snapshot.h"
 
-#include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "util/json.h"
 
 namespace netseer::telemetry {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-/// JSON has no Infinity/NaN; emit null for non-finite doubles.
-void append_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
 void append_key(std::string& out, const MetricKey& key) {
   out += "\"subsystem\":";
-  append_escaped(out, key.subsystem);
+  util::append_json_string(out, key.subsystem);
   out += ",\"name\":";
-  append_escaped(out, key.name);
+  util::append_json_string(out, key.name);
   out += ",\"node\":";
   if (key.node == util::kInvalidNode) {
     out += "null";
@@ -97,13 +65,13 @@ std::string MetricsSnapshot::to_json() const {
     const auto& summary = histogram.summary();
     out += ",\"count\":" + std::to_string(summary.count());
     out += ",\"sum\":";
-    append_double(out, summary.sum());
+    util::append_json_double(out, summary.sum());
     out += ",\"mean\":";
-    append_double(out, summary.mean());
+    util::append_json_double(out, summary.mean());
     out += ",\"min\":";
-    append_double(out, summary.min());
+    util::append_json_double(out, summary.min());
     out += ",\"max\":";
-    append_double(out, summary.max());
+    util::append_json_double(out, summary.max());
     // Sparse bucket list: [[inclusive_low, count], ...], empties skipped.
     out += ",\"buckets\":[";
     bool first_bucket = true;
@@ -112,7 +80,7 @@ std::string MetricsSnapshot::to_json() const {
       if (!first_bucket) out += ',';
       first_bucket = false;
       out += '[';
-      append_double(out, Histogram::bucket_low(i));
+      util::append_json_double(out, Histogram::bucket_low(i));
       out += ',' + std::to_string(histogram.buckets()[i]) + ']';
     }
     out += "]}";
@@ -147,6 +115,17 @@ bool MetricsSnapshot::write_file(const std::string& path) const {
   const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
   out << (csv ? to_csv() : to_json());
   return static_cast<bool>(out);
+}
+
+int write_metrics(const Registry& registry, const std::string& path) {
+  if (path.empty()) return 0;
+  if (!MetricsSnapshot::capture(registry).write_file(path)) {
+    std::fprintf(stderr, "failed to write metrics snapshot to %s\n", path.c_str());
+    return 1;
+  }
+  std::fprintf(stderr, "metrics snapshot (%zu series) written to %s\n", registry.size(),
+               path.c_str());
+  return 0;
 }
 
 }  // namespace netseer::telemetry

@@ -31,4 +31,10 @@ class MetricsSnapshot {
   Registry data_;
 };
 
+/// The --metrics-out writer of every program: capture `registry` and
+/// write it to `path` (.csv => CSV, else JSON). Returns main's exit
+/// status: 0 when written, or when `path` is empty (no snapshot was asked
+/// for); 1, after one message on stderr, when the file cannot be written.
+[[nodiscard]] int write_metrics(const Registry& registry, const std::string& path);
+
 }  // namespace netseer::telemetry

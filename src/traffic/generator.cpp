@@ -2,10 +2,17 @@
 
 namespace netseer::traffic {
 
+namespace {
+
+constexpr std::uint32_t kPacketPayload = 1000;  // bytes per full data packet
+constexpr std::uint16_t kBasePort = 10000;      // first source port; wraps back here
+
+}  // namespace
+
 FlowGenerator::FlowGenerator(net::Host& host, std::vector<packet::Ipv4Addr> destinations,
                              const GeneratorConfig& config, util::Rng rng)
     : host_(host), destinations_(std::move(destinations)), config_(config), rng_(rng),
-      next_port_(config.base_port) {
+      next_port_(kBasePort) {
   // Poisson arrival rate: load * uplink / mean flow size.
   const double bytes_per_second =
       config_.load * static_cast<double>(host_.nic().rate().bits_per_second()) / 8.0;
@@ -36,14 +43,14 @@ void FlowGenerator::start_flow() {
   flow.dst = dst;
   flow.proto = static_cast<std::uint8_t>(packet::IpProto::kTcp);
   flow.sport = next_port_++;
-  if (next_port_ < config_.base_port) next_port_ = config_.base_port;  // wrap
+  if (next_port_ < kBasePort) next_port_ = kBasePort;  // wrap
   flow.dport = 80;
   send_packet(flow, config_.sizes->sample(rng_));
 }
 
 void FlowGenerator::send_packet(packet::FlowKey flow, std::uint64_t remaining_bytes) {
   const std::uint32_t payload =
-      static_cast<std::uint32_t>(std::min<std::uint64_t>(remaining_bytes, config_.packet_payload));
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(remaining_bytes, kPacketPayload));
   auto pkt = packet::make_tcp(flow, payload);
   pkt.ip->dscp = config_.dscp;
   bytes_sent_ += payload;

@@ -20,9 +20,7 @@ struct GeneratorConfig {
   /// transmit at a fixed fraction of the NIC rate, so several concurrent
   /// flows congest shared queues the way fan-in traffic does.
   util::BitRate flow_rate = util::BitRate::gbps(10);
-  std::uint32_t packet_payload = 1000;
   std::uint8_t dscp = 0;
-  std::uint16_t base_port = 10000;
   util::SimTime start = 0;
   util::SimTime stop = util::seconds(1);
 };

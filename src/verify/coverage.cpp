@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "pdp/switch.h"
+#include "util/json.h"
 
 namespace netseer::verify {
 
@@ -61,13 +62,13 @@ std::string render_coverage_json(const std::vector<CoverageClass>& classes) {
   for (const CoverageClass& c : classes) {
     if (!first) out += ',';
     first = false;
-    out += "{\"name\":\"";
-    out += c.name;
-    out += "\",\"silent\":";
+    out += "{\"name\":";
+    util::append_json_string(out, c.name);
+    out += ",\"silent\":";
     out += c.silent ? "true" : "false";
-    out += ",\"source\":\"";
-    out += c.source;
-    out += "\"}";
+    out += ",\"source\":";
+    util::append_json_string(out, c.source);
+    out += '}';
   }
   out += "]}\n";
   return out;

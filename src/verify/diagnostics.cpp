@@ -1,8 +1,9 @@
 #include "verify/diagnostics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
+
+#include "util/json.h"
 
 namespace netseer::verify {
 
@@ -40,44 +41,6 @@ void Report::merge(const Report& other) {
   for (const auto& p : other.passes_) mark_pass(p);
 }
 
-namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_json_double(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string Report::render_text() const {
   std::string out;
   for (const auto& d : diagnostics_) {
@@ -113,7 +76,7 @@ std::string Report::render_json() const {
   std::string out = "{\n  \"passes\": [";
   for (std::size_t i = 0; i < passes_.size(); ++i) {
     if (i > 0) out += ", ";
-    append_json_string(out, passes_[i]);
+    util::append_json_string(out, passes_[i]);
   }
   out += "],\n  \"errors\": " + std::to_string(error_count());
   out += ",\n  \"warnings\": " + std::to_string(warning_count());
@@ -122,11 +85,11 @@ std::string Report::render_json() const {
     const auto& d = diagnostics_[i];
     out += i == 0 ? "\n" : ",\n";
     out += "    {\"severity\": ";
-    append_json_string(out, to_string(d.severity));
+    util::append_json_string(out, to_string(d.severity));
     out += ", \"pass\": ";
-    append_json_string(out, d.pass);
+    util::append_json_string(out, d.pass);
     out += ", \"switch\": ";
-    append_json_string(out, d.switch_name);
+    util::append_json_string(out, d.switch_name);
     out += ", \"switch_id\": ";
     if (d.switch_id == util::kInvalidNode) {
       out += "null";
@@ -134,13 +97,13 @@ std::string Report::render_json() const {
       out += std::to_string(d.switch_id);
     }
     out += ", \"component\": ";
-    append_json_string(out, d.component);
+    util::append_json_string(out, d.component);
     out += ", \"message\": ";
-    append_json_string(out, d.message);
+    util::append_json_string(out, d.message);
     out += ", \"measured\": ";
-    append_json_double(out, d.measured);
+    util::append_json_double(out, d.measured);
     out += ", \"limit\": ";
-    append_json_double(out, d.limit);
+    util::append_json_double(out, d.limit);
     out += "}";
   }
   out += "\n  ]\n}\n";

@@ -44,7 +44,9 @@ TEST_P(ReliableProperty, ExactlyOnceDeliveryUnderLoss) {
                                  packet::Ipv4Addr::from_octets(10, 0, 0, 2), 6, s, 80};
     EXPECT_EQ(store::scan_rows(store, query).size(), 1u) << "sport " << s;
   }
-  if (loss > 0.05) EXPECT_GT(reporter.retransmits(), 0u);
+  if (loss > 0.05) {
+    EXPECT_GT(reporter.retransmits(), 0u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LossSweep, ReliableProperty,

@@ -144,7 +144,7 @@ TEST(Testbed, EcmpUsesBothAggs) {
 }
 
 TEST(Testbed, FatTreeK4Shape) {
-  auto tb = make_fat_tree(4);
+  auto tb = make_testbed(*resolve_topology("fat4"));
   EXPECT_EQ(tb.cores.size(), 4u);
   EXPECT_EQ(tb.aggs.size(), 8u);
   EXPECT_EQ(tb.tors.size(), 8u);
@@ -152,8 +152,31 @@ TEST(Testbed, FatTreeK4Shape) {
 }
 
 TEST(Testbed, FatTreeRejectsOddArity) {
-  EXPECT_THROW(make_fat_tree(3), std::invalid_argument);
-  EXPECT_THROW(make_fat_tree(0), std::invalid_argument);
+  EXPECT_FALSE(resolve_topology("fat3"));
+  EXPECT_FALSE(resolve_topology("fat0"));
+}
+
+TEST(Testbed, TopologyNamesParseStrictly) {
+  for (const char* bad : {"fat4abc", "fat", "fat-2", "fat+4", "fat 4", "Fat4", "fat4 ", "tree",
+                          "testbed2", "fat4294967298"}) {
+    EXPECT_FALSE(resolve_topology(bad)) << bad;
+  }
+  TestbedConfig base;
+  base.host_rate = util::BitRate::gbps(5);
+  const auto testbed = resolve_topology("testbed", base);
+  ASSERT_TRUE(testbed);
+  EXPECT_EQ(testbed->num_pods, base.num_pods);
+  EXPECT_EQ(testbed->hosts_per_tor, base.hosts_per_tor);
+  const auto fat6 = resolve_topology("fat6", base);
+  ASSERT_TRUE(fat6);
+  EXPECT_EQ(fat6->num_pods, 6);
+  EXPECT_EQ(fat6->aggs_per_pod, 3);
+  EXPECT_EQ(fat6->tors_per_pod, 3);
+  EXPECT_EQ(fat6->num_cores, 9);
+  EXPECT_EQ(fat6->hosts_per_tor, 3);
+  // The rest comes from the base.
+  EXPECT_EQ(fat6->host_rate.bits_per_second(), base.host_rate.bits_per_second());
+  EXPECT_TRUE(resolve_topology("fat2"));
 }
 
 TEST(Network, LinkBytesAccumulate) {

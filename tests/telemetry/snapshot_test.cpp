@@ -99,6 +99,21 @@ TEST(MetricsSnapshot, WriteFileFailsOnBadPath) {
   EXPECT_FALSE(snapshot.write_file("/nonexistent-dir/metrics.json"));
 }
 
+TEST(MetricsSnapshot, WriteMetricsReturnsMainsExitStatus) {
+  const Registry reg = populated();
+  const std::string path = ::testing::TempDir() + "netseer_write_metrics_test.json";
+  std::remove(path.c_str());
+  EXPECT_EQ(write_metrics(reg, path), 0);
+  std::ifstream in(path);
+  const std::string json((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(json, MetricsSnapshot::capture(reg).to_json());
+  std::remove(path.c_str());
+  // No --metrics-out: nothing to write, and nothing failed.
+  EXPECT_EQ(write_metrics(reg, ""), 0);
+  // A path through a regular file can never be created.
+  EXPECT_EQ(write_metrics(reg, "/dev/null/metrics.json"), 1);
+}
+
 TEST(MetricsSnapshot, JsonEscapesControlAndQuoteCharacters) {
   Registry reg;
   // NETSEER_LINT_ALLOW(metric-name): hostile names are the point here.

@@ -5,13 +5,17 @@
 // diagnostic instead of letting the regression ship silently.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "fabric/fat_tree.h"
 #include "verify/verifier.h"
 
 namespace netseer::verify {
 namespace {
 
-void expect_clean(const fabric::Testbed& tb, const char* what, bool symbolic = false) {
+void expect_clean(const char* topology, bool symbolic = false) {
+  const std::string what = std::string(topology) + (symbolic ? " --symbolic" : "");
+  const fabric::Testbed tb = fabric::make_testbed(*fabric::resolve_topology(topology));
   VerifyOptions options;
   options.strict = true;
   options.symbolic = symbolic;
@@ -24,27 +28,27 @@ void expect_clean(const fabric::Testbed& tb, const char* what, bool symbolic = f
 }
 
 TEST(GoldenVerifyTest, TestbedVerifiesCleanStrict) {
-  expect_clean(fabric::make_testbed(), "testbed");
+  expect_clean("testbed");
 }
 
 TEST(GoldenVerifyTest, FatTree4VerifiesCleanStrict) {
-  expect_clean(fabric::make_fat_tree(4), "fat4");
+  expect_clean("fat4");
 }
 
 TEST(GoldenVerifyTest, FatTree6VerifiesCleanStrict) {
-  expect_clean(fabric::make_fat_tree(6), "fat6");
+  expect_clean("fat6");
 }
 
 TEST(GoldenVerifyTest, TestbedVerifiesCleanStrictSymbolic) {
-  expect_clean(fabric::make_testbed(), "testbed --symbolic", /*symbolic=*/true);
+  expect_clean("testbed", /*symbolic=*/true);
 }
 
 TEST(GoldenVerifyTest, FatTree4VerifiesCleanStrictSymbolic) {
-  expect_clean(fabric::make_fat_tree(4), "fat4 --symbolic", /*symbolic=*/true);
+  expect_clean("fat4", /*symbolic=*/true);
 }
 
 TEST(GoldenVerifyTest, FatTree6VerifiesCleanStrictSymbolic) {
-  expect_clean(fabric::make_fat_tree(6), "fat6 --symbolic", /*symbolic=*/true);
+  expect_clean("fat6", /*symbolic=*/true);
 }
 
 TEST(GoldenVerifyTest, GoldenSummaryLineIsStable) {

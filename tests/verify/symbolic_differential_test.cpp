@@ -128,7 +128,8 @@ packet::Packet random_packet(std::mt19937_64& rng,
   return pkt;
 }
 
-void run_differential(fabric::Testbed tb, std::uint64_t seed, std::size_t num_packets) {
+void run_differential(const char* topology, std::uint64_t seed, std::size_t num_packets) {
+  fabric::Testbed tb = fabric::make_testbed(*fabric::resolve_topology(topology));
   pdp::Switch& sw = *tb.tors[0];
   sim::Simulator& sim = tb.net->simulator();
   constexpr util::PortId kIngressPort = 0;
@@ -258,19 +259,19 @@ void run_differential(fabric::Testbed tb, std::uint64_t seed, std::size_t num_pa
 }
 
 TEST(SymbolicDifferentialTest, Testbed10kPackets) {
-  run_differential(fabric::make_testbed(), 0x5eed0001, 10000);
+  run_differential("testbed", 0x5eed0001, 10000);
 }
 
 TEST(SymbolicDifferentialTest, Fat4_10kPackets) {
-  run_differential(fabric::make_fat_tree(4), 0x5eed0004, 10000);
+  run_differential("fat4", 0x5eed0004, 10000);
 }
 
 TEST(SymbolicDifferentialTest, Fat6_10kPackets) {
-  run_differential(fabric::make_fat_tree(6), 0x5eed0006, 10000);
+  run_differential("fat6", 0x5eed0006, 10000);
 }
 
 TEST(SymbolicDifferentialTest, Fat8_10kPackets) {
-  run_differential(fabric::make_fat_tree(8), 0x5eed0008, 10000);
+  run_differential("fat8", 0x5eed0008, 10000);
 }
 
 }  // namespace

@@ -1,17 +1,10 @@
 // netseer_detect — run the streaming anomaly-detection service over a
 // flow-event store directory.
 //
-//   netseer_detect --store-dir <dir> [options]
+//   netseer_detect --store-dir <dir> [--rules <path>] [--checkpoint <path>]
+//                  [--from-lsn <n>] [--metrics-out <path>]
 //
-//   --store-dir <dir>       store directory to drain (required)
-//   --rules <path>          rule file (see src/detect/rules.h); default
-//                           is the built-in RuleSet::defaults()
-//   --checkpoint <path>     resume-LSN checkpoint file: restarts resume
-//                           exactly-once after the last consumed row
-//   --from-lsn <n>          start after LSN n (ignored when a checkpoint
-//                           file exists)
-//   --metrics-out <path>    write a metrics snapshot on exit
-//                           (.csv => CSV, else JSON)
+// --help lists the flags; src/detect/rules.h has the rules file format.
 //
 // It drains everything durable once, force-closes the open windows,
 // prints the alert table, and exits 0 when no alert is active
@@ -19,25 +12,16 @@
 // exit code is usable from scripts: "did this store contain an
 // unresolved anomaly?".
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "detect/service.h"
 #include "telemetry/collect.h"
 #include "telemetry/snapshot.h"
-#include "util/parse.h"
+#include "util/cli.h"
 
 using namespace netseer;
 
 namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --store-dir <dir> [--rules <path>] [--checkpoint <path>]\n"
-               "          [--from-lsn <n>] [--metrics-out <path>]\n",
-               argv0);
-  return 2;
-}
 
 void print_alerts(const detect::AlertManager& alerts) {
   if (alerts.alerts().empty()) {
@@ -64,37 +48,17 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   detect::DetectOptions options;
   std::uint64_t from_lsn = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    if (arg == "--store-dir") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      store_dir = v;
-    } else if (arg == "--rules") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      rules_path = v;
-    } else if (arg == "--checkpoint") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      options.checkpoint_path = v;
-    } else if (arg == "--from-lsn") {
-      const char* v = value();
-      if (v == nullptr || !util::parse_number(v, from_lsn)) return usage(argv[0]);
-    } else if (arg == "--metrics-out") {
-      const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      metrics_out = v;
-    } else {
-      std::fprintf(stderr, "unknown option '%s'\n", arg.c_str());
-      return usage(argv[0]);
-    }
-  }
-  if (store_dir.empty()) return usage(argv[0]);
+  util::CommandLine cli{
+      "netseer_detect — drain a flow-event store through the detection service once,\n"
+      "print the alert table, and exit 0 when no alert is active, 1 otherwise."};
+  cli.flag("store-dir", &store_dir, "store directory to drain (required)")
+      .flag("rules", &rules_path, "rule file (default: the built-in rule set)")
+      .flag("checkpoint", &options.checkpoint_path,
+            "resume-LSN checkpoint file: a restart resumes after the last consumed row")
+      .flag("from-lsn", &from_lsn, "start after this LSN (a checkpoint file wins)")
+      .flag("metrics-out", &metrics_out, "write a metrics snapshot (.json or .csv) on exit")
+      .parse(argc, argv);
+  if (store_dir.empty()) cli.fail("--store-dir is required");
 
   if (!rules_path.empty()) {
     std::string error;
@@ -131,15 +95,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.checkpoints),
               static_cast<unsigned long long>(service.subscription().last_lsn()));
 
-  if (!metrics_out.empty()) {
-    telemetry::Registry registry;
-    telemetry::collect(registry, fs);
-    telemetry::collect(registry, service);
-    const auto snapshot = telemetry::MetricsSnapshot::capture(registry);
-    if (!snapshot.write_file(metrics_out)) {
-      std::fprintf(stderr, "netseer_detect: cannot write %s\n", metrics_out.c_str());
-      return 1;
-    }
-  }
+  telemetry::Registry registry;
+  telemetry::collect(registry, fs);
+  telemetry::collect(registry, service);
+  if (telemetry::write_metrics(registry, metrics_out) != 0) return 1;
   return service.alerts().stats().active == 0 ? 0 : 1;
 }

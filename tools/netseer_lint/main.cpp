@@ -25,27 +25,20 @@
 #include "passes.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
+#include "util/cli.h"
 
 namespace fs = std::filesystem;
 using netseer::lint::FileModel;
 using netseer::lint::Finding;
+using netseer::lint::kPassHotAlloc;
+using netseer::lint::kPassLockBlocking;
+using netseer::lint::kPassMetricName;
+using netseer::lint::kPassNodiscard;
+using netseer::lint::kPassRawSync;
 using netseer::lint::PassOptions;
 using netseer::lint::TokenStream;
 
 namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [options] <file-or-dir>...\n"
-               "  --pass <name>         run only this pass (repeatable); one of\n"
-               "                        hot-alloc lock-blocking nodiscard metric-name raw-sync\n"
-               "  --fixture-mode        treat every file as first-party src/ code\n"
-               "  --check-expectations  findings must exactly match LINT-EXPECT comments\n"
-               "  --metrics-out <file>  export lint.* counters (.csv or .json)\n"
-               "  --quiet               suppress per-finding lines\n",
-               argv0);
-  return 2;
-}
 
 bool lintable(const fs::path& p) {
   const std::string ext = p.extension().string();
@@ -114,8 +107,9 @@ bool check_expectations(const std::vector<FileModel>& models,
   return ok;
 }
 
-void export_metrics(const std::string& path, const std::vector<FileModel>& models,
-                    const std::vector<Finding>& findings) {
+/// The lint.* counters --metrics-out exports.
+netseer::telemetry::Registry lint_metrics(const std::vector<FileModel>& models,
+                                          const std::vector<Finding>& findings) {
   netseer::telemetry::Registry reg;
   std::size_t functions = 0;
   std::size_t hot = 0;
@@ -136,10 +130,7 @@ void export_metrics(const std::string& path, const std::vector<FileModel>& model
     }
     reg.counter("lint", "findings." + pass).add(1);
   }
-  const auto snap = netseer::telemetry::MetricsSnapshot::capture(reg);
-  if (!snap.write_file(path)) {
-    std::fprintf(stderr, "netseer_lint: cannot write metrics to %s\n", path.c_str());
-  }
+  return reg;
 }
 
 }  // namespace
@@ -149,28 +140,30 @@ int main(int argc, char** argv) {
   bool expectations = false;
   bool quiet = false;
   std::string metrics_out;
+  std::vector<std::string> passes;
   std::vector<std::string> inputs;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--fixture-mode") {
-      options.fixture_mode = true;
-    } else if (arg == "--check-expectations") {
-      expectations = true;
-      options.fixture_mode = true;  // fixtures live under tests/
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (arg == "--pass" && i + 1 < argc) {
-      options.only.insert(argv[++i]);
-    } else if (arg == "--metrics-out" && i + 1 < argc) {
-      metrics_out = argv[++i];
-    } else if (arg == "--help" || arg == "-h" || arg.rfind("--", 0) == 0) {
-      return usage(argv[0]);
-    } else {
-      inputs.push_back(arg);
+  netseer::util::CommandLine cli{
+      "netseer_lint — hot-path discipline analyzer: hot-alloc, lock-blocking,\n"
+      "nodiscard, metric-name and raw-sync passes over the given files and\n"
+      "directories. Exit 0 when clean, 1 on findings."};
+  cli.flag("pass", &passes,
+           "run only this pass: hot-alloc | lock-blocking | nodiscard | metric-name | raw-sync")
+      .flag("fixture-mode", &options.fixture_mode, "treat every file as first-party src/ code")
+      .flag("check-expectations", &expectations,
+            "findings must exactly match LINT-EXPECT comments (implies --fixture-mode)")
+      .flag("metrics-out", &metrics_out, "export lint.* counters (.json or .csv)")
+      .flag("quiet", &quiet, "suppress per-finding lines")
+      .positionals(&inputs, "<file-or-dir>...")
+      .parse(argc, argv);
+  for (const std::string& pass : passes) {
+    if (pass != kPassHotAlloc && pass != kPassLockBlocking && pass != kPassNodiscard &&
+        pass != kPassMetricName && pass != kPassRawSync) {
+      cli.fail("unknown pass '" + pass + "'");
     }
+    options.only.insert(pass);
   }
-  if (inputs.empty()) return usage(argv[0]);
+  if (inputs.empty()) cli.fail("no file or directory to lint");
+  if (expectations) options.fixture_mode = true;  // fixtures live under tests/
 
   std::vector<std::string> files;
   for (const std::string& in : inputs) {
@@ -195,7 +188,9 @@ int main(int argc, char** argv) {
 
   const std::vector<Finding> findings = netseer::lint::run_passes(models, options);
 
-  if (!metrics_out.empty()) export_metrics(metrics_out, models, findings);
+  if (netseer::telemetry::write_metrics(lint_metrics(models, findings), metrics_out) != 0) {
+    return 1;
+  }
 
   if (expectations) {
     const bool ok = check_expectations(models, findings);

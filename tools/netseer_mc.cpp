@@ -10,31 +10,13 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "mc/harnesses.h"
 #include "telemetry/metrics.h"
 #include "telemetry/snapshot.h"
-#include "util/parse.h"
-
-namespace {
-
-void usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: netseer_mc [options]\n"
-               "  --list                 list harnesses and exit\n"
-               "  --harness NAME         run only NAME (repeatable)\n"
-               "  --max-schedules N      override the exploration budget\n"
-               "  --max-steps N          override the per-schedule op budget\n"
-               "  --metrics-out PATH     write a metrics snapshot (.csv => CSV, else JSON)\n"
-               "  --trace                print the failing schedule for every failure\n"
-               "  --help                 this message\n");
-}
-
-}  // namespace
+#include "util/cli.h"
 
 int main(int argc, char** argv) {
   std::vector<std::string> selected;
@@ -44,45 +26,18 @@ int main(int argc, char** argv) {
   bool list = false;
   bool trace = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "netseer_mc: %s needs a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    auto number = [&]() -> std::uint64_t {
-      const char* text = value();
-      std::uint64_t n = 0;
-      if (!netseer::util::parse_number(text, n)) {
-        std::fprintf(stderr, "netseer_mc: %s needs a number, got '%s'\n", arg.c_str(), text);
-        std::exit(2);
-      }
-      return n;
-    };
-    if (arg == "--list") {
-      list = true;
-    } else if (arg == "--harness") {
-      selected.emplace_back(value());
-    } else if (arg == "--max-schedules") {
-      max_schedules = number();
-    } else if (arg == "--max-steps") {
-      max_steps = number();
-    } else if (arg == "--metrics-out") {
-      metrics_out = value();
-    } else if (arg == "--trace") {
-      trace = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage(stdout);
-      return 0;
-    } else {
-      std::fprintf(stderr, "netseer_mc: unknown option %s\n", arg.c_str());
-      usage(stderr);
-      return 2;
-    }
-  }
+  netseer::util::CommandLine cli{
+      "netseer_mc — run the exhaustive-interleaving model-check harnesses (src/mc);\n"
+      "exit 0 iff every selected harness passed."};
+  cli.flag("list", &list, "list harnesses and exit")
+      .flag("harness", &selected, "run only this harness")
+      .flag("max-schedules", &max_schedules,
+            "override the exploration budget; 0 keeps the harness's own")
+      .flag("max-steps", &max_steps,
+            "override the per-schedule op budget; 0 keeps the harness's own")
+      .flag("metrics-out", &metrics_out, "write a metrics snapshot (.json or .csv) on exit")
+      .flag("trace", &trace, "print the failing schedule for every failure")
+      .parse(argc, argv);
 
   const auto& harnesses = netseer::mc::all_harnesses();
   if (list) {
@@ -95,10 +50,7 @@ int main(int argc, char** argv) {
   for (const std::string& name : selected) {
     bool known = false;
     for (const auto& h : harnesses) known = known || h.name == name;
-    if (!known) {
-      std::fprintf(stderr, "netseer_mc: no harness named %s (see --list)\n", name.c_str());
-      return 2;
-    }
+    if (!known) cli.fail("no harness named " + name + " (see --list)");
   }
 
   netseer::telemetry::Registry registry;
@@ -148,17 +100,8 @@ int main(int argc, char** argv) {
     registry.gauge("mc", h.name + ".runtime_ms").set(static_cast<std::int64_t>(ms));
   }
 
-  if (ran == 0) {
-    std::fprintf(stderr, "netseer_mc: no harness selected\n");
-    return 2;
-  }
-  if (!metrics_out.empty()) {
-    const auto snapshot = netseer::telemetry::MetricsSnapshot::capture(registry);
-    if (!snapshot.write_file(metrics_out)) {
-      std::fprintf(stderr, "netseer_mc: cannot write %s\n", metrics_out.c_str());
-      return 1;  // runtime failure, not a usage error
-    }
-  }
+  if (ran == 0) cli.fail("no harness selected");
+  if (netseer::telemetry::write_metrics(registry, metrics_out) != 0) return 1;
   std::printf("%d/%d harnesses passed\n", ran - failures, ran);
   return failures == 0 ? 0 : 1;
 }

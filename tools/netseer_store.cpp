@@ -1,16 +1,8 @@
-// netseer_store — operate on a flow-event store directory offline.
-//
-//   netseer_store inspect <dir>            list segments, WAL files, fences
-//   netseer_store recover <dir>            replay the WAL, seal, checkpoint
-//   netseer_store compact <dir>            force compaction + checkpoint
-//   netseer_store query <dir> <spec>       run a query (see --help for spec)
-//   netseer_store tail <dir> [from-lsn]    subscription demo: stream every
-//                  [--metrics-out <path>]  durable row after from-lsn; prints
-//                                          subscription health on exit
-//   netseer_store gen <dir> [n] [torn]     synthesize a store; optional torn
-//                     [group]              WAL tail after `torn` bytes; `group`
-//                                          ingests through async group commit
-//                                          (tear lands mid-group)
+// netseer_store — operate on a flow-event store directory offline:
+// inspect, recover, compact, query, tail (a subscription demo that prints
+// subscription health on exit) and gen (synthesize a deterministic store,
+// optionally with a WAL torn mid-record, or mid-group through group
+// commit). --help lists each command's arguments.
 //
 // `recover` is what an operator (or the CI recovery job) runs over a
 // directory left behind by a crash: it replays the log to the last valid
@@ -19,7 +11,6 @@
 // `query` and `tail` leave a clean directory as they found it, and a
 // command line that does not parse exits 2 before anything is opened.
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
@@ -30,26 +21,12 @@
 #include "store/subscription.h"
 #include "telemetry/collect.h"
 #include "telemetry/snapshot.h"
+#include "util/cli.h"
 #include "util/parse.h"
 
 using namespace netseer;
 
 namespace {
-
-int usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s <inspect|recover|compact|query|tail|gen> <dir> [args]\n"
-               "  inspect <dir>\n"
-               "  recover <dir>\n"
-               "  compact <dir>\n"
-               "  query <dir> <spec>\n"
-               "                       spec: type=drop,switch=3,from=0,to=1000000,\n"
-               "                       flow=10.0.0.1:1234>10.0.0.2:80/6\n"
-               "  tail <dir> [from-lsn] [--metrics-out <path>]\n"
-               "  gen <dir> [events] [torn-after-bytes] [group]\n",
-               argv0);
-  return 2;
-}
 
 void print_recovery(const store::FlowEventStore& fs) {
   const auto& r = fs.recovery();
@@ -149,20 +126,13 @@ int cmd_tail(store::FlowEventStore& fs, std::uint64_t from_lsn,
               static_cast<unsigned long long>(watermark),
               static_cast<unsigned long long>(lag));
 
-  if (!metrics_out.empty()) {
-    telemetry::Registry registry;
-    telemetry::collect(registry, fs);
-    registry.counter("store", "tail.rows_delivered").add(sub.delivered());
-    registry.counter("store", "tail.rows_evicted").add(sub.lagged());
-    registry.gauge("store", "tail.last_lsn").set(static_cast<std::int64_t>(sub.last_lsn()));
-    registry.gauge("store", "tail.lag").set(static_cast<std::int64_t>(lag));
-    const auto snapshot = telemetry::MetricsSnapshot::capture(registry);
-    if (!snapshot.write_file(metrics_out)) {
-      std::fprintf(stderr, "netseer_store: cannot write %s\n", metrics_out.c_str());
-      return 1;
-    }
-  }
-  return 0;
+  telemetry::Registry registry;
+  telemetry::collect(registry, fs);
+  registry.counter("store", "tail.rows_delivered").add(sub.delivered());
+  registry.counter("store", "tail.rows_evicted").add(sub.lagged());
+  registry.gauge("store", "tail.last_lsn").set(static_cast<std::int64_t>(sub.last_lsn()));
+  registry.gauge("store", "tail.lag").set(static_cast<std::int64_t>(lag));
+  return telemetry::write_metrics(registry, metrics_out);
 }
 
 /// Synthesize a deterministic store for fixtures and demos. With a torn
@@ -231,45 +201,56 @@ int cmd_gen(const std::string& dir, std::uint64_t events, long long torn_after,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return usage(argv[0]);
-  const std::string cmd = argv[1];
-  const std::string dir = argv[2];
+  std::vector<std::string> args;
+  std::string metrics_out;
+  util::CommandLine cli{
+      "netseer_store — operate on a flow-event store directory offline.\n\n"
+      "  inspect <dir>                      list segments, WAL files and recovery\n"
+      "  recover <dir>                      replay the WAL, seal, checkpoint\n"
+      "  compact <dir>                      force compaction, checkpoint\n"
+      "  query <dir> <spec>                 run a query; spec is e.g. type=drop,switch=3,\n"
+      "                                     from=0,to=1000000,flow=10.0.0.1:1234>10.0.0.2:80/6\n"
+      "  tail <dir> [from-lsn]              stream every durable row after from-lsn\n"
+      "  gen <dir> [events] [torn] [group]  synthesize a store; `torn` cuts the WAL after\n"
+      "                                     that many bytes, `group` ingests through group\n"
+      "                                     commit"};
+  cli.flag("metrics-out", &metrics_out, "tail: write a metrics snapshot (.json or .csv) on exit")
+      .positionals(&args, "<command> <dir> [args]")
+      .parse(argc, argv);
 
-  // Parse the whole command line before opening the store: opening
+  // Check the whole command line before opening the store: opening
   // creates the directory, so a typo must not leave one behind.
+  if (args.size() < 2) cli.fail("need a command and a store directory");
+  const std::string& cmd = args[0];
+  const std::string& dir = args[1];
+  const std::size_t extra = args.size() - 2;
+  if (!metrics_out.empty() && cmd != "tail") cli.fail("--metrics-out applies to tail only");
+
   if (cmd == "gen") {
     std::uint64_t events = 2000;
     long long torn = -1;
-    if (argc > 6 || (argc > 3 && !util::parse_number(argv[3], events)) ||
-        (argc > 4 && !util::parse_number(argv[4], torn)) ||
-        (argc > 5 && std::strcmp(argv[5], "group") != 0)) {
-      return usage(argv[0]);
+    if (extra > 3 || (extra > 0 && !util::parse_number(args[2], events)) ||
+        (extra > 1 && !util::parse_number(args[3], torn)) || (extra > 2 && args[4] != "group")) {
+      cli.fail("gen takes [events] [torn-after-bytes] [group]");
     }
-    return cmd_gen(dir, events, torn, /*group_commit=*/argc > 5);
+    return cmd_gen(dir, events, torn, /*group_commit=*/extra > 2);
   }
 
   std::optional<backend::EventQuery> query;
   std::uint64_t from = 0;
-  std::string metrics_out;
   if (cmd == "query") {
-    if (argc != 4) return usage(argv[0]);
+    if (extra != 1) cli.fail("query takes one spec");
     std::string error;
-    query = store::parse_query(argv[3], &error);
-    if (!query) {
-      std::fprintf(stderr, "bad query '%s': %s\n", argv[3], error.c_str());
-      return 2;
-    }
+    query = store::parse_query(args[2], &error);
+    if (!query) cli.fail("bad query '" + args[2] + "': " + error);
   } else if (cmd == "tail") {
-    for (int i = 3; i < argc; ++i) {
-      if (std::strcmp(argv[i], "--metrics-out") == 0) {
-        if (i + 1 >= argc) return usage(argv[0]);
-        metrics_out = argv[++i];
-      } else {
-        if (!util::parse_number(argv[i], from)) return usage(argv[0]);
-      }
+    if (extra > 1 || (extra == 1 && !util::parse_number(args[2], from))) {
+      cli.fail("tail takes [from-lsn]");
     }
   } else if (cmd != "inspect" && cmd != "recover" && cmd != "compact") {
-    return usage(argv[0]);
+    cli.fail("unknown command '" + cmd + "'");
+  } else if (extra != 0) {
+    cli.fail(cmd + " takes no argument after the directory");
   }
 
   store::StoreOptions options;

@@ -15,12 +15,12 @@
 //
 // Exit codes: 0 = verifies clean, 1 = diagnostics failed, 2 = usage.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "fabric/fat_tree.h"
 #include "packet/addr.h"
 #include "pdp/switch.h"
+#include "util/cli.h"
 #include "verify/coverage.h"
 #include "verify/symbolic.h"
 #include "verify/verifier.h"
@@ -37,50 +37,6 @@ struct Args {
   bool strict = false;
   bool symbolic = false;
 };
-
-void usage() {
-  std::puts("netseer_verify [--topology testbed|fat4|fat6|fat8] [--json] [--strict]");
-  std::puts("               [--symbolic] [--coverage-out <path>]");
-  std::puts("               [--fixture shadowed-acl|tcam-overflow|undersized-ring|stage-hazard");
-  std::puts("                          |silent-drop|double-emit|uninit-meta|dead-route]");
-  std::puts("");
-  std::puts("Statically verifies a constructed NetSeer deployment; prints one");
-  std::puts("diagnostic per violated invariant. --symbolic also enumerates all");
-  std::puts("pipeline execution paths and proves drop coverage (zero-FN), no");
-  std::puts("double-report (zero-FP), reachability, metadata initialization, and");
-  std::puts("path-sensitive capacity. --fixture seeds a known defect (used by CI");
-  std::puts("to prove each verifier pass actually fires). --coverage-out runs the");
-  std::puts("symbolic pass and writes the loss classes the deployment can exhibit");
-  std::puts("as JSON — the list the detect-coverage cross-check consumes.");
-  std::puts("");
-  std::puts("Exit codes: 0 = clean, 1 = diagnostics failed, 2 = usage error.");
-}
-
-bool parse_args(int argc, char** argv, Args& args) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    const auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
-    if (flag == "--topology") {
-      if (const char* v = next()) args.topology = v; else return false;
-    } else if (flag == "--fixture") {
-      if (const char* v = next()) args.fixture = v; else return false;
-    } else if (flag == "--json") {
-      args.json = true;
-    } else if (flag == "--strict") {
-      args.strict = true;
-    } else if (flag == "--symbolic") {
-      args.symbolic = true;
-    } else if (flag == "--coverage-out") {
-      if (const char* v = next()) args.coverage_out = v; else return false;
-    } else {
-      if (flag != "--help" && flag != "-h") {
-        std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      }
-      return false;
-    }
-  }
-  return true;
-}
 
 // ---- Seeded defects ---------------------------------------------------------
 // Each fixture plants exactly the class of mistake its verifier pass
@@ -168,26 +124,29 @@ bool seed_dead_route(pdp::Switch& sw) {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
-    usage();
-    return 2;
-  }
+  util::CommandLine cli{
+      "netseer_verify — statically verify a constructed NetSeer deployment; print one\n"
+      "diagnostic per violated invariant. --symbolic also enumerates all pipeline\n"
+      "execution paths and proves drop coverage (zero-FN), no double-report\n"
+      "(zero-FP), reachability, metadata initialization, and path-sensitive\n"
+      "capacity. --fixture seeds a known defect, to prove each verifier pass\n"
+      "fires. --coverage-out runs the symbolic pass and writes the loss classes\n"
+      "the deployment can exhibit as JSON, the list the detect-coverage\n"
+      "cross-check consumes.\n\n"
+      "Exit codes: 0 = clean, 1 = diagnostics failed, 2 = usage error."};
+  cli.flag("topology", &args.topology, "testbed | fat<k>, k even (fat4, fat6, fat8)")
+      .flag("fixture", &args.fixture,
+            "shadowed-acl | tcam-overflow | undersized-ring | stage-hazard | silent-drop |"
+            " double-emit | uninit-meta | dead-route")
+      .flag("json", &args.json, "print the report as JSON")
+      .flag("strict", &args.strict, "warnings fail the run too")
+      .flag("symbolic", &args.symbolic, "run the symbolic pipeline executor")
+      .flag("coverage-out", &args.coverage_out, "write the loss classes as JSON to this path")
+      .parse(argc, argv);
 
-  fabric::TestbedConfig topo;
-  fabric::Testbed tb;
-  if (args.topology == "testbed") {
-    tb = fabric::make_testbed(topo);
-  } else if (args.topology.starts_with("fat")) {
-    const int k = std::atoi(args.topology.c_str() + 3);
-    if (k < 2 || k % 2) {
-      std::fprintf(stderr, "bad fat-tree arity in '%s'\n", args.topology.c_str());
-      return 2;
-    }
-    tb = fabric::make_fat_tree(k, topo);
-  } else {
-    std::fprintf(stderr, "unknown topology '%s'\n", args.topology.c_str());
-    return 2;
-  }
+  const auto topo = fabric::resolve_topology(args.topology);
+  if (!topo) cli.fail("unknown topology '" + args.topology + "'");
+  fabric::Testbed tb = fabric::make_testbed(*topo);
 
   core::NetSeerConfig config;
   verify::VerifyOptions options;
@@ -231,8 +190,7 @@ int main(int argc, char** argv) {
     }
     args.symbolic = true;
   } else if (!args.fixture.empty()) {
-    std::fprintf(stderr, "unknown fixture '%s'\n", args.fixture.c_str());
-    return 2;
+    cli.fail("unknown fixture '" + args.fixture + "'");
   }
   options.symbolic = args.symbolic;
 
