@@ -20,16 +20,6 @@ using namespace netseer::bench;
 
 namespace {
 
-packet::FlowKey random_flow(util::Rng& rng) {
-  packet::FlowKey flow;
-  flow.src.value = static_cast<std::uint32_t>(rng.next());
-  flow.dst.value = static_cast<std::uint32_t>(rng.next());
-  flow.proto = 6;
-  flow.sport = static_cast<std::uint16_t>(rng.next());
-  flow.dport = 80;
-  return flow;
-}
-
 /// The rejected alternative: a Bloom filter that suppresses repeat
 /// reports. Collisions make genuinely new flows look already-reported —
 /// silent false negatives.

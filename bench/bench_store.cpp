@@ -10,9 +10,10 @@
 // --max-regression-pct below its checked-in value — the CI perf-smoke
 // gate, same contract as bench_engine. The query phase asserts that
 // time-windowed queries actually prune segments (the whole point of the
-// per-segment time fences); zero pruning fails the run. All gated
-// numbers also land in the --metrics-out snapshot, which is what CI
-// parses.
+// per-segment time fences); zero pruning fails the run. So does a
+// group-commit phase of at least 64 x --gc-shard-batch events whose
+// fsyncs never covered more than one batch. The gated numbers also land
+// in the --metrics-out snapshot.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -33,9 +34,11 @@ using namespace netseer::bench;
 
 namespace {
 
-// Deterministic event mix: 64 switches, 4096 flows, monotonically
+// Deterministic event mix: kSwitches switches, 4096 flows, monotonically
 // increasing detected_at so segments get disjoint time fences (the
 // realistic shape — events arrive roughly in detection order).
+constexpr std::uint64_t kSwitches = 64;
+
 struct EventGen {
   std::uint64_t state = 7;
   std::uint64_t rnd() {
@@ -49,7 +52,7 @@ struct EventGen {
                          static_cast<std::uint16_t>(1024 + (r & 4095)), 80};
     auto ev = core::make_event(
         r % 5 == 0 ? core::EventType::kCongestion : core::EventType::kDrop, flow,
-        static_cast<util::NodeId>(r % 64), static_cast<util::SimTime>(i * 100));
+        static_cast<util::NodeId>(r % kSwitches), static_cast<util::SimTime>(i * 100));
     ev.counter = static_cast<std::uint16_t>(1 + (r % 50));
     return ev;
   }
@@ -178,6 +181,15 @@ int main(int argc, char** argv) {
     }
   }
   std::filesystem::remove_all(dir);
+  // With enough events to fill each switch's shard batch (on average),
+  // batches reach the writer while it syncs earlier ones, so some commit
+  // group must hold more than one batch. Smaller runs hand most rows
+  // over at the final sync, so the check skips them.
+  if (events >= kSwitches * gc_shard_batch && gc_max_group <= 1) {
+    std::fprintf(stderr, "FAIL: group commit never grouped fsyncs (max %llu batches/group)\n",
+                 static_cast<unsigned long long>(gc_max_group));
+    return 1;
+  }
 
   // Phase 3: query engine over a sealed in-memory store. Narrow time
   // windows must prune most segments via the min/max fences.

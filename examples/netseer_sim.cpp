@@ -36,15 +36,6 @@ struct Args {
   bool store_tail = false;
 };
 
-const traffic::EmpiricalCdf* workload_by_name(const std::string& name) {
-  for (const auto* cdf : traffic::all_workloads()) {
-    std::string lower = cdf->name();
-    for (auto& c : lower) c = static_cast<char>(std::tolower(c));
-    if (lower == name) return cdf;
-  }
-  return nullptr;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -52,7 +43,8 @@ int main(int argc, char** argv) {
   bench::ExperimentOptions cli{
       "netseer_sim — assemble a topology, workload, and fault from flags; run it\n"
       "with NetSeer deployed everywhere; print what the backend knows."};
-  cli.flag("topology", &args.topology, "testbed | fat<k>, k even (fat4, fat6, fat8)")
+  cli.verify_flag()
+      .flag("topology", &args.topology, "testbed | fat<k>, k even (fat4, fat6, fat8)")
       .flag("workload", &args.workload, "dctcp | vl2 | cache | hadoop | web")
       .flag("load", &args.load, "average link utilization, 0..1")
       .flag("duration-ms", &args.duration_ms, "simulated run length")
@@ -66,7 +58,7 @@ int main(int argc, char** argv) {
             "after the run, stream the stored events back through a subscription")
       .parse(argc, argv);
 
-  const auto* workload = workload_by_name(args.workload);
+  const auto* workload = traffic::find_workload(args.workload);
   if (workload == nullptr) cli.fail("unknown workload '" + args.workload + "'");
 
   scenarios::HarnessOptions options;

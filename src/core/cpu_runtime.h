@@ -15,7 +15,7 @@ namespace netseer::core {
 /// pipeline's pre-computed hash), re-batches surviving events, and hands
 /// them to the submit callback (normally a ReliableReporter). Per-event
 /// processing cost is modeled as simulated service time; the real
-/// data-structure throughput is measured in bench_cpu_micro.
+/// data-structure throughput is measured in bench_fig14_pcie_cpu.
 class SwitchCpu {
  public:
   using Submit = std::function<void(EventBatch&&)>;

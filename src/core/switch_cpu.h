@@ -103,7 +103,7 @@ class FpEliminator {
 struct SwitchCpuConfig {
   FpEliminatorConfig fp{};
   /// Modeled per-event CPU service time; caps the Meps the CPU keeps up
-  /// with inside the simulation (measured for real in bench_cpu_micro).
+  /// with inside the simulation (measured for real in bench_fig14_pcie_cpu).
   util::SimDuration per_event_cost = util::nanoseconds(25);
   /// Pacing of report traffic toward the backend (§3.6 "pacing").
   util::BitRate pacing_rate = util::BitRate::mbps(200);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "util/logging.h"
-
 namespace netseer::pdp {
 
 const char* to_string(Resource resource) {
@@ -38,12 +36,12 @@ void ResourceModel::add(const std::string& component, Resource resource, double 
     components_.push_back(std::move(c));
   }
   // Dynamic overflow detection: the moment a class crosses 100% of the
-  // chip, count it (telemetry exports the counter) and log the culprit.
+  // chip, count it (telemetry exports the counter) and name the culprit.
   const double after = before + fraction;
   if (before <= 1.0 && after > 1.0) {
     ++overflows_[static_cast<std::size_t>(resource)];
-    NETSEER_LOG_WARN("resource overflow: %s at %.1f%% of chip after component '%s'",
-                     to_string(resource), 100.0 * after, component.c_str());
+    std::fprintf(stderr, "[WARN] resource overflow: %s at %.1f%% of chip after component '%s'\n",
+                 to_string(resource), 100.0 * after, component.c_str());
   }
 }
 

@@ -18,31 +18,26 @@ Harness::Harness(const HarnessOptions& options)
   if (options_.enable_netsight) {
     netsight_ = std::make_unique<monitors::NetSightMonitor>();
     net.add_agent_everywhere(netsight_.get());
-    register_monitor(netsight_.get());
     delivery_ = std::make_unique<monitors::NetSightMonitor::DeliveryTracker>(*netsight_);
     for (auto& host : net.hosts()) host->add_app(delivery_.get());
   }
   for (const auto rate : options_.sampling_rates) {
     samplers_.emplace_back(rate, std::make_unique<monitors::SamplingMonitor>(rate));
     net.add_agent_everywhere(samplers_.back().second.get());
-    register_monitor(samplers_.back().second.get(), rate);
   }
   if (options_.enable_everflow) {
     everflow_ = std::make_unique<monitors::EverflowMonitor>(sim, options_.everflow,
                                                             net.rng().fork());
     net.add_agent_everywhere(everflow_.get());
-    register_monitor(everflow_.get());
   }
   if (options_.enable_pingmesh) {
     pingmesh_ = std::make_unique<monitors::PingmeshProber>(sim, testbed_.hosts,
                                                            options_.pingmesh_interval);
-    register_monitor(pingmesh_.get());
   }
   if (options_.enable_snmp) {
     std::vector<pdp::Switch*> switches = testbed_.all_switches();
     snmp_ = std::make_unique<monitors::SnmpMonitor>(sim, std::move(switches),
                                                     options_.snmp_interval);
-    register_monitor(snmp_.get());
   }
 
   channel_ = std::make_unique<core::ReportChannel>(sim, net.rng().fork(),
@@ -130,6 +125,13 @@ void Harness::collect_metrics(telemetry::Registry& registry) const {
   telemetry::collect(registry, *collector_);
   telemetry::collect(registry, *store_);
   telemetry::collect(registry, testbed_.net->simulator(), wall_seconds_);
+}
+
+monitors::SamplingMonitor* Harness::sampler(std::uint32_t denominator) const {
+  for (const auto& [rate, monitor] : samplers_) {
+    if (rate == denominator) return monitor.get();
+  }
+  return nullptr;
 }
 
 monitors::EventGroupSet Harness::netseer_groups(std::optional<core::EventType> type) const {

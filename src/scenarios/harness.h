@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <typeindex>
 #include <vector>
 
 #include "backend/collector.h"
@@ -70,21 +69,14 @@ class Harness {
   [[nodiscard]] std::size_t app_count() const { return apps_.size(); }
   [[nodiscard]] core::NetSeerApp* app_for(util::NodeId switch_id);
 
-  /// Typed monitor registry. Every baseline monitor the options enabled
-  /// is registered under its concrete type; look one up with
-  /// `harness.monitor<monitors::NetSightMonitor>()` (nullptr when the
-  /// option was off). Monitors that come in several flavours —
-  /// SamplingMonitor, one instance per 1/N denominator — take the
-  /// flavour as the key: `harness.monitor<monitors::SamplingMonitor>(100)`.
-  template <typename M>
-  [[nodiscard]] M* monitor(std::uint32_t key = 0) const {
-    for (const auto& entry : monitors_) {
-      if (entry.type == std::type_index(typeid(M)) && entry.key == key) {
-        return static_cast<M*>(entry.ptr);
-      }
-    }
-    return nullptr;
-  }
+  /// The baseline monitors the options enabled; each is null when its
+  /// option was off. SamplingMonitor comes in one instance per 1/N
+  /// denominator in `sampling_rates`: `harness.sampler(100)`.
+  [[nodiscard]] monitors::NetSightMonitor* netsight() const { return netsight_.get(); }
+  [[nodiscard]] monitors::EverflowMonitor* everflow() const { return everflow_.get(); }
+  [[nodiscard]] monitors::PingmeshProber* pingmesh() const { return pingmesh_.get(); }
+  [[nodiscard]] monitors::SnmpMonitor* snmp() const { return snmp_.get(); }
+  [[nodiscard]] monitors::SamplingMonitor* sampler(std::uint32_t denominator) const;
 
   /// Attach Poisson workload generators to every host, all-to-all.
   void add_workload(const traffic::GeneratorConfig& config);
@@ -129,17 +121,6 @@ class Harness {
   [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
 
  private:
-  struct MonitorEntry {
-    std::type_index type;
-    std::uint32_t key;
-    void* ptr;
-  };
-
-  template <typename M>
-  void register_monitor(M* instance, std::uint32_t key = 0) {
-    monitors_.push_back(MonitorEntry{std::type_index(typeid(M)), key, instance});
-  }
-
   HarnessOptions options_;
   fabric::Testbed testbed_;
   std::unique_ptr<monitors::GroundTruth> truth_;
@@ -155,7 +136,6 @@ class Harness {
   std::unique_ptr<monitors::PingmeshProber> pingmesh_;
   std::unique_ptr<monitors::SnmpMonitor> snmp_;
   std::vector<std::unique_ptr<traffic::FlowGenerator>> generators_;
-  std::vector<MonitorEntry> monitors_;
   double wall_seconds_ = 0.0;
 };
 

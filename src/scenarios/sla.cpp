@@ -123,7 +123,7 @@ SlaStudyResult run_sla_study(const SlaStudyConfig& config) {
   };
 
   SlaStudyResult result;
-  auto* pingmesh = harness.monitor<monitors::PingmeshProber>();
+  auto* pingmesh = harness.pingmesh();
 
   for (std::size_t c = 0; c < clients.size(); ++c) {
     for (const auto& record : clients[c]->records()) {

@@ -1,5 +1,6 @@
 #include "traffic/distributions.h"
 
+#include <cctype>
 #include <cmath>
 #include <stdexcept>
 
@@ -129,6 +130,15 @@ const std::vector<const EmpiricalCdf*>& all_workloads() {
   static const std::vector<const EmpiricalCdf*> all = {&dctcp(), &vl2(), &cache(), &hadoop(),
                                                        &web()};
   return all;
+}
+
+const EmpiricalCdf* find_workload(std::string_view name) {
+  for (const auto* cdf : all_workloads()) {
+    std::string lower = cdf->name();
+    for (char& c : lower) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    if (lower == name) return cdf;
+  }
+  return nullptr;
 }
 
 }  // namespace netseer::traffic

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/rng.h"
@@ -56,5 +57,10 @@ class EmpiricalCdf {
 
 /// All five, in the order the paper's figures list them.
 [[nodiscard]] const std::vector<const EmpiricalCdf*>& all_workloads();
+
+/// The workload a command line names: "dctcp", "vl2", "cache", "hadoop"
+/// or "web" (a paper name in lower case). Null for any other name,
+/// including the upper-case "WEB".
+[[nodiscard]] const EmpiricalCdf* find_workload(std::string_view name);
 
 }  // namespace netseer::traffic

@@ -52,7 +52,6 @@ void FlowGenerator::send_packet(packet::FlowKey flow, std::uint64_t remaining_by
   const std::uint32_t payload =
       static_cast<std::uint32_t>(std::min<std::uint64_t>(remaining_bytes, kPacketPayload));
   auto pkt = packet::make_tcp(flow, payload);
-  pkt.ip->dscp = config_.dscp;
   bytes_sent_ += payload;
   ++packets_sent_;
   host_.send(std::move(pkt));

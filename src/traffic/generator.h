@@ -20,7 +20,6 @@ struct GeneratorConfig {
   /// transmit at a fixed fraction of the NIC rate, so several concurrent
   /// flows congest shared queues the way fan-in traffic does.
   util::BitRate flow_rate = util::BitRate::gbps(10);
-  std::uint8_t dscp = 0;
   util::SimTime start = 0;
   util::SimTime stop = util::seconds(1);
 };

@@ -58,24 +58,18 @@ CommandLine& CommandLine::positionals(std::vector<std::string>* out, std::string
   return *this;
 }
 
-CommandLine& CommandLine::allow_unknown() {
-  allow_unknown_ = true;
-  return *this;
-}
-
 std::string CommandLine::show_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%g", value);
   return buffer;
 }
 
-CommandLine& CommandLine::parse(int& argc, char** argv) {
+CommandLine& CommandLine::parse(int argc, const char* const* argv) {
   if (argc > 0 && argv[0] != nullptr) {
     const std::string_view path = argv[0];
     program_ = path.substr(path.rfind('/') + 1);
   }
 
-  int kept = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--help" || arg == "-h") {
@@ -83,13 +77,8 @@ CommandLine& CommandLine::parse(int& argc, char** argv) {
       std::exit(0);
     }
     if (!arg.starts_with("--")) {
-      if (positionals_ != nullptr) {
-        positionals_->emplace_back(arg);
-      } else if (allow_unknown_) {
-        argv[kept++] = argv[i];
-      } else {
-        fail("unexpected argument '" + std::string(arg) + "'");
-      }
+      if (positionals_ == nullptr) fail("unexpected argument '" + std::string(arg) + "'");
+      positionals_->emplace_back(arg);
       continue;
     }
 
@@ -102,11 +91,7 @@ CommandLine& CommandLine::parse(int& argc, char** argv) {
         break;
       }
     }
-    if (spec == nullptr) {
-      if (!allow_unknown_) fail("unknown flag '" + std::string(arg) + "'");
-      argv[kept++] = argv[i];
-      continue;
-    }
+    if (spec == nullptr) fail("unknown flag '" + std::string(arg) + "'");
 
     std::string_view value;
     if (eq != std::string_view::npos) {
@@ -120,8 +105,6 @@ CommandLine& CommandLine::parse(int& argc, char** argv) {
       fail("bad value '" + std::string(value) + "' for --" + spec->name);
     }
   }
-  argc = kept;
-  argv[argc] = nullptr;
   return *this;
 }
 

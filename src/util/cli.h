@@ -56,13 +56,9 @@ class CommandLine {
   /// Without this, a positional argument is a usage error.
   CommandLine& positionals(std::vector<std::string>* out, std::string_view synopsis);
 
-  /// Leave unrecognised arguments in argv for a second-stage parser
-  /// (google-benchmark's flags in bench_cpu_micro).
-  CommandLine& allow_unknown();
-
-  /// Parse argv and strip what it recognised, compacting argc/argv down
-  /// to the program name plus whatever allow_unknown() kept.
-  CommandLine& parse(int& argc, char** argv);
+  /// Parse argv[1..argc): set every bound variable, or exit on --help or
+  /// a usage error.
+  CommandLine& parse(int argc, const char* const* argv);
 
   /// A usage error found after parse() (a missing required flag, a bad
   /// combination): print `message` and the usage to stderr, exit 2.
@@ -99,7 +95,6 @@ class CommandLine {
   std::vector<Spec> specs_;
   std::vector<std::string>* positionals_ = nullptr;
   std::string synopsis_;
-  bool allow_unknown_ = false;
 };
 
 }  // namespace netseer::util

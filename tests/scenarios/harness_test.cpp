@@ -19,11 +19,11 @@ TEST(Harness, BuildsPaperTestbedWithNetSeerEverywhere) {
 
 TEST(Harness, OptionalMonitorsAbsentByDefault) {
   Harness harness{HarnessOptions{}};
-  EXPECT_EQ(harness.monitor<monitors::NetSightMonitor>(), nullptr);
-  EXPECT_EQ(harness.monitor<monitors::EverflowMonitor>(), nullptr);
-  EXPECT_EQ(harness.monitor<monitors::PingmeshProber>(), nullptr);
-  EXPECT_EQ(harness.monitor<monitors::SnmpMonitor>(), nullptr);
-  EXPECT_EQ(harness.monitor<monitors::SamplingMonitor>(10), nullptr);
+  EXPECT_EQ(harness.netsight(), nullptr);
+  EXPECT_EQ(harness.everflow(), nullptr);
+  EXPECT_EQ(harness.pingmesh(), nullptr);
+  EXPECT_EQ(harness.snmp(), nullptr);
+  EXPECT_EQ(harness.sampler(10), nullptr);
 }
 
 TEST(Harness, MonitorsPresentWhenEnabled) {
@@ -34,15 +34,16 @@ TEST(Harness, MonitorsPresentWhenEnabled) {
   options.enable_pingmesh = true;
   options.enable_snmp = true;
   Harness harness{options};
-  EXPECT_NE(harness.monitor<monitors::NetSightMonitor>(), nullptr);
-  EXPECT_NE(harness.monitor<monitors::EverflowMonitor>(), nullptr);
-  EXPECT_NE(harness.monitor<monitors::PingmeshProber>(), nullptr);
-  EXPECT_NE(harness.monitor<monitors::SnmpMonitor>(), nullptr);
-  EXPECT_NE(harness.monitor<monitors::SamplingMonitor>(10), nullptr);
-  EXPECT_NE(harness.monitor<monitors::SamplingMonitor>(1000), nullptr);
-  EXPECT_EQ(harness.monitor<monitors::SamplingMonitor>(100), nullptr);
-  // Keyed monitors need their denominator: the unkeyed lookup matches none.
-  EXPECT_EQ(harness.monitor<monitors::SamplingMonitor>(), nullptr);
+  EXPECT_NE(harness.netsight(), nullptr);
+  EXPECT_NE(harness.everflow(), nullptr);
+  EXPECT_NE(harness.pingmesh(), nullptr);
+  EXPECT_NE(harness.snmp(), nullptr);
+  ASSERT_NE(harness.sampler(10), nullptr);
+  ASSERT_NE(harness.sampler(1000), nullptr);
+  EXPECT_EQ(harness.sampler(10)->denominator(), 10u);
+  EXPECT_EQ(harness.sampler(1000)->denominator(), 1000u);
+  EXPECT_EQ(harness.sampler(100), nullptr);
+  EXPECT_EQ(harness.sampler(0), nullptr);
   harness.run_and_settle(util::milliseconds(1));  // periodic tasks stop cleanly
 }
 

@@ -73,5 +73,16 @@ TEST(Workloads, NamesMatchPaper) {
   EXPECT_EQ(web().name(), "WEB");
 }
 
+TEST(Workloads, FindWorkloadTakesTheLowerCaseNames) {
+  EXPECT_EQ(find_workload("dctcp"), &dctcp());
+  EXPECT_EQ(find_workload("vl2"), &vl2());
+  EXPECT_EQ(find_workload("cache"), &cache());
+  EXPECT_EQ(find_workload("hadoop"), &hadoop());
+  EXPECT_EQ(find_workload("web"), &web());
+  for (const char* name : {"WEB", "Web", "", "web ", "websearch", "bogus"}) {
+    EXPECT_EQ(find_workload(name), nullptr) << "'" << name << "'";
+  }
+}
+
 }  // namespace
 }  // namespace netseer::traffic

@@ -133,7 +133,8 @@ int main(int argc, char** argv) {
       "fires. --coverage-out runs the symbolic pass and writes the loss classes\n"
       "the deployment can exhibit as JSON, the list the detect-coverage\n"
       "cross-check consumes.\n\n"
-      "Exit codes: 0 = clean, 1 = diagnostics failed, 2 = usage error."};
+      "Exit codes: 0 = clean, 1 = diagnostics failed or the --coverage-out file\n"
+      "could not be written, 2 = usage error."};
   cli.flag("topology", &args.topology, "testbed | fat<k>, k even (fat4, fat6, fat8)")
       .flag("fixture", &args.fixture,
             "shadowed-acl | tcam-overflow | undersized-ring | stage-hazard | silent-drop |"
@@ -222,7 +223,7 @@ int main(int argc, char** argv) {
     }
     if (!ok) {
       std::fprintf(stderr, "cannot write %s\n", args.coverage_out.c_str());
-      return 2;
+      return 1;
     }
   }
 
