@@ -1,15 +1,18 @@
 // Figure 7: PDP resource occupation, overall (switch.p4 + NetSeer) and
 // per NetSeer component. Hardware compilation cannot run here, so the
-// model derives chip fractions from this repository's actual
-// configuration (table/register sizes) plus the baseline usage the paper
-// reports for switch.p4, and reproduces the figure's shape: everything
-// under ~20% except stateful ALU (~40%), dominated by the event batcher
-// and inter-switch detection.
-#include "core/capacity.h"
+// figure prints the resource model netseer_verify's resource pass checks
+// (verify::build_resource_model): chip fractions derived from this
+// repository's actual configuration (table/register sizes) plus the
+// baseline usage the paper reports for switch.p4. It reproduces the
+// figure's shape: everything under ~20% except stateful ALU (~40%),
+// dominated by the event batcher and inter-switch detection.
 #include "core/netseer_app.h"
 #include "experiment.h"
 #include "pdp/resources.h"
+#include "pdp/switch.h"
+#include "sim/simulator.h"
 #include "table.h"
+#include "verify/passes.h"
 
 using namespace netseer;
 using namespace netseer::bench;
@@ -21,58 +24,11 @@ int main(int argc, char** argv) {
   print_title("Figure 7 — PDP resource usage (modeled from configuration)");
   print_paper("all resources <20% except stateful ALU ~40%; batcher+inter-switch ~28% sALU");
 
-  core::NetSeerConfig config;  // defaults as deployed in the benches
-  pdp::ResourceModel model;
-
-  // Baseline switch.p4 usage (as reported for the reference L3 program).
-  const char* base = "switch.p4";
-  model.add(base, Resource::kExactXbar, 0.30);
-  model.add(base, Resource::kTernaryXbar, 0.28);
-  model.add(base, Resource::kHashBits, 0.30);
-  model.add(base, Resource::kSram, 0.28);
-  model.add(base, Resource::kTcam, 0.30);
-  model.add(base, Resource::kVliwActions, 0.30);
-  model.add(base, Resource::kStatefulAlu, 0.12);
-  model.add(base, Resource::kPhv, 0.40);
-
-  // Event detection: congestion threshold compare, drop tracing, pause
-  // status table, path-change flow table.
-  const char* detect = "event detection";
-  const std::int64_t path_table_bytes =
-      static_cast<std::int64_t>(config.path_change.entries) * (13 + 2 + 2 + 4);
-  model.add(detect, Resource::kSram, pdp::sram_fraction(path_table_bytes));
-  model.add(detect, Resource::kStatefulAlu, 0.04);
-  model.add(detect, Resource::kPhv, 0.03);
-  model.add(detect, Resource::kVliwActions, 0.02);
-  model.add(detect, Resource::kHashBits, 0.02);
-
-  // Inter-switch drop detection: per-port ring buffers + seq counters.
-  const char* interswitch = "inter-switch";
-  const std::int64_t ring_bytes = static_cast<std::int64_t>(
-      core::capacity::ring_sram_bytes(32, config.interswitch.ring_slots));
-  model.add(interswitch, Resource::kSram, pdp::sram_fraction(ring_bytes));
-  model.add(interswitch, Resource::kStatefulAlu, 0.13);  // per-packet seq/record updates
-  model.add(interswitch, Resource::kPhv, 0.02);
-  model.add(interswitch, Resource::kHashBits, 0.01);
-
-  // Deduplication: one group-cache table per event type.
-  const char* dedup = "dedup";
-  const std::int64_t cache_bytes =
-      4 * static_cast<std::int64_t>(config.group_cache.entries) * (13 + 4 + 4 + 4);
-  model.add(dedup, Resource::kSram, pdp::sram_fraction(cache_bytes));
-  model.add(dedup, Resource::kStatefulAlu, 0.08);
-  model.add(dedup, Resource::kHashBits, 0.04);
-  model.add(dedup, Resource::kExactXbar, 0.03);
-
-  // Batching: event stack registers + CEBP circulation.
-  const char* batching = "batching";
-  const std::int64_t stack_bytes =
-      static_cast<std::int64_t>(config.event_stack_capacity) * 24;
-  model.add(batching, Resource::kSram, pdp::sram_fraction(stack_bytes));
-  model.add(batching, Resource::kStatefulAlu, 0.15);  // stack push/pop across stages
-  model.add(batching, Resource::kVliwActions, 0.04);
-  model.add(batching, Resource::kPhv, 0.03);
-
+  // A default switch (32 ports, no routes, no ACL rules) running NetSeer
+  // with the defaults the benches deploy.
+  sim::Simulator sim;
+  const pdp::Switch sw(sim, 0, "fig7", pdp::SwitchConfig{});
+  const pdp::ResourceModel model = verify::build_resource_model(sw, core::NetSeerConfig{});
   std::printf("\n%s\n", model.report().c_str());
 
   // The paper's claim is about NetSeer's ADDITIONAL usage on top of
@@ -81,7 +37,7 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < pdp::kNumResources; ++r) {
     const auto resource = static_cast<Resource>(r);
     const double netseer_only =
-        model.total(resource) - model.component_usage(base, resource);
+        model.total(resource) - model.component_usage("switch.p4", resource);
     std::printf("    %-14s %5.1f%%\n", pdp::to_string(resource), 100 * netseer_only);
     if (cli.metrics_enabled()) {
       // Modeled chip fractions in percent; gauges since this is a level,
@@ -94,7 +50,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("  NetSeer stateful-ALU: batcher+inter-switch contribute %.0f%% of the chip\n",
-              100 * (model.component_usage(interswitch, Resource::kStatefulAlu) +
-                     model.component_usage(batching, Resource::kStatefulAlu)));
+              100 * (model.component_usage("inter-switch", Resource::kStatefulAlu) +
+                     model.component_usage("batching", Resource::kStatefulAlu)));
   return cli.write_metrics();
 }

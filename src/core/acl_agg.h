@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "core/event.h"
@@ -14,14 +13,14 @@ namespace netseer::core {
 /// already identifies the victims (its match fields describe the flows).
 class AclDropAggregator {
  public:
-  using Emit = std::function<void(const FlowEvent&)>;
-
   explicit AclDropAggregator(std::uint32_t report_interval = 64)
       : report_interval_(report_interval) {}
 
   /// Account one ACL-dropped packet. Emits an event on the first hit of
   /// a rule and every report_interval hits after that. The sample flow
-  /// rides along so operators can see one concrete victim.
+  /// rides along so operators can see one concrete victim. `emit` takes
+  /// one `const FlowEvent&`, as GroupCache's does.
+  template <typename Emit>
   void offer(std::uint16_t rule_id, const FlowEvent& sample, const Emit& emit) {
     auto& state = rules_[rule_id];
     ++state.count;

@@ -53,10 +53,18 @@ class CebpBatcher {
     }
   }
 
-  /// Flush every partially filled CEBP immediately (end of experiment).
+  /// Teardown (end of experiment): drain the stack into full batches
+  /// without waiting for circulations, then flush every partially filled
+  /// CEBP, so one flush_all() and a simulator run deliver everything.
   void flush_all() {
+    std::vector<FlowEvent> payload;
+    while (const auto event = stack_.pop()) {
+      payload.push_back(*event);
+      if (static_cast<int>(payload.size()) >= config_.batch_size) emit(payload);
+    }
+    if (!payload.empty()) emit(payload);
     for (auto& cebp : cebps_) {
-      if (!cebp.payload.empty()) emit(cebp);
+      if (!cebp.payload.empty()) emit(cebp.payload);
     }
   }
 
@@ -80,7 +88,7 @@ class CebpBatcher {
     if (popped) {
       cebp.payload.push_back(*popped);
       if (static_cast<int>(cebp.payload.size()) >= config_.batch_size) {
-        emit(cebp);
+        emit(cebp.payload);
         (void)sim_.schedule_after(config_.flush_latency, [this, i] { circulate(i); });
         return;
       }
@@ -89,7 +97,7 @@ class CebpBatcher {
     }
     // Stack drained: flush a partial payload, then go idle.
     if (!cebp.payload.empty()) {
-      emit(cebp);
+      emit(cebp.payload);
       (void)sim_.schedule_after(config_.flush_latency, [this, i] {
         // After the flush trip, re-check for new work before idling.
         if (!stack_.empty()) {
@@ -103,13 +111,13 @@ class CebpBatcher {
     cebp.active = false;
   }
 
-  void emit(Cebp& cebp) {
+  void emit(std::vector<FlowEvent>& payload) {
     EventBatch batch;
     batch.switch_id = switch_id_;
     batch.seq = next_batch_seq_++;
     batch.emitted_at = sim_.now();
-    batch.events = std::move(cebp.payload);
-    cebp.payload.clear();
+    batch.events = std::move(payload);
+    payload.clear();
     events_ += batch.events.size();
     ++batches_;
     flush_(std::move(batch));

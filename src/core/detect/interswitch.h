@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -60,17 +59,17 @@ struct InterSwitchConfig {
 /// transmits (no cable, or an idle one) holds no SRAM model at all, and a
 /// lookup before the first departure misses exactly as it would against
 /// an all-invalid ring.
+///
+/// Every entry point that can recover a drop takes an emitter, called
+/// once per recovered drop with (flow of the lost packet, its ID), as a
+/// template parameter, so a call site passes its lambda without building
+/// a std::function.
 class InterSwitchTx {
  public:
-  /// Called once per recovered drop: (flow of the lost packet, its ID).
-  using EmitDrop = std::function<void(const packet::FlowKey&, std::uint32_t seq)>;
-
   explicit InterSwitchTx(const InterSwitchConfig& config) : config_(config) {}
 
   /// Egress: stamp the packet's sequence shim and record it. Then use
-  /// this packet as the trigger for one pending lookup. `emit` has
-  /// EmitDrop's signature; it is a template parameter so the per-packet
-  /// call site passes its lambda without building a std::function.
+  /// this packet as the trigger for one pending lookup.
   template <typename Emit>
   void on_tx(packet::Packet& pkt, const Emit& emit) {
     const std::uint32_t seq = next_seq_++;
@@ -90,7 +89,8 @@ class InterSwitchTx {
   /// a range are ignored; new ranges queue for packet-triggered lookups
   /// (one is drained immediately, standing in for the notification packet
   /// itself passing the stage).
-  void on_notification(std::uint32_t start, std::uint32_t end, const EmitDrop& emit) {
+  template <typename Emit>
+  void on_notification(std::uint32_t start, std::uint32_t end, const Emit& emit) {
     ++notifications_;
     if (already_seen(start, end)) {
       ++duplicate_notifications_;
@@ -103,7 +103,8 @@ class InterSwitchTx {
 
   /// Process up to `budget` queued lookups (used by idle flushing so a
   /// fully dead link still reports, via the switch CPU's slow path).
-  void drain(int budget, const EmitDrop& emit) {
+  template <typename Emit>
+  void drain(int budget, const Emit& emit) {
     for (int i = 0; i < budget && !pending_.empty(); ++i) drain_one(emit);
   }
 

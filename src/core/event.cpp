@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "util/hash.h"
-
 namespace netseer::core {
 
 const char* to_string(EventType type) {
@@ -126,11 +124,6 @@ std::uint32_t FlowEvent::detail_word() const noexcept {
       return acl_rule_id;
   }
   return 0;
-}
-
-std::uint64_t FlowEvent::dedup_key() const noexcept {
-  const std::uint64_t key = util::hash_combine(flow.hash64(), static_cast<std::uint64_t>(type));
-  return util::hash_combine(key, detail_word());
 }
 
 std::string FlowEvent::to_string() const {

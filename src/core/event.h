@@ -66,13 +66,9 @@ struct FlowEvent {
       std::span<const std::byte, kWireSize> raw) noexcept;
 
   /// Type-specific detail packed into one word: part of the event's
-  /// identity (a path change to a *different* port is a different event).
+  /// identity (a path change to a *different* port is a different event),
+  /// which never includes the counter or the latency sample.
   [[nodiscard]] std::uint32_t detail_word() const noexcept;
-
-  /// The identity of the *flow event* for deduplication purposes:
-  /// same flow + same event type + same detail (ports / drop code /
-  /// queue / ACL rule — but never the counter or latency sample).
-  [[nodiscard]] std::uint64_t dedup_key() const noexcept;
 
   [[nodiscard]] std::string to_string() const;
 

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/event.h"
@@ -25,15 +24,18 @@ struct GroupCacheConfig {
 /// the resident flow (reporting its residual count) and reports the new
 /// flow — duplicate initial reports are the false positives the switch
 /// CPU removes later (§3.6).
+///
+/// `offer` and `flush` take their emitter, a callable taking one
+/// `const FlowEvent&`, as a template parameter, so a call site passes its
+/// lambda without building a std::function.
 class GroupCache {
  public:
-  using Emit = std::function<void(const FlowEvent&)>;
-
   explicit GroupCache(const GroupCacheConfig& config)
       : config_(config), slots_(config.entries) {}
 
   /// Algorithm 1: offer one event packet's event; calls `emit` zero, one,
   /// or two times (evicted residual + new-flow report).
+  template <typename Emit>
   void offer(const FlowEvent& event, const Emit& emit) {
     ++offered_;
     if (slots_.empty()) {  // degenerate config: report everything
@@ -75,6 +77,7 @@ class GroupCache {
 
   /// Flush every resident flow with unreported residual counts (used at
   /// the end of an experiment so totals reconcile).
+  template <typename Emit>
   void flush(const Emit& emit) {
     for (auto& slot : slots_) {
       if (slot.valid && slot.count > slot.reported) emit_slot(slot, emit);
@@ -100,6 +103,7 @@ class GroupCache {
     std::uint32_t target = 0;    // next report threshold
   };
 
+  template <typename Emit>
   void emit_slot(Slot& slot, const Emit& emit) {
     FlowEvent out = slot.event;
     const std::uint32_t delta = slot.count - slot.reported;

@@ -10,11 +10,11 @@ std::uint8_t port8(util::PortId port) {
 
 NetSeerApp::NetSeerApp(pdp::Switch& sw, const NetSeerConfig& config, ReportChannel* channel,
                        util::NodeId backend)
-    : sw_(sw), config_(config), path_(config.path_change), acl_(config.acl_report_interval),
+    : sw_(sw), config_(config), path_(config.path_change),
       internal_port_(config.internal_port_rate, /*burst=*/256 * 1024),
       mmu_redirect_(config.mmu_redirect_rate, /*burst=*/256 * 1024),
       caches_{GroupCache(config.group_cache), GroupCache(config.group_cache),
-              GroupCache(config.group_cache), GroupCache(config.group_cache)},
+              GroupCache(config.group_cache)},
       stack_(config.event_stack_capacity) {
   auto& sim = sw_.simulator();
 
@@ -33,7 +33,6 @@ NetSeerApp::NetSeerApp(pdp::Switch& sw, const NetSeerConfig& config, ReportChann
   }
 
   cpu_ = std::make_unique<SwitchCpu>(sim, sw_.id(), config_.cpu, [this](EventBatch&& batch) {
-    funnel_.cpu_forwarded_events += batch.events.size();
     funnel_.report_bytes += ReportMsg::data_wire_size(batch);
     if (reporter_) reporter_->submit(std::move(batch));
   });
@@ -67,7 +66,7 @@ bool NetSeerApp::on_ingress(pdp::Switch& sw, packet::Packet& pkt, pdp::PipelineC
   if (pkt.kind == packet::PacketKind::kLossNotify) {
     if (const auto* payload = dynamic_cast<const LossNotifyPayload*>(pkt.control.get())) {
       if (port < tx_.size()) {
-        tx_[port]->on_notification(payload->start(), payload->end(), link_loss_emitter(port));
+        tx_[port]->on_notification(payload->start(), payload->end(), LinkLossDrop{this, port});
         // Subsequent traffic normally triggers the remaining lookups; if
         // the link goes quiet, the switch CPU drains them (slow path).
         schedule_idle_drain(port);
@@ -103,11 +102,7 @@ void NetSeerApp::on_pipeline_drop(pdp::Switch& sw, const packet::Packet& pkt,
     ++funnel_.event_packets;
     ++funnel_.eligible_event_packets;
     funnel_.event_packet_bytes += pkt.wire_bytes();
-    acl_.offer(ctx.acl_rule_id, ev, [this](const FlowEvent& out) {
-      ++funnel_.dedup_reports;
-      ++funnel_.eligible_reports;
-      extract(out);
-    });
+    acl_.offer(ctx.acl_rule_id, ev, ToExtraction{this});
     return;
   }
   detect(ev, pkt.wire_bytes());
@@ -181,28 +176,17 @@ void NetSeerApp::on_egress(pdp::Switch& sw, packet::Packet& pkt, const pdp::Egre
   }
 
   // Inter-switch TX: number and record every departing frame (§3.3
-  // steps 1-2), and let it trigger one pending ring-buffer lookup. The
-  // emitter is passed as a plain lambda: its capture is too large for
-  // std::function's inline buffer, and this runs for every departure.
+  // steps 1-2), and let it trigger one pending ring-buffer lookup.
   if (config_.enable_interswitch && info.egress_port < tx_.size()) {
-    const util::PortId port = info.egress_port;
-    tx_[port]->on_tx(pkt, [&](const packet::FlowKey& flow, std::uint32_t) {
-      FlowEvent ev = make_event(EventType::kDrop, flow, sw_.id(), now);
-      ev.egress_port = port8(port);
-      ev.drop_code = static_cast<std::uint8_t>(pdp::DropReason::kLinkLoss);
-      detect(ev, 64);
-    });
-    funnel_.shim_bytes += packet::kSeqTagBytes;
+    tx_[info.egress_port]->on_tx(pkt, LinkLossDrop{this, info.egress_port});
   }
 }
 
-InterSwitchTx::EmitDrop NetSeerApp::link_loss_emitter(util::PortId port) {
-  return [this, port](const packet::FlowKey& flow, std::uint32_t) {
-    FlowEvent ev = make_event(EventType::kDrop, flow, sw_.id(), sw_.simulator().now());
-    ev.egress_port = port8(port);
-    ev.drop_code = static_cast<std::uint8_t>(pdp::DropReason::kLinkLoss);
-    detect(ev, 64);
-  };
+void NetSeerApp::LinkLossDrop::operator()(const packet::FlowKey& flow, std::uint32_t) const {
+  FlowEvent ev = make_event(EventType::kDrop, flow, app->sw_.id(), app->sw_.simulator().now());
+  ev.egress_port = port8(port);
+  ev.drop_code = static_cast<std::uint8_t>(pdp::DropReason::kLinkLoss);
+  app->detect(ev, 64);
 }
 
 void NetSeerApp::schedule_idle_drain(util::PortId port) {
@@ -211,7 +195,7 @@ void NetSeerApp::schedule_idle_drain(util::PortId port) {
   (void)sw_.simulator().schedule_after(util::milliseconds(1), [this, port] {
     drain_scheduled_[port] = false;
     if (!tx_[port]->has_pending()) return;
-    tx_[port]->drain(64, link_loss_emitter(port));
+    tx_[port]->drain(64, LinkLossDrop{this, port});
     if (tx_[port]->has_pending()) schedule_idle_drain(port);
   });
 }
@@ -232,11 +216,13 @@ void NetSeerApp::detect(const FlowEvent& event, std::uint32_t trigger_bytes) {
   ++funnel_.event_packets;
   ++funnel_.eligible_event_packets;
   funnel_.event_packet_bytes += trigger_bytes;
-  caches_[cache_index(event.type)].offer(event, [this](const FlowEvent& out) {
-    ++funnel_.dedup_reports;
-    ++funnel_.eligible_reports;
-    extract(out);
-  });
+  caches_[cache_index(event.type)].offer(event, ToExtraction{this});
+}
+
+void NetSeerApp::ToExtraction::operator()(const FlowEvent& report) const {
+  ++app->funnel_.dedup_reports;
+  ++app->funnel_.eligible_reports;
+  app->extract(report);
 }
 
 void NetSeerApp::extract(const FlowEvent& event) {
@@ -259,33 +245,7 @@ bool NetSeerApp::consume_internal_budget(std::uint32_t bytes) {
 }
 
 void NetSeerApp::flush() {
-  for (auto& cache : caches_) {
-    cache.flush([this](const FlowEvent& out) {
-      ++funnel_.dedup_reports;
-      ++funnel_.eligible_reports;
-      extract(out);
-    });
-  }
-  // Teardown path: drain the stack synchronously rather than waiting for
-  // CEBP circulations, so one flush() + simulator run() delivers
-  // everything.
-  EventBatch batch;
-  batch.switch_id = sw_.id();
-  batch.emitted_at = sw_.simulator().now();
-  while (auto event = stack_.pop()) {
-    batch.events.push_back(*event);
-    if (static_cast<int>(batch.events.size()) >= config_.cebp.batch_size) {
-      funnel_.extracted_bytes += EventBatch::kHeaderSize;
-      pcie_->submit(std::move(batch));
-      batch = EventBatch{};
-      batch.switch_id = sw_.id();
-      batch.emitted_at = sw_.simulator().now();
-    }
-  }
-  if (!batch.events.empty()) {
-    funnel_.extracted_bytes += EventBatch::kHeaderSize;
-    pcie_->submit(std::move(batch));
-  }
+  for (auto& cache : caches_) cache.flush(ToExtraction{this});
   batcher_->flush_all();
   cpu_->flush();
 }

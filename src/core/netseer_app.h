@@ -37,7 +37,6 @@ struct NetSeerConfig {
   util::BitRate internal_port_rate = util::BitRate::gbps(100);
   /// MMU's ceiling for redirecting to-be-dropped packets (§4: ~40 Gb/s).
   util::BitRate mmu_redirect_rate = util::BitRate::gbps(40);
-  std::uint32_t acl_report_interval = 64;
   std::size_t event_stack_capacity = 4096;
   /// Run inter-switch drop detection on every port.
   bool enable_interswitch = true;
@@ -64,10 +63,8 @@ struct FunnelStats {
   std::uint64_t eligible_event_packets = 0;
   std::uint64_t eligible_reports = 0;
   std::uint64_t extracted_bytes = 0;       // step 3: 24 B records + batch headers
-  std::uint64_t cpu_forwarded_events = 0;  // step 4: after FP elimination
-  std::uint64_t report_bytes = 0;          // bytes actually sent to the backend
+  std::uint64_t report_bytes = 0;          // step 4: sent to the backend after FP elimination
   std::uint64_t notify_bytes = 0;          // loss-notification traffic on the data plane
-  std::uint64_t shim_bytes = 0;            // 4 B sequence shims (free if VLAN bits reused)
 
   [[nodiscard]] double overhead_ratio() const {
     return traffic_bytes ? static_cast<double>(report_bytes) / traffic_bytes : 0.0;
@@ -80,6 +77,11 @@ struct FunnelStats {
 /// (sequence shims) or consumes its own control traffic.
 class NetSeerApp final : public pdp::SwitchAgent {
  public:
+  /// Event types deduplicated by a group cache of their own (§3.4): drop,
+  /// congestion and pause. Path changes bypass dedup, and ACL drops are
+  /// aggregated per rule instead.
+  static constexpr std::size_t kCachedEventTypes = 3;
+
   /// `channel`/`backend` may be null/invalid for pipeline-only use (the
   /// events then stop at the switch CPU output, still visible in stats).
   NetSeerApp(pdp::Switch& sw, const NetSeerConfig& config, ReportChannel* channel,
@@ -110,8 +112,9 @@ class NetSeerApp final : public pdp::SwitchAgent {
   [[nodiscard]] const PcieChannel& pcie() const { return *pcie_; }
   [[nodiscard]] const InterSwitchTx& tx_module(util::PortId port) const { return *tx_[port]; }
   [[nodiscard]] const InterSwitchRx& rx_module(util::PortId port) const { return *rx_[port]; }
+  /// The group cache of a cached type; std::out_of_range for the others.
   [[nodiscard]] const GroupCache& cache(EventType type) const {
-    return caches_[cache_index(type)];
+    return caches_.at(cache_index(type));
   }
   [[nodiscard]] std::uint64_t missed_mmu_redirects() const { return missed_mmu_; }
   [[nodiscard]] std::uint64_t missed_internal_port() const { return missed_internal_; }
@@ -124,9 +127,24 @@ class NetSeerApp final : public pdp::SwitchAgent {
       case EventType::kDrop: return 0;
       case EventType::kCongestion: return 1;
       case EventType::kPause: return 2;
-      default: return 3;
+      default: return kCachedEventTypes;
     }
   }
+
+  /// The one continuation from dedup to extraction: a report of a group
+  /// cache or of the ACL aggregator counts as a step-2 report, then is
+  /// extracted.
+  struct ToExtraction {
+    NetSeerApp* app;
+    void operator()(const FlowEvent& report) const;
+  };
+  /// The one builder of inter-switch drop events: a drop the TX module of
+  /// `port` recovered from its ring buffer (§3.3 step 5) enters detection.
+  struct LinkLossDrop {
+    NetSeerApp* app;
+    util::PortId port;
+    void operator()(const packet::FlowKey& flow, std::uint32_t seq) const;
+  };
 
   /// Partial-deployment filter: should events for `flow` be reported?
   [[nodiscard]] bool monitored(const packet::FlowKey& flow) const;
@@ -136,7 +154,6 @@ class NetSeerApp final : public pdp::SwitchAgent {
   void extract(const FlowEvent& event);
   void send_loss_notifications(pdp::Switch& sw, util::PortId port, InterSwitchRx::Gap gap);
   [[nodiscard]] bool consume_internal_budget(std::uint32_t bytes);
-  [[nodiscard]] InterSwitchTx::EmitDrop link_loss_emitter(util::PortId port);
   /// Slow-path drain of queued ring-buffer lookups when the link idles
   /// (self-terminating one-shot chain, so simulations still drain).
   void schedule_idle_drain(util::PortId port);
@@ -154,7 +171,7 @@ class NetSeerApp final : public pdp::SwitchAgent {
   util::TokenBucket mmu_redirect_;
 
   // Compression + batching.
-  std::array<GroupCache, 4> caches_;  // drop, congestion, pause, (spare)
+  std::array<GroupCache, kCachedEventTypes> caches_;  // drop, congestion, pause
   EventStack stack_;
   std::unique_ptr<CebpBatcher> batcher_;
   std::unique_ptr<PcieChannel> pcie_;

@@ -1,12 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "core/event.h"
 #include "util/hash.h"
-#include "util/rate.h"
 #include "util/time.h"
 
 namespace netseer::core {
@@ -37,15 +35,15 @@ class FpEliminator {
   bool admit(const FlowEvent& event, util::SimTime now) {
     ++processed_;
     const std::uint64_t key = map_key(event);
-    auto [it, inserted] = map_.try_emplace(key, Entry{now, event.counter});
+    auto [it, inserted] = map_.try_emplace(key, now);
     if (inserted) {
       maybe_prune(now);
       return true;
     }
-    Entry& entry = it->second;
-    const bool stale = entry.last_seen + config_.window < now;
+    util::SimTime& last_seen = it->second;
+    const bool stale = last_seen + config_.window < now;
     const bool counter_report = event.counter > 1;
-    entry.last_seen = now;
+    last_seen = now;
     if (stale || counter_report) return true;
     ++eliminated_;
     return false;
@@ -59,10 +57,6 @@ class FpEliminator {
   void clear() { map_.clear(); }
 
  private:
-  struct Entry {
-    util::SimTime last_seen;
-    std::uint16_t last_counter;
-  };
   /// Identity hasher: keys are already well-mixed hashes.
   struct IdentityHash {
     std::size_t operator()(std::uint64_t key) const noexcept { return key; }
@@ -86,7 +80,7 @@ class FpEliminator {
   void maybe_prune(util::SimTime now) {
     if (map_.size() <= config_.max_entries) return;
     for (auto it = map_.begin(); it != map_.end();) {
-      if (it->second.last_seen + config_.window < now) {
+      if (it->second + config_.window < now) {
         it = map_.erase(it);
       } else {
         ++it;
@@ -95,7 +89,8 @@ class FpEliminator {
   }
 
   FpEliminatorConfig config_;
-  std::unordered_map<std::uint64_t, Entry, IdentityHash> map_;
+  /// Event identity -> when it was last seen.
+  std::unordered_map<std::uint64_t, util::SimTime, IdentityHash> map_;
   std::uint64_t processed_ = 0;
   std::uint64_t eliminated_ = 0;
 };
@@ -105,8 +100,6 @@ struct SwitchCpuConfig {
   /// Modeled per-event CPU service time; caps the Meps the CPU keeps up
   /// with inside the simulation (measured for real in bench_fig14_pcie_cpu).
   util::SimDuration per_event_cost = util::nanoseconds(25);
-  /// Pacing of report traffic toward the backend (§3.6 "pacing").
-  util::BitRate pacing_rate = util::BitRate::mbps(200);
   /// Events per report segment to the backend.
   int report_batch = 50;
 };

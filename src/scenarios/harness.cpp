@@ -164,10 +164,8 @@ core::FunnelStats Harness::total_funnel() const {
     total.eligible_event_packets += f.eligible_event_packets;
     total.eligible_reports += f.eligible_reports;
     total.extracted_bytes += f.extracted_bytes;
-    total.cpu_forwarded_events += f.cpu_forwarded_events;
     total.report_bytes += f.report_bytes;
     total.notify_bytes += f.notify_bytes;
-    total.shim_bytes += f.shim_bytes;
   }
   return total;
 }

@@ -96,10 +96,10 @@ void collect(Registry& registry, const pdp::ResourceModel& model, util::NodeId n
 void collect(Registry& registry, const core::NetSeerApp& app) {
   const util::NodeId node = app.switch_id();
 
-  // Group caches (drop/congestion/pause/spare folded together).
+  // Group caches (drop/congestion/pause folded together).
   std::uint64_t hits = 0, misses = 0, evictions = 0, offered = 0, reports = 0;
   for (const auto type : {core::EventType::kDrop, core::EventType::kCongestion,
-                          core::EventType::kPause, core::EventType::kPathChange}) {
+                          core::EventType::kPause}) {
     const auto& cache = app.cache(type);
     hits += cache.hits();
     misses += cache.misses();

@@ -1,10 +1,10 @@
 #include "telemetry/snapshot.h"
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "util/json.h"
+#include "util/output.h"
 
 namespace netseer::telemetry {
 
@@ -110,11 +110,8 @@ std::string MetricsSnapshot::to_csv() const {
 }
 
 bool MetricsSnapshot::write_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
   const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  out << (csv ? to_csv() : to_json());
-  return static_cast<bool>(out);
+  return util::write_file(path, csv ? to_csv() : to_json());
 }
 
 int write_metrics(const Registry& registry, const std::string& path) {

@@ -20,8 +20,9 @@ class MetricsSnapshot {
   /// Flat CSV: kind,subsystem,name,node,value,peak,count,mean,min,max.
   [[nodiscard]] std::string to_csv() const;
 
-  /// Write to `path`; format chosen by extension (.csv => CSV, else
-  /// JSON). Returns false on I/O failure.
+  /// Write to `path` through util::write_file (so /dev/stdout follows
+  /// the program's own output); format chosen by extension (.csv => CSV,
+  /// else JSON). Returns false on I/O failure.
   bool write_file(const std::string& path) const;
 
   [[nodiscard]] const Registry& data() const { return data_; }

@@ -22,7 +22,7 @@ FlowGenerator::FlowGenerator(net::Host& host, std::vector<packet::Ipv4Addr> dest
 
 void FlowGenerator::start() {
   if (destinations_.empty() || mean_interarrival_ns_ <= 0.0) return;
-  (void)host_.simulator().schedule_at(config_.start, [this] { schedule_next_arrival(); });
+  (void)host_.simulator().schedule_at(0, [this] { schedule_next_arrival(); });
 }
 
 void FlowGenerator::schedule_next_arrival() {

@@ -20,7 +20,7 @@ struct GeneratorConfig {
   /// transmit at a fixed fraction of the NIC rate, so several concurrent
   /// flows congest shared queues the way fan-in traffic does.
   util::BitRate flow_rate = util::BitRate::gbps(10);
-  util::SimTime start = 0;
+  /// Arrivals run from simulated time 0 until this time.
   util::SimTime stop = util::seconds(1);
 };
 

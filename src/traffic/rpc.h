@@ -12,6 +12,9 @@
 
 namespace netseer::traffic {
 
+/// The TCP port the RPC server listens on, and the one clients address.
+inline constexpr std::uint16_t kRpcPort = 9000;
+
 /// Request/response application modeling the block-storage RPCs of the
 /// paper's SLA study (§5.1): clients issue fixed-size requests, the
 /// server replies after a processing delay. Server-side "slow periods"
@@ -19,10 +22,10 @@ namespace netseer::traffic {
 /// incident); network-induced latency comes from the simulated fabric.
 class RpcServer final : public net::HostApp {
  public:
+  static constexpr std::uint32_t kResponseBytes = 4000;
+
   struct Config {
-    std::uint32_t response_bytes = 4000;
     util::SimDuration processing_delay = util::microseconds(10);
-    std::uint16_t port = 9000;
   };
 
   RpcServer() : RpcServer(Config{}) {}
@@ -34,7 +37,7 @@ class RpcServer final : public net::HostApp {
   }
 
   void on_receive(net::Host& host, const packet::Packet& pkt) override {
-    if (!pkt.is_tcp() || pkt.l4.dport != config_.port) return;
+    if (!pkt.is_tcp() || pkt.l4.dport != kRpcPort) return;
     ++requests_;
     const auto now = host.simulator().now();
     util::SimDuration delay = config_.processing_delay;
@@ -45,15 +48,14 @@ class RpcServer final : public net::HostApp {
       }
     }
     packet::FlowKey reply_flow{host.addr(), pkt.ip->src,
-                               static_cast<std::uint8_t>(packet::IpProto::kTcp), config_.port,
+                               static_cast<std::uint8_t>(packet::IpProto::kTcp), kRpcPort,
                                pkt.l4.sport};
     const std::uint32_t rpc_id = pkt.l4.seq;
-    const std::uint32_t bytes = config_.response_bytes;
     // Segment the response at the MTU; PSH marks the final segment so the
     // client knows the RPC completed.
-    (void)host.simulator().schedule_after(delay, [&host, reply_flow, rpc_id, bytes] {
+    (void)host.simulator().schedule_after(delay, [&host, reply_flow, rpc_id] {
       constexpr std::uint32_t kMss = 1400;
-      std::uint32_t remaining = bytes;
+      std::uint32_t remaining = kResponseBytes;
       while (remaining > 0) {
         const std::uint32_t chunk = std::min(remaining, kMss);
         remaining -= chunk;
@@ -87,16 +89,15 @@ class RpcServer final : public net::HostApp {
   std::uint64_t requests_ = 0;
 };
 
-/// Issues RPCs at a fixed rate and records per-call completion latency
-/// (-1 = response never arrived).
+/// Issues RPCs at a fixed rate from simulated time 0 and records per-call
+/// completion latency (-1 = response never arrived).
 class RpcClient final : public net::HostApp {
  public:
+  static constexpr std::uint32_t kRequestBytes = 256;
+
   struct Config {
     packet::Ipv4Addr server{};
-    std::uint16_t server_port = 9000;
-    std::uint32_t request_bytes = 256;
     util::SimDuration interval = util::milliseconds(1);
-    util::SimTime start = 0;
     util::SimTime stop = util::seconds(1);
     util::SimDuration timeout = util::milliseconds(50);
   };
@@ -111,11 +112,11 @@ class RpcClient final : public net::HostApp {
       : host_(host), config_(config), rng_(rng) {}
 
   void start() {
-    (void)host_.simulator().schedule_at(config_.start, [this] { issue(); });
+    (void)host_.simulator().schedule_at(0, [this] { issue(); });
   }
 
   void on_receive(net::Host& host, const packet::Packet& pkt) override {
-    if (!pkt.is_tcp() || pkt.l4.sport != config_.server_port) return;
+    if (!pkt.is_tcp() || pkt.l4.sport != kRpcPort) return;
     if (!(pkt.l4.flags & packet::tcp_flags::kPsh)) return;  // final segment only
     const auto it = outstanding_.find(pkt.l4.seq);
     if (it == outstanding_.end()) return;
@@ -141,8 +142,8 @@ class RpcClient final : public net::HostApp {
     const std::uint32_t id = next_id_++;
     packet::FlowKey flow{host_.addr(), config_.server,
                          static_cast<std::uint8_t>(packet::IpProto::kTcp),
-                         static_cast<std::uint16_t>(30000 + (id % 8000)), config_.server_port};
-    auto request = packet::make_tcp(flow, config_.request_bytes);
+                         static_cast<std::uint16_t>(30000 + (id % 8000)), kRpcPort};
+    auto request = packet::make_tcp(flow, kRequestBytes);
     request.l4.seq = id;
     outstanding_[id] = now;
     host_.send(std::move(request));

@@ -29,15 +29,14 @@ PipelineLayout netseer_layout(const core::NetSeerConfig& config) {
   layout.add("detect.pause_state", "pause detect", 4, Gress::kIngress,
              AccessMode::kReadModifyWrite);
 
-  // Group caches: one array per event type, two stages (drop/congestion,
-  // then pause/spare) so each stage stays within its stateful-ALU budget.
+  // Group caches: one array per cached event type, two stages (drop and
+  // congestion, then pause) so each stage stays within its stateful-ALU
+  // budget.
   layout.add("dedup.cache.drop", "group-cache drop", 5, Gress::kIngress,
              AccessMode::kReadModifyWrite);
   layout.add("dedup.cache.congestion", "group-cache congestion", 5, Gress::kIngress,
              AccessMode::kReadModifyWrite);
   layout.add("dedup.cache.pause", "group-cache pause", 6, Gress::kIngress,
-             AccessMode::kReadModifyWrite);
-  layout.add("dedup.cache.spare", "group-cache spare", 6, Gress::kIngress,
              AccessMode::kReadModifyWrite);
 
   // The event stack: pushes (event extraction) and pops (CEBP hitting the

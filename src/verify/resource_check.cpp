@@ -2,6 +2,7 @@
 #include <string>
 
 #include "core/capacity.h"
+#include "core/netseer_app.h"
 #include "pdp/switch.h"
 #include "verify/passes.h"
 
@@ -70,10 +71,11 @@ pdp::ResourceModel build_resource_model(const pdp::Switch& sw,
   model.add(interswitch, Resource::kPhv, 0.02);
   model.add(interswitch, Resource::kHashBits, 0.01);
 
-  // Deduplication: one group-cache register array per event type.
+  // Deduplication: one group-cache register array per cached event type.
   const char* dedup = "dedup";
   model.add(dedup, Resource::kSram,
-            pdp::sram_fraction(4 * static_cast<std::int64_t>(config.group_cache.entries) *
+            pdp::sram_fraction(static_cast<std::int64_t>(core::NetSeerApp::kCachedEventTypes) *
+                               static_cast<std::int64_t>(config.group_cache.entries) *
                                kCacheEntryBytes));
   model.add(dedup, Resource::kStatefulAlu, 0.08);
   model.add(dedup, Resource::kHashBits, 0.04);

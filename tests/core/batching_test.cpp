@@ -149,16 +149,31 @@ TEST(CebpBatcher, FlushAllEmitsPartials) {
   sim::Simulator sim;
   EventStack stack(100);
   BatchLog log;
-  CebpConfig config = small_cebp();
+  CebpConfig config = small_cebp();  // batches of 5
   config.num_cebps = 1;
   CebpBatcher batcher(sim, 7, stack, config, log.fn());
   (void)stack.push(ev(1));
-  // No notify: event sits in the stack. flush_all drains CEBP payloads
-  // only, so first let one pop happen.
+  // Let one pop happen, so ev(1) sits in the CEBP's payload; then leave
+  // twelve more on the stack.
   batcher.notify();
   sim.run_until(util::nanoseconds(500));  // one recirculation: popped, not flushed yet
+  for (std::uint16_t sport = 2; sport <= 13; ++sport) (void)stack.push(ev(sport));
+
   batcher.flush_all();
-  EXPECT_EQ(log.total_events(), 1u);
+  EXPECT_TRUE(stack.empty());
+  // Full batches off the stack, its remainder, then the CEBP's partial
+  // payload: each its own batch, numbered in order.
+  ASSERT_EQ(log.batches.size(), 4u);
+  const std::size_t sizes[] = {5, 5, 2, 1};
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(log.batches[i].events.size(), sizes[i]);
+    EXPECT_EQ(log.batches[i].seq, i);
+  }
+  EXPECT_EQ(log.batches[0].events[0].flow.sport, 13);  // stack order
+  EXPECT_EQ(log.batches[3].events[0].flow.sport, 1);
+  EXPECT_EQ(log.total_events(), 13u);
+  EXPECT_EQ(batcher.batches_flushed(), 4u);
+  EXPECT_EQ(batcher.events_batched(), 13u);
 }
 
 TEST(PcieChannel, DeliversBatches) {

@@ -60,6 +60,31 @@ TEST(FpEliminator, DistinctTypesIndependent) {
   EXPECT_TRUE(fp.admit(pause, 0));
 }
 
+TEST(FpEliminator, DistinctDetailsIndependent) {
+  // One flow and one type: initial reports that differ only in the
+  // type's detail (the ACL rule, the egress port) are different flow
+  // events, so neither is taken for the other's duplicate.
+  FpEliminator fp(FpEliminatorConfig{});
+  auto rule1 = make_event(EventType::kAclDrop, flow(1), 1, 0);
+  rule1.acl_rule_id = 1;
+  auto rule2 = rule1;
+  rule2.acl_rule_id = 2;
+  EXPECT_TRUE(fp.admit(rule1, 0));
+  EXPECT_TRUE(fp.admit(rule2, util::milliseconds(1)));
+  auto port1 = ev(1);
+  port1.egress_port = 1;
+  auto port2 = port1;
+  port2.egress_port = 2;
+  EXPECT_TRUE(fp.admit(port1, util::milliseconds(2)));
+  EXPECT_TRUE(fp.admit(port2, util::milliseconds(3)));
+  EXPECT_EQ(fp.eliminated(), 0u);
+  // The counter is not identity: a counter report joins port1's entry.
+  auto counted = port1;
+  counted.counter = 500;
+  EXPECT_TRUE(fp.admit(counted, util::milliseconds(4)));
+  EXPECT_EQ(fp.map_size(), 4u);
+}
+
 TEST(FpEliminator, OffloadAndRecomputeAgree) {
   FpEliminator offload(FpEliminatorConfig{.use_precomputed_hash = true});
   FpEliminator recompute(FpEliminatorConfig{.use_precomputed_hash = false});

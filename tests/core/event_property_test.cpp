@@ -38,9 +38,6 @@ TEST_P(EventRoundTrip, RandomizedFieldsSurviveSerialization) {
     // Type-specific fields survive; fields outside the type's detail
     // layout legitimately reset — reserialize to compare canonical forms.
     EXPECT_EQ(parsed->serialize(), ev.serialize());
-    // Dedup identity is stable across the wire.
-    FlowEvent canonical = *FlowEvent::parse(ev.serialize());
-    EXPECT_EQ(canonical.dedup_key(), parsed->dedup_key());
   }
 }
 

@@ -101,27 +101,6 @@ TEST(FlowEvent, LatencySaturates) {
   EXPECT_EQ(to_latency_us(999), 0);  // sub-microsecond truncates
 }
 
-TEST(FlowEvent, DedupKeySeparatesTypes) {
-  const auto drop = make_event(EventType::kDrop, sample_flow(), 5, 100);
-  const auto cong = make_event(EventType::kCongestion, sample_flow(), 5, 100);
-  EXPECT_NE(drop.dedup_key(), cong.dedup_key());
-}
-
-TEST(FlowEvent, DedupKeySeparatesAclRules) {
-  auto a = make_event(EventType::kAclDrop, sample_flow(), 5, 100);
-  a.acl_rule_id = 1;
-  auto b = a;
-  b.acl_rule_id = 2;
-  EXPECT_NE(a.dedup_key(), b.dedup_key());
-}
-
-TEST(FlowEvent, DedupKeyIgnoresCounter) {
-  auto a = make_event(EventType::kDrop, sample_flow(), 5, 100);
-  auto b = a;
-  b.counter = 500;
-  EXPECT_EQ(a.dedup_key(), b.dedup_key());
-}
-
 TEST(EventBatch, WireSizeAccounting) {
   EventBatch batch;
   EXPECT_EQ(batch.wire_size(), EventBatch::kHeaderSize);

@@ -18,7 +18,7 @@ FlowEvent drop_event(std::uint16_t sport) {
 
 struct Collector {
   std::vector<FlowEvent> events;
-  GroupCache::Emit fn() {
+  auto fn() {
     return [this](const FlowEvent& ev) { events.push_back(ev); };
   }
   [[nodiscard]] std::uint64_t total_counter() const {

@@ -16,7 +16,7 @@ packet::Packet data(std::uint16_t sport) { return packet::make_tcp(flow(sport), 
 
 struct DropLog {
   std::vector<std::pair<packet::FlowKey, std::uint32_t>> drops;
-  InterSwitchTx::EmitDrop fn() {
+  auto fn() {
     return [this](const packet::FlowKey& f, std::uint32_t seq) { drops.push_back({f, seq}); };
   }
 };

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_set>
 
 #include "backend/collector.h"
@@ -336,6 +337,37 @@ TEST(NetSeerApp, OnlyPortsThatTransmitHoldARing) {
   EXPECT_EQ(rig.app1->tx_module(3).sram_bytes(), rig.app1->tx_module(1).sram_bytes());
 }
 
+TEST(NetSeerApp, CachesOnlyDropCongestionAndPause) {
+  Rig rig;
+  for (const auto type : {EventType::kDrop, EventType::kCongestion, EventType::kPause}) {
+    EXPECT_EQ(rig.app1->cache(type).offered(), 0u);
+  }
+  // Path changes bypass dedup, and ACL drops are aggregated per rule.
+  EXPECT_THROW((void)rig.app1->cache(EventType::kPathChange), std::out_of_range);
+  EXPECT_THROW((void)rig.app1->cache(EventType::kAclDrop), std::out_of_range);
+}
+
+TEST(NetSeerApp, FlushSendsTheStackThroughTheBatcher) {
+  Rig rig;
+  // 120 blackholed flows of two packets each leave a residual count per
+  // flow in s2's drop cache; flush() puts those reports on the event
+  // stack and drains it.
+  ASSERT_TRUE(rig.s2->routes().remove(Ipv4Prefix{rig.h2->addr(), 32}));
+  for (std::uint16_t sport = 1; sport <= 120; ++sport) rig.send_burst(2, sport);
+  rig.net.simulator().run();
+  const NetSeerApp& app = *rig.app2;
+  const std::uint64_t pushes = app.stack().pushes();
+
+  rig.app2->flush();
+  EXPECT_GT(app.stack().pushes(), pushes);
+  EXPECT_TRUE(app.stack().empty());
+  // Every batch the PCIe channel received, teardown batches included,
+  // came out of the batcher.
+  EXPECT_EQ(app.batcher().batches_flushed(), app.pcie().batches_submitted());
+  rig.net.simulator().run();
+  EXPECT_EQ(app.cpu().events_received(), app.batcher().events_batched());
+}
+
 TEST(NetSeerApp, HostUplinkDropLoggedByNic) {
   Rig rig;
   net::LinkFaultModel faults;
@@ -374,7 +406,6 @@ TEST(NetSeerApp, FunnelAccountingIsConsistent) {
   EXPECT_LE(funnel.dedup_reports, funnel.event_packets);
   EXPECT_GT(funnel.extracted_bytes, 0u);
   EXPECT_LT(funnel.overhead_ratio(), 0.05);
-  EXPECT_GT(funnel.shim_bytes, 0u);
 }
 
 TEST(NetSeerApp, ZeroFalsePositivesOnCleanRun) {

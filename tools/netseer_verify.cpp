@@ -21,6 +21,7 @@
 #include "packet/addr.h"
 #include "pdp/switch.h"
 #include "util/cli.h"
+#include "util/output.h"
 #include "verify/coverage.h"
 #include "verify/symbolic.h"
 #include "verify/verifier.h"
@@ -214,14 +215,7 @@ int main(int argc, char** argv) {
     verify::Report scratch;
     const auto classes = verify::collect_coverage(scratch, tb.all_switches(), config,
                                                   options, symopts);
-    const std::string json = verify::render_coverage_json(classes);
-    FILE* f = std::fopen(args.coverage_out.c_str(), "wb");
-    bool ok = f != nullptr;
-    if (ok) {
-      ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-      ok = std::fclose(f) == 0 && ok;
-    }
-    if (!ok) {
+    if (!util::write_file(args.coverage_out, verify::render_coverage_json(classes))) {
       std::fprintf(stderr, "cannot write %s\n", args.coverage_out.c_str());
       return 1;
     }
