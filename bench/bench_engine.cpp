@@ -8,16 +8,13 @@
 // determinism check across reps.
 //
 //   bench_engine --duration-ms 500 --reps 5
-//   bench_engine --duration-ms 500 --baseline bench/BENCH_engine.json
 //
-// With --baseline the run exits 1 if best events/sec lands more than
-// --max-regression-pct below the checked-in value — the CI perf-smoke
-// gate. Wall time is min-over-reps: the minimum is the run least
-// disturbed by the machine, which is the right estimator for throughput.
+// The run exits 1 if two reps process different event counts. Wall time
+// is min-over-reps: the minimum is the run least disturbed by the
+// machine, which is the right estimator for throughput.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <string>
 #include <vector>
 
 #include "experiment.h"
@@ -102,28 +99,14 @@ struct EngineBench {
   }
 };
 
-// Pull one numeric field out of BENCH_engine.json without a JSON parser:
-// scan for `"<key>":` and read the number after it. Returns < 0 if absent.
-double read_json_number(const std::string& text, const std::string& key) {
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return -1.0;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   int duration_ms = 1000;
   int reps = 5;
-  std::string baseline_path;
-  double max_regression_pct = 20.0;
   ExperimentOptions cli{"Engine microbench — events/sec on the simulator hot path"};
   cli.flag("duration-ms", &duration_ms, "simulated time per rep")
       .flag("reps", &reps, "take the best wall time over this many reps")
-      .flag("baseline", &baseline_path, "BENCH_engine.json to gate regressions against")
-      .flag("max-regression-pct", &max_regression_pct, "allowed events/sec drop vs baseline")
       .parse(argc, argv);
   if (duration_ms < 1) duration_ms = 1;
   if (reps < 1) reps = 1;
@@ -174,34 +157,5 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(heap_allocs),
               1e6 * static_cast<double>(heap_allocs) / static_cast<double>(events));
   std::printf("  pool hit rate     %.1f%%\n", 100.0 * hit_rate);
-
-  if (!baseline_path.empty()) {
-    FILE* f = std::fopen(baseline_path.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buffer[4096];
-    for (std::size_t n; (n = std::fread(buffer, 1, sizeof(buffer), f)) > 0;) {
-      text.append(buffer, n);
-    }
-    std::fclose(f);
-    const double baseline_eps = read_json_number(text, "baseline_events_per_sec");
-    if (baseline_eps <= 0) {
-      std::fprintf(stderr, "no \"baseline_events_per_sec\" in %s\n", baseline_path.c_str());
-      return 1;
-    }
-    const double floor = baseline_eps * (1.0 - max_regression_pct / 100.0);
-    std::printf("\n  baseline          %.0f events/s (%s)\n", baseline_eps,
-                baseline_path.c_str());
-    std::printf("  regression floor  %.0f events/s (-%g%%)\n", floor, max_regression_pct);
-    if (best_eps < floor) {
-      std::fprintf(stderr, "PERF REGRESSION: %.0f events/s is below the floor\n", best_eps);
-      return 1;
-    }
-    std::printf("  verdict           ok (%+.1f%% vs baseline)\n",
-                100.0 * (best_eps / baseline_eps - 1.0));
-  }
   return cli.write_metrics();
 }

@@ -3,17 +3,13 @@
 // over a sealed store.
 //
 //   bench_store --events 2000000 --reps 3
-//   bench_store --events 2000000 --baseline bench/BENCH_store.json
 //
-// With --baseline the run exits 1 if the best in-memory ingest rate or
-// the best group-commit durable rate lands more than
-// --max-regression-pct below its checked-in value — the CI perf-smoke
-// gate, same contract as bench_engine. The query phase asserts that
-// time-windowed queries actually prune segments (the whole point of the
-// per-segment time fences); zero pruning fails the run. So does a
-// group-commit phase of at least 64 x --gc-shard-batch events whose
-// fsyncs never covered more than one batch. The gated numbers also land
-// in the --metrics-out snapshot.
+// The run exits 1 when the final group-commit sync() leaves events
+// outside the durable watermark, when the query phase's time-windowed
+// queries prune no segment (the whole point of the per-segment time
+// fences), or when a group-commit phase of at least 64 x
+// --gc-shard-batch events never covered more than one batch with one
+// fsync. The rates land in the --metrics-out snapshot.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -58,14 +54,6 @@ struct EventGen {
   }
 };
 
-double read_json_number(const std::string& text, const std::string& key) {
-  const auto pos = text.find("\"" + key + "\"");
-  if (pos == std::string::npos) return -1.0;
-  const auto colon = text.find(':', pos);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 double ingest_run(store::FlowEventStore& fs, std::uint64_t events) {
   EventGen gen;
   const auto start = std::chrono::steady_clock::now();
@@ -103,15 +91,11 @@ int main(int argc, char** argv) {
   int reps = 3;
   std::uint64_t gc_shard_batch = 2048;
   std::uint64_t gc_chunk = 2048;
-  std::string baseline_path;
-  double max_regression_pct = 20.0;
   ExperimentOptions cli{"Store microbench — ingest events/sec and query pruning"};
   cli.flag("events", &events, "events per ingest rep")
       .flag("reps", &reps, "take the best rate over this many reps")
       .flag("gc-shard-batch", &gc_shard_batch, "shard batch for the group-commit phase")
       .flag("gc-chunk", &gc_chunk, "add_batch chunk size for the group-commit phase")
-      .flag("baseline", &baseline_path, "BENCH_store.json to gate regressions against")
-      .flag("max-regression-pct", &max_regression_pct, "allowed ingest drop vs baseline")
       .parse(argc, argv);
   if (events < 1) events = 1;
   if (reps < 1) reps = 1;
@@ -120,7 +104,7 @@ int main(int argc, char** argv) {
   print_title("Flow-event store microbench");
 
   // Phase 1: in-memory ingest (shard buffers -> memtable -> seal ->
-  // compaction, no WAL), per-event add(). One of the two gated numbers.
+  // compaction, no WAL), per-event add().
   double best_mem = -1.0;
   for (int rep = 0; rep < reps; ++rep) {
     store::FlowEventStore fs;
@@ -135,7 +119,7 @@ int main(int argc, char** argv) {
   // pre-generated events (the clock sees the store, not the generator),
   // acknowledged ONLY by the durable watermark: no inline fsync, one
   // blocking sync() at the end, and the run fails unless every event is
-  // inside the watermark afterwards. The other gated number.
+  // inside the watermark afterwards.
   const auto dir = std::filesystem::temp_directory_path() / "netseer_bench_store";
   std::vector<core::FlowEvent> pregen;
   pregen.reserve(events);
@@ -231,46 +215,5 @@ int main(int argc, char** argv) {
         .update_max(static_cast<std::int64_t>(2000 / serial_qwall));
   }
 
-  if (!baseline_path.empty()) {
-    FILE* f = std::fopen(baseline_path.c_str(), "rb");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::string text;
-    char buffer[4096];
-    for (std::size_t n; (n = std::fread(buffer, 1, sizeof(buffer), f)) > 0;) {
-      text.append(buffer, n);
-    }
-    std::fclose(f);
-    const double baseline_eps = read_json_number(text, "baseline_ingest_events_per_sec");
-    if (baseline_eps <= 0) {
-      std::fprintf(stderr, "no \"baseline_ingest_events_per_sec\" in %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    const double floor = baseline_eps * (1.0 - max_regression_pct / 100.0);
-    std::printf("\n  baseline mem      %.0f events/s, floor %.0f (-%g%%)\n", baseline_eps,
-                floor, max_regression_pct);
-    if (best_mem < floor) {
-      std::fprintf(stderr, "FAIL: ingest %.0f events/s below floor %.0f\n", best_mem, floor);
-      return 1;
-    }
-    const double baseline_gc = read_json_number(text, "baseline_durable_events_per_sec");
-    if (baseline_gc <= 0) {
-      std::fprintf(stderr, "no \"baseline_durable_events_per_sec\" in %s\n",
-                   baseline_path.c_str());
-      return 1;
-    }
-    const double gc_floor = baseline_gc * (1.0 - max_regression_pct / 100.0);
-    std::printf("  baseline gc       %.0f events/s, floor %.0f (-%g%%)\n", baseline_gc,
-                gc_floor, max_regression_pct);
-    if (best_gc < gc_floor) {
-      std::fprintf(stderr, "FAIL: group-commit ingest %.0f events/s below floor %.0f\n",
-                   best_gc, gc_floor);
-      return 1;
-    }
-    std::printf("  gate              PASS\n");
-  }
   return cli.write_metrics();
 }

@@ -10,19 +10,12 @@ void Link::send(packet::PooledPacket slot) {
     return;
   }
 
-  // Gilbert-Elliott state transition, evaluated per packet.
-  if (in_burst_) {
-    if (rng_.chance(faults_.burst_exit_prob)) in_burst_ = false;
-  } else if (faults_.burst_enter_prob > 0.0) {
-    if (rng_.chance(faults_.burst_enter_prob)) in_burst_ = true;
-  }
-
-  if (roll(faults_.drop_prob, faults_.burst_drop_prob)) {
+  if (rng_.chance(faults_.drop_prob)) {
     ++dropped_;
     if (observer_) observer_->on_link_fault(pkt, from_node_, peer_.id(), LinkFault::kSilentDrop);
     return;
   }
-  if (roll(faults_.corrupt_prob, faults_.burst_corrupt_prob)) {
+  if (rng_.chance(faults_.corrupt_prob)) {
     ++corrupted_;
     pkt.corrupted = true;
     if (observer_) observer_->on_link_fault(pkt, from_node_, peer_.id(), LinkFault::kCorruption);

@@ -27,23 +27,11 @@ class LinkObserver {
                              LinkFault fault) = 0;
 };
 
-/// Fault injection model for one link direction. Faults can be steady
-/// (Bernoulli per packet) or bursty (a Gilbert-Elliott bad state during
-/// which the burst probabilities apply instead).
+/// Fault injection model for one link direction: independent
+/// (Bernoulli) faults per packet.
 struct LinkFaultModel {
-  double drop_prob = 0.0;     // steady-state silent drop probability
-  double corrupt_prob = 0.0;  // steady-state corruption probability
-
-  // Gilbert-Elliott burstiness. Probability of entering the bad state per
-  // packet, of leaving it per packet, and the bad-state fault rates.
-  double burst_enter_prob = 0.0;
-  double burst_exit_prob = 0.1;
-  double burst_drop_prob = 0.0;
-  double burst_corrupt_prob = 0.0;
-
-  [[nodiscard]] bool is_lossless() const {
-    return drop_prob == 0.0 && corrupt_prob == 0.0 && burst_enter_prob == 0.0;
-  }
+  double drop_prob = 0.0;     // silent drop probability
+  double corrupt_prob = 0.0;  // corruption probability
 };
 
 /// One direction of a cable: after `delay`, delivers to `peer` at
@@ -57,7 +45,6 @@ class Link : public PacketSink {
         from_node_(from_node) {}
 
   void set_fault_model(const LinkFaultModel& model) { faults_ = model; }
-  [[nodiscard]] const LinkFaultModel& fault_model() const { return faults_; }
   void set_observer(LinkObserver* observer) { observer_ = observer; }
 
   /// Administrative state. send() reads it when a frame's serialization
@@ -79,10 +66,6 @@ class Link : public PacketSink {
   NETSEER_HOT void send(packet::PooledPacket pkt) override;
 
  private:
-  [[nodiscard]] bool roll(double steady, double burst) {
-    return rng_.chance(in_burst_ ? burst : steady);
-  }
-
   sim::Simulator& sim_;
   util::Rng rng_;
   Node& peer_;
@@ -92,7 +75,6 @@ class Link : public PacketSink {
   LinkFaultModel faults_{};
   LinkObserver* observer_ = nullptr;
   bool up_ = true;
-  bool in_burst_ = false;
   std::uint64_t carried_ = 0;
   std::uint64_t bytes_carried_ = 0;
   std::uint64_t dropped_ = 0;

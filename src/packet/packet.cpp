@@ -12,12 +12,6 @@ const char* to_string(PacketKind kind) {
     case PacketKind::kProbe: return "probe";
     case PacketKind::kProbeReply: return "probe-reply";
     case PacketKind::kLossNotify: return "loss-notify";
-    case PacketKind::kCebp: return "cebp";
-    case PacketKind::kEventReport: return "event-report";
-    case PacketKind::kReportAck: return "report-ack";
-    case PacketKind::kPostcard: return "postcard";
-    case PacketKind::kSampleMirror: return "sample-mirror";
-    case PacketKind::kEverflowMirror: return "everflow-mirror";
   }
   return "?";
 }

@@ -23,12 +23,6 @@ enum class PacketKind : std::uint8_t {
   kProbe,            // Pingmesh-style probe
   kProbeReply,       //   ... and its reply
   kLossNotify,       // NetSeer inter-switch loss notification (§3.3)
-  kCebp,             // circulating event batching packet (§3.5)
-  kEventReport,      // batched flow events, switch CPU -> backend
-  kReportAck,        // backend -> switch CPU reliable-transport ack
-  kPostcard,         // NetSight per-packet postcard mirror
-  kSampleMirror,     // 1:N sampled packet mirror
-  kEverflowMirror,   // EverFlow SYN/FIN or on-demand telemetry mirror
 };
 
 [[nodiscard]] const char* to_string(PacketKind kind);

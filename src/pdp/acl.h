@@ -1,8 +1,8 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "packet/addr.h"
@@ -36,15 +36,6 @@ class AclTable {
  public:
   void add_rule(AclRule rule) {
     rules_.push_back(Match{std::move(rule), 0});
-  }
-
-  bool remove_rule(std::uint16_t rule_id) {
-    const auto it = std::find_if(rules_.begin(), rules_.end(), [&](const Match& m) {
-      return m.rule.rule_id == rule_id;
-    });
-    if (it == rules_.end()) return false;
-    rules_.erase(it);
-    return true;
   }
 
   struct Verdict {

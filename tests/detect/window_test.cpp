@@ -4,6 +4,7 @@
 // grouping (device-flow / device / device-rule).
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "core/event.h"
@@ -33,7 +34,7 @@ RuleSet test_set(util::SimDuration window = util::milliseconds(1)) {
 
 Rule drop_rule() {
   Rule rule;
-  rule.name = "t";
+  rule.name = std::string("t");  // = "t" draws a false -Wrestrict from GCC 12 at -O3
   rule.type = core::EventType::kDrop;
   rule.family = Family::kThreshold;
   rule.feature = Feature::kPackets;

@@ -60,7 +60,6 @@ TEST(Link, LosslessByDefault) {
   sim::Simulator sim;
   CaptureNode peer;
   Link link(sim, util::Rng(1), peer, 0, 0, 1);
-  EXPECT_TRUE(link.fault_model().is_lossless());
   for (int i = 0; i < 1000; ++i) link.send(packet::Pool::local().acquire(data()));
   sim.run();
   EXPECT_EQ(peer.packets.size(), 1000u);
@@ -155,26 +154,6 @@ TEST(Link, ObserverSeesEndpoints) {
   link.send(packet::Pool::local().acquire(data()));
   EXPECT_EQ(observer.last_from, 42u);
   EXPECT_EQ(observer.last_to, 2u);
-}
-
-TEST(Link, BurstLossClusters) {
-  sim::Simulator sim;
-  CaptureNode peer;
-  Link link(sim, util::Rng(5), peer, 0, 0, 1);
-  LinkFaultModel faults;
-  faults.burst_enter_prob = 0.001;
-  faults.burst_exit_prob = 0.05;
-  faults.burst_drop_prob = 0.9;
-  link.set_fault_model(faults);
-
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) link.send(packet::Pool::local().acquire(data()));
-  sim.run();
-  const auto dropped = link.packets_dropped();
-  // Burst model: expect substantial loss overall...
-  EXPECT_GT(dropped, 100u);
-  // ... at roughly enter/(enter+exit) * burst_drop ~ 1.8%.
-  EXPECT_NEAR(static_cast<double>(dropped) / n, 0.018, 0.012);
 }
 
 }  // namespace

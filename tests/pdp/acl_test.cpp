@@ -94,18 +94,6 @@ TEST(AclTable, HitCountersAccumulate) {
   EXPECT_EQ(table.hits(99), 0u);
 }
 
-TEST(AclTable, RemoveRule) {
-  AclTable table;
-  AclRule rule;
-  rule.rule_id = 7;
-  rule.permit = false;
-  table.add_rule(rule);
-  EXPECT_FALSE(table.evaluate(flow(Ipv4Addr::from_octets(1, 1, 1, 1), Ipv4Addr::from_octets(2, 2, 2, 2))).permit);
-  EXPECT_TRUE(table.remove_rule(7));
-  EXPECT_FALSE(table.remove_rule(7));
-  EXPECT_TRUE(table.evaluate(flow(Ipv4Addr::from_octets(1, 1, 1, 1), Ipv4Addr::from_octets(2, 2, 2, 2))).permit);
-}
-
 TEST(AclTable, FindReturnsRule) {
   AclTable table;
   AclRule rule;
