@@ -3,7 +3,7 @@
 namespace netseer::bench {
 
 ExperimentOptions::ExperimentOptions(std::string summary) : util::CommandLine(std::move(summary)) {
-  flag("metrics-out", &metrics_path_, "write a metrics snapshot (.json or .csv) on exit");
+  flag("metrics-out", &metrics_path_, "write a JSON metrics snapshot on exit");
 }
 
 ExperimentOptions& ExperimentOptions::verify_flag() {

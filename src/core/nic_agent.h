@@ -1,62 +1,42 @@
 #pragma once
 
-#include <memory>
-#include <vector>
+#include <cstdint>
 
 #include "core/detect/interswitch.h"
 #include "net/host.h"
-#include "pdp/types.h"
 
 namespace netseer::core {
 
-/// NetSeer's SmartNIC role (§4 "NIC"): run the inter-switch drop
-/// detection modules on the host's uplink so the edge link is covered
-/// too, and keep detected events in a local log.
+/// NetSeer's SmartNIC role (§4 "NIC"): the host end of the edge link, so
+/// the ToR's inter-switch detection covers that link too. Uplink frames
+/// carry consecutive IDs for the ToR's gap detector; downlink frames lose
+/// theirs here, and a gap sends `notify_copies` loss notifications to the
+/// ToR, which recovers the lost flows from its ring buffer and reports
+/// them. A notification from the ToR about the uplink is consumed: the
+/// host keeps no ring and has no report path, so nothing is recovered.
 class NetSeerNicAgent final : public net::NicAgent {
  public:
   explicit NetSeerNicAgent(const InterSwitchConfig& config = {})
-      : config_(config), tx_(config), rx_(config) {}
+      : notify_copies_(config.notify_copies), rx_(config) {}
 
-  void on_tx(net::Host& host, packet::Packet& pkt) override {
-    tx_.on_tx(pkt, [this, &host](const packet::FlowKey& flow, std::uint32_t) {
-      log_drop(host, flow);
-    });
-  }
+  void on_tx(net::Host& /*host*/, packet::Packet& pkt) override { pkt.seq_tag = next_seq_++; }
 
   bool on_rx(net::Host& host, packet::Packet& pkt) override {
     if (const auto gap = rx_.on_rx(pkt)) {
-      for (int copy = 0; copy < config_.notify_copies; ++copy) {
+      for (int copy = 0; copy < notify_copies_; ++copy) {
         host.send(make_loss_notification(gap->start, gap->end,
                                          static_cast<std::uint8_t>(copy)));
       }
     }
-    if (pkt.kind == packet::PacketKind::kLossNotify) {
-      if (const auto* payload = dynamic_cast<const LossNotifyPayload*>(pkt.control.get())) {
-        tx_.on_notification(payload->start(), payload->end(),
-                            [this, &host](const packet::FlowKey& flow, std::uint32_t) {
-                              log_drop(host, flow);
-                            });
-      }
-      return false;  // consumed
-    }
-    return true;
+    return pkt.kind != packet::PacketKind::kLossNotify;
   }
 
-  [[nodiscard]] const std::vector<FlowEvent>& local_log() const { return log_; }
-  [[nodiscard]] const InterSwitchTx& tx_module() const { return tx_; }
   [[nodiscard]] const InterSwitchRx& rx_module() const { return rx_; }
 
  private:
-  void log_drop(net::Host& host, const packet::FlowKey& flow) {
-    FlowEvent ev = make_event(EventType::kDrop, flow, host.id(), host.simulator().now());
-    ev.drop_code = static_cast<std::uint8_t>(pdp::DropReason::kLinkLoss);
-    log_.push_back(ev);
-  }
-
-  InterSwitchConfig config_;
-  InterSwitchTx tx_;
+  int notify_copies_;
+  std::uint32_t next_seq_ = 0;
   InterSwitchRx rx_;
-  std::vector<FlowEvent> log_;
 };
 
 }  // namespace netseer::core

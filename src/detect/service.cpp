@@ -4,6 +4,7 @@
 #include <cstring>
 #include <filesystem>
 
+#include "store/format.h"
 #include "util/hash.h"
 #include "util/sync.h"
 
@@ -14,13 +15,15 @@ namespace {
 /// Rows per Subscription::poll() round inside one pump.
 constexpr std::size_t kPollBatch = 4096;
 
-std::uint64_t initial_lsn(const DetectOptions& options) {
-  if (!options.checkpoint_path.empty()) {
-    if (const auto lsn = DetectService::load_checkpoint(options.checkpoint_path)) {
-      return *lsn;
-    }
+/// The checkpoint the service resumes from, read once at construction.
+DetectServiceStats resume_stats(const DetectOptions& options) {
+  DetectServiceStats stats;
+  if (options.checkpoint_path.empty()) return stats;
+  if (const auto lsn = DetectService::load_checkpoint(options.checkpoint_path)) {
+    stats.resumed = true;
+    stats.resumed_lsn = *lsn;
   }
-  return options.from_lsn;
+  return stats;
 }
 
 }  // namespace
@@ -32,15 +35,11 @@ DetectService::DetectService(const store::FlowEventStore& store, DetectOptions o
       sink_([this](const WindowResult& win) NETSEER_NO_THREAD_SAFETY_ANALYSIS {
         alerts_.observe(win);
       }),
-      sub_(store.subscribe(backend::EventQuery{}, initial_lsn(options_))) {
+      stats_(resume_stats(options_)),
+      sub_(store.subscribe(backend::EventQuery{},
+                           stats_.resumed ? stats_.resumed_lsn : options_.from_lsn)) {
   engines_.reserve(options_.rules.rules.size());
   for (const Rule& rule : options_.rules.rules) engines_.emplace_back(rule, options_.rules);
-  if (!options_.checkpoint_path.empty()) {
-    if (const auto lsn = load_checkpoint(options_.checkpoint_path)) {
-      stats_.resumed = true;
-      stats_.resumed_lsn = *lsn;
-    }
-  }
 }
 
 std::size_t DetectService::pump() {
@@ -109,17 +108,26 @@ bool DetectService::save_checkpoint(const std::string& path, std::uint64_t lsn) 
       util::crc32(std::as_bytes(std::span<const unsigned char>(buf + 4, 12)));
   std::memcpy(buf + 16, &crc, 4);
 
-  // Write-then-rename so a crash mid-write leaves the previous
-  // checkpoint intact (replay-some beats skip-some).
+  // Write, fsync, rename, fsync the directory, as Segment::save does: a
+  // crash mid-write leaves the previous checkpoint intact (replay-some
+  // beats skip-some), and the rename never survives a power cut that the
+  // bytes it names do not.
   const std::string tmp = path + ".tmp";
   FILE* f = std::fopen(tmp.c_str(), "wb");
   if (f == nullptr) return false;
-  const bool wrote = std::fwrite(buf, 1, sizeof(buf), f) == sizeof(buf);
+  const bool synced =
+      std::fwrite(buf, 1, sizeof(buf), f) == sizeof(buf) && store::sync_file(f);
   const bool closed = std::fclose(f) == 0;
-  if (!wrote || !closed) return false;
   std::error_code ec;
+  if (!synced || !closed) {
+    std::filesystem::remove(tmp, ec);
+    return false;
+  }
   std::filesystem::rename(tmp, path, ec);
-  return !ec;
+  if (ec) return false;
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  store::sync_dir(dir.empty() ? "." : dir.string());
+  return true;
 }
 
 std::optional<std::uint64_t> DetectService::load_checkpoint(const std::string& path) {

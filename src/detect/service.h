@@ -110,10 +110,11 @@ class DetectService {
   std::vector<WindowEngine> engines_ NETSEER_GUARDED_BY(mu_);
   AlertManager alerts_ NETSEER_GUARDED_BY(mu_);
   WindowEngine::Sink sink_;
+  /// Before sub_: the checkpoint it resumes from sets where sub_ starts.
+  DetectServiceStats stats_ NETSEER_GUARDED_BY(mu_);
   store::Subscription sub_ NETSEER_GUARDED_BY(mu_);
   util::SimTime watermark_ NETSEER_GUARDED_BY(mu_) = 0;
   bool finished_ NETSEER_GUARDED_BY(mu_) = false;
-  DetectServiceStats stats_ NETSEER_GUARDED_BY(mu_);
 };
 
 }  // namespace netseer::detect

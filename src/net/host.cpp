@@ -10,7 +10,6 @@ void Host::send(packet::Packet&& frame) {
   // Defaults first: the pool stamps the flow hash from the final 5-tuple.
   if (frame.eth.src == packet::MacAddr{}) frame.eth.src = mac();
   if (frame.ip && frame.ip->src == packet::Ipv4Addr{}) frame.ip->src = addr_;
-  frame.meta.origin_node = id();
   frame.meta.created_time = sim_.now();
   packet::PooledPacket slot = packet::Pool::local().acquire(std::move(frame));
   packet::Packet& pkt = *slot;
@@ -22,7 +21,6 @@ void Host::send(packet::Packet&& frame) {
 void Host::receive(packet::PooledPacket slot, util::PortId in_port) {
   packet::Packet& pkt = *slot;
   pkt.meta.ingress_port = in_port;
-  pkt.meta.ingress_time = sim_.now();
 
   // MAC layer: FCS failure discards the frame before anything sees it.
   if (pkt.corrupted) {

@@ -4,12 +4,6 @@ namespace netseer::net {
 
 void Link::send(packet::PooledPacket slot) {
   packet::Packet& pkt = *slot;
-  if (!up_) {
-    ++dropped_;
-    if (observer_) observer_->on_link_fault(pkt, from_node_, peer_.id(), LinkFault::kSilentDrop);
-    return;
-  }
-
   if (rng_.chance(faults_.drop_prob)) {
     ++dropped_;
     if (observer_) observer_->on_link_fault(pkt, from_node_, peer_.id(), LinkFault::kSilentDrop);

@@ -47,13 +47,6 @@ class Link : public PacketSink {
   void set_fault_model(const LinkFaultModel& model) { faults_ = model; }
   void set_observer(LinkObserver* observer) { observer_ = observer; }
 
-  /// Administrative state. send() reads it when a frame's serialization
-  /// ends, so a downed link loses every frame that finishes serializing
-  /// onto it, and tells the observer of each as a silent drop; a frame
-  /// already propagating when the link goes down is still delivered.
-  void set_up(bool up) { up_ = up; }
-  [[nodiscard]] bool is_up() const { return up_; }
-
   [[nodiscard]] util::SimDuration delay() const { return delay_; }
   [[nodiscard]] Node& peer() const { return peer_; }
   [[nodiscard]] util::PortId peer_port() const { return peer_port_; }
@@ -74,7 +67,6 @@ class Link : public PacketSink {
   util::NodeId from_node_;
   LinkFaultModel faults_{};
   LinkObserver* observer_ = nullptr;
-  bool up_ = true;
   std::uint64_t carried_ = 0;
   std::uint64_t bytes_carried_ = 0;
   std::uint64_t dropped_ = 0;

@@ -28,11 +28,6 @@ void TxPort::Ring::grow() {
   head_ = 0;
 }
 
-void TxPort::set_up(bool up) {
-  up_ = up;
-  if (up_) maybe_start_transmission();
-}
-
 void TxPort::enqueue(packet::PooledPacket pkt, util::QueueId queue) {
   pkt->meta.enqueue_time = sim_.now();
   pkt->meta.queue = queue;
@@ -77,7 +72,7 @@ int TxPort::pick_queue() const {
 }
 
 void TxPort::maybe_start_transmission() {
-  if (busy_ || !up_ || out_ == nullptr) return;
+  if (busy_ || out_ == nullptr) return;
   const int q = pick_queue();
   if (q < 0) return;
 
@@ -97,7 +92,7 @@ void TxPort::maybe_start_transmission() {
   ++tx_packets_;
   (void)sim_.schedule_after(ser, [this, slot = std::move(slot)]() mutable {
     busy_ = false;
-    if (out_ != nullptr && up_) out_->send(std::move(slot));
+    if (out_ != nullptr) out_->send(std::move(slot));
     maybe_start_transmission();
   });
 }

@@ -33,9 +33,6 @@ class TxPort {
   [[nodiscard]] PacketSink* out() const { return out_; }
   void set_dequeue_hook(DequeueHook hook) { dequeue_hook_ = std::move(hook); }
 
-  void set_up(bool up);
-  [[nodiscard]] bool is_up() const { return up_; }
-
   [[nodiscard]] util::BitRate rate() const { return rate_; }
 
   /// Unconditional enqueue. Admission control (MMU limits) is the
@@ -92,7 +89,6 @@ class TxPort {
   std::uint8_t backlogged_ = 0;
   std::array<std::int64_t, util::kNumQueues> queue_bytes_{};
   std::array<util::SimTime, util::kNumQueues> paused_until_{};
-  bool up_ = true;
   bool busy_ = false;
   std::uint64_t tx_packets_ = 0;
 };

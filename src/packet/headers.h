@@ -14,7 +14,6 @@ namespace netseer::packet {
 /// dedicated local-experimental shim so insertion/removal is explicit.
 enum class EtherType : std::uint16_t {
   kIpv4 = 0x0800,
-  kVlan = 0x8100,
   kFlowControl = 0x8808,  // MAC control: PAUSE / PFC
   kNetSeerSeq = 0x88b5,   // IEEE local experimental 1
 };
@@ -23,23 +22,6 @@ struct EthernetHeader {
   MacAddr dst{};
   MacAddr src{};
   constexpr auto operator<=>(const EthernetHeader&) const = default;
-};
-
-/// 802.1Q tag. pcp = priority code point, vid = VLAN id.
-struct VlanTag {
-  std::uint8_t pcp = 0;   // 3 bits
-  bool dei = false;       // 1 bit
-  std::uint16_t vid = 0;  // 12 bits
-  constexpr auto operator<=>(const VlanTag&) const = default;
-
-  [[nodiscard]] constexpr std::uint16_t tci() const {
-    return static_cast<std::uint16_t>((static_cast<unsigned>(pcp) << 13) |
-                                      ((dei ? 1u : 0u) << 12) | (vid & 0x0fffu));
-  }
-  [[nodiscard]] static constexpr VlanTag from_tci(std::uint16_t tci) {
-    return VlanTag{static_cast<std::uint8_t>(tci >> 13), ((tci >> 12) & 1) != 0,
-                   static_cast<std::uint16_t>(tci & 0x0fff)};
-  }
 };
 
 enum class IpProto : std::uint8_t {

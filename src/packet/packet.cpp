@@ -18,7 +18,6 @@ const char* to_string(PacketKind kind) {
 
 std::uint32_t Packet::header_bytes() const {
   std::uint32_t bytes = kEthHeaderBytes;
-  if (vlan) bytes += kVlanTagBytes;
   if (seq_tag) bytes += kSeqTagBytes;
   if (pfc) {
     // MAC control opcode (2) + class-enable vector (2) + 8 quanta (16).

@@ -43,10 +43,8 @@ class ControlPayload {
 /// the wire).
 struct PacketMeta {
   util::PortId ingress_port = util::kInvalidPort;   // set by the receiving node
-  util::SimTime ingress_time = 0;                   // arrival at current node
   util::SimTime enqueue_time = 0;                   // when queued in the MMU
   util::QueueId queue = 0;                          // egress priority queue
-  util::NodeId origin_node = util::kInvalidNode;    // node that created the packet
   util::SimTime created_time = 0;
   bool mmu_accounted = false;  // packet holds PFC ingress-buffer credit
 };
@@ -62,17 +60,16 @@ class Pool;
 /// computes a hash once into packet metadata for every later stage to
 /// read: its flow hash and its length without the sequence shim. Every
 /// hop reads the stamp instead of re-deriving it from the headers, so no
-/// field that feeds either fact (IP addresses and protocol, L4 ports,
-/// VLAN tag, PFC body, payload length, control payload) may change once
-/// a frame is pooled. The shim may come and go: wire_bytes() adds it on
-/// read. MAC addresses, TTL, DSCP and `corrupted` feed neither fact. A
-/// frame never pooled derives both from its headers.
+/// field that feeds either fact (IP addresses and protocol, L4 ports, PFC
+/// body, payload length, control payload) may change once a frame is
+/// pooled. The shim may come and go: wire_bytes() adds it on read. MAC
+/// addresses, TTL, DSCP and `corrupted` feed neither fact. A frame never
+/// pooled derives both from its headers.
 struct Packet {
   util::PacketUid uid = 0;
   PacketKind kind = PacketKind::kData;
 
   EthernetHeader eth{};
-  std::optional<VlanTag> vlan;
   /// NetSeer inter-switch consecutive packet ID shim (§3.3). Inserted by
   /// the upstream egress, removed by the downstream ingress.
   std::optional<std::uint32_t> seq_tag;
@@ -139,7 +136,6 @@ struct Packet {
 
 inline constexpr std::uint32_t kEthHeaderBytes = 14;
 inline constexpr std::uint32_t kEthFcsBytes = 4;
-inline constexpr std::uint32_t kVlanTagBytes = 4;
 /// NetSeer sequence shim on the wire: 4-byte packet ID plus the 2-byte
 /// encapsulated ethertype (the paper avoids this cost by reusing unused
 /// VLAN/IP-option bits; our explicit shim makes the overhead visible).

@@ -1,10 +1,8 @@
 #include "packet/wire.h"
 
-#include <algorithm>
 #include <cstring>
 
 #include "util/hash.h"
-#include "util/rng.h"
 
 namespace netseer::packet::wire {
 
@@ -106,10 +104,6 @@ std::vector<std::byte> serialize(const Packet& pkt) {
   w.bytes(pkt.eth.dst.bytes);
   w.bytes(pkt.eth.src.bytes);
 
-  if (pkt.vlan) {
-    w.u16(static_cast<std::uint16_t>(EtherType::kVlan));
-    w.u16(pkt.vlan->tci());
-  }
   if (pkt.seq_tag) {
     w.u16(static_cast<std::uint16_t>(EtherType::kNetSeerSeq));
     w.u32(*pkt.seq_tag);
@@ -200,10 +194,6 @@ std::optional<ParseResult> parse(std::span<const std::byte> data) {
   for (auto& b : pkt.eth.src.bytes) b = r.u8();
 
   std::uint16_t ethertype = r.u16();
-  if (ethertype == static_cast<std::uint16_t>(EtherType::kVlan)) {
-    pkt.vlan = VlanTag::from_tci(r.u16());
-    ethertype = r.u16();
-  }
   if (ethertype == static_cast<std::uint16_t>(EtherType::kNetSeerSeq)) {
     pkt.seq_tag = r.u32();
     ethertype = r.u16();
@@ -273,19 +263,6 @@ std::optional<ParseResult> parse(std::span<const std::byte> data) {
     pkt.payload_bytes = total_len - Ipv4Header::kWireSize - l4_size;
   }
   return r.ok() ? std::optional<ParseResult>(std::move(result)) : std::nullopt;
-}
-
-std::vector<std::size_t> flip_random_bits(std::span<std::byte> frame, int flips,
-                                          std::uint64_t& rng_state) {
-  std::vector<std::size_t> positions;
-  positions.reserve(static_cast<std::size_t>(std::max(flips, 0)));
-  for (int i = 0; i < flips; ++i) {
-    const std::uint64_t r = util::splitmix64(rng_state);
-    const std::size_t bit = static_cast<std::size_t>(r % (frame.size() * 8));
-    frame[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-    positions.push_back(bit);
-  }
-  return positions;
 }
 
 }  // namespace netseer::packet::wire

@@ -11,13 +11,13 @@
 namespace netseer::packet::wire {
 
 /// Serialize a packet to its byte-exact wire representation: Ethernet
-/// header, optional 802.1Q tag, optional NetSeer sequence shim, IPv4 with
-/// a correct header checksum, TCP/UDP, zero-filled payload (or control
-/// payload bytes), minimum-frame padding, and trailing CRC-32 FCS.
+/// header, optional NetSeer sequence shim, IPv4 with a correct header
+/// checksum, TCP/UDP, zero-filled payload (or control payload bytes),
+/// minimum-frame padding, and trailing CRC-32 FCS.
 ///
 /// The hot simulation path never serializes; this exists so the header
-/// model is honest (round-trip tested) and so corruption can be modeled
-/// at bit level when wanted.
+/// model is honest: tests round-trip it and check Packet::wire_bytes()
+/// against its length.
 [[nodiscard]] std::vector<std::byte> serialize(const Packet& pkt);
 
 struct ParseResult {
@@ -34,10 +34,5 @@ struct ParseResult {
 
 /// RFC 1071 Internet checksum over `data` (for the IPv4 header).
 [[nodiscard]] std::uint16_t internet_checksum(std::span<const std::byte> data) noexcept;
-
-/// Flip `flips` random bits of `frame` (uniformly chosen), modeling link
-/// corruption. Returns the bit positions flipped.
-std::vector<std::size_t> flip_random_bits(std::span<std::byte> frame, int flips,
-                                          std::uint64_t& rng_state);
 
 }  // namespace netseer::packet::wire

@@ -1,6 +1,5 @@
 #include "pdp/introspect.h"
 
-#include "net/link.h"
 #include "pdp/switch.h"
 
 namespace netseer::pdp {
@@ -14,7 +13,6 @@ const char* to_string(Stage stage) {
     case Stage::kAcl: return "acl";
     case Stage::kTtl: return "ttl";
     case Stage::kMtu: return "mtu";
-    case Stage::kPortHealth: return "port-health";
     case Stage::kQueueSelect: return "queue-select";
     case Stage::kMmuAdmit: return "mmu-admit";
     case Stage::kEgress: return "egress";
@@ -41,12 +39,7 @@ PipelineView make_pipeline_view(const Switch& sw) {
   view.queue_capacity_bytes = sw.config().mmu.queue_capacity_bytes;
   view.ports.reserve(view.num_ports);
   for (util::PortId p = 0; p < view.num_ports; ++p) {
-    PortView port;
-    port.up = sw.port_up(p);
-    const net::Link* link = sw.link(p);
-    port.wired = link != nullptr;
-    port.link_up = port.wired && link->is_up();
-    view.ports.push_back(port);
+    view.ports.push_back(PortView{.wired = sw.link(p) != nullptr});
   }
   view.routes = &sw.routes();
   view.acl = &sw.acl();

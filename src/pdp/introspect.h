@@ -25,7 +25,6 @@ enum class Stage : std::uint8_t {
   kAcl,          // ternary ACL, first match wins
   kTtl,          // TTL check / decrement
   kMtu,          // egress MTU check
-  kPortHealth,   // egress port / link administrative state
   kQueueSelect,  // DSCP -> priority queue
   kMmuAdmit,     // tail-drop admission
   kEgress,       // scheduler / serialization
@@ -39,7 +38,7 @@ enum class Stage : std::uint8_t {
 /// requires a meaningful value before any write is an uninitialized read.
 enum class MetaField : std::uint8_t {
   kEgressPort = 0,  // written by the route stage on an LPM hit
-  kQueue,           // written by queue selection after the health check
+  kQueue,           // written by queue selection after the MTU check
   kAclRuleId,       // written only on the ACL deny branch
 };
 
@@ -47,11 +46,10 @@ inline constexpr std::size_t kNumMetaFields = 3;
 
 [[nodiscard]] const char* to_string(MetaField field);
 
-/// Administrative state of one egress port as the health check sees it.
+/// One egress port as the executor sees it. A path routed into a port
+/// with no cable blackholes (the coverage pass flags it).
 struct PortView {
-  bool up = false;       // Switch::port_up
-  bool wired = false;    // a Link is attached
-  bool link_up = false;  // the attached Link's admin state (false if unwired)
+  bool wired = false;  // a Link is attached
 };
 
 /// Read-only structural snapshot of one constructed switch: everything
@@ -70,13 +68,6 @@ struct PipelineView {
   const LpmTable* routes = nullptr;
   const AclTable* acl = nullptr;
 
-  [[nodiscard]] bool port_healthy(util::PortId port) const {
-    // Mirrors run_pipeline's check: a down port or a downed link fails;
-    // an up port with no cable passes (and blackholes — the coverage
-    // pass flags reachable paths into it).
-    const PortView& p = ports[port];
-    return p.up && (!p.wired || p.link_up);
-  }
   [[nodiscard]] bool any_port_wired() const {
     for (const PortView& p : ports) {
       if (p.wired) return true;

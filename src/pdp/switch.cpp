@@ -8,8 +8,8 @@ namespace netseer::pdp {
 Switch::Switch(sim::Simulator& sim, util::NodeId id, std::string name,
                const SwitchConfig& config)
     : Node(id, std::move(name)), sim_(sim), config_(config),
-      links_(config.num_ports, nullptr), port_up_(config.num_ports, true),
-      counters_(config.num_ports), mmu_(config.mmu, config.num_ports) {
+      links_(config.num_ports, nullptr), counters_(config.num_ports),
+      mmu_(config.mmu, config.num_ports) {
   if (config_.ecmp_seed == 0) config_.ecmp_seed = id;
   ports_.reserve(config_.num_ports);
   for (std::uint16_t p = 0; p < config_.num_ports; ++p) {
@@ -28,11 +28,6 @@ void Switch::connect(util::PortId port, net::Link* link) {
   ports_[port]->set_out(link);
 }
 
-void Switch::set_port_up(util::PortId port, bool up) {
-  port_up_[port] = up;
-  ports_[port]->set_up(up);
-}
-
 void Switch::add_agent(SwitchAgent* agent) {
   agents_.push_back(agent);
   agent->attach(*this);
@@ -48,7 +43,6 @@ void Switch::receive(packet::PooledPacket slot, util::PortId in_port) {
   packet::Packet& pkt = *slot;
   auto& counters = counters_[in_port];
   pkt.meta.ingress_port = in_port;
-  pkt.meta.ingress_time = sim_.now();
 
   // MAC layer: frames failing the FCS check are discarded silently; the
   // only trace is a per-port error counter (and, with NetSeer, the
@@ -70,7 +64,6 @@ void Switch::receive(packet::PooledPacket slot, util::PortId in_port) {
 
   PipelineContext ctx;
   ctx.ingress_port = in_port;
-  ctx.ingress_time = sim_.now();
 
   for (auto* agent : agents_) {
     if (!agent->on_ingress(*this, pkt, ctx)) return;  // consumed (e.g. loss notify)
@@ -123,17 +116,9 @@ void Switch::run_pipeline(packet::PooledPacket slot, PipelineContext ctx) {
   // Egress MTU.
   const std::uint32_t ip_bytes = pkt.wire_bytes() - packet::kEthHeaderBytes -
                                  packet::kEthFcsBytes -
-                                 (pkt.vlan ? packet::kVlanTagBytes : 0) -
                                  (pkt.seq_tag ? packet::kSeqTagBytes : 0);
   if (ip_bytes > config_.mtu) {
     drop(pkt, ctx, DropReason::kMtuExceeded);
-    return;
-  }
-
-  // Target port / link health.
-  if (!port_up_[ctx.egress_port] ||
-      (links_[ctx.egress_port] != nullptr && !links_[ctx.egress_port]->is_up())) {
-    drop(pkt, ctx, DropReason::kPortDown);
     return;
   }
 
@@ -212,7 +197,6 @@ void Switch::send_pfc(util::PortId port, util::QueueId cls, bool pause) {
   packet::PooledPacket frame =
       packet::Pool::local().acquire(packet::make_pfc(cls, pause ? 0xffff : 0));
   frame->eth.src = packet::MacAddr::from_node_id(id());
-  frame->meta.origin_node = id();
   frame->meta.created_time = sim_.now();
   for (auto* agent : agents_) agent->on_pfc_tx(*this, port, cls, pause);
   // PFC frames are MAC-generated: they bypass the egress queues.
@@ -220,8 +204,7 @@ void Switch::send_pfc(util::PortId port, util::QueueId cls, bool pause) {
 }
 
 void Switch::inject(packet::Packet&& pkt, util::PortId egress_port, util::QueueId queue) {
-  if (egress_port >= ports_.size() || !port_up_[egress_port]) return;
-  pkt.meta.origin_node = id();
+  if (egress_port >= ports_.size()) return;
   ports_[egress_port]->enqueue(packet::Pool::local().acquire(std::move(pkt)), queue);
 }
 

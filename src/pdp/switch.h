@@ -71,8 +71,6 @@ class Switch : public net::Node {
   // ---- Wiring -----------------------------------------------------------
   /// Attach the egress side of `port` to `link`.
   void connect(util::PortId port, net::Link* link);
-  void set_port_up(util::PortId port, bool up);
-  [[nodiscard]] bool port_up(util::PortId port) const { return port_up_[port]; }
   [[nodiscard]] net::TxPort& port(util::PortId port) { return *ports_[port]; }
   [[nodiscard]] const net::TxPort& port(util::PortId port) const { return *ports_[port]; }
   [[nodiscard]] net::Link* link(util::PortId port) const { return links_[port]; }
@@ -122,7 +120,6 @@ class Switch : public net::Node {
   SwitchConfig config_;
   std::vector<std::unique_ptr<net::TxPort>> ports_;
   std::vector<net::Link*> links_;
-  std::vector<bool> port_up_;
   std::vector<PortCounters> counters_;
   std::array<std::uint64_t, 16> drop_counters_{};
   StageCounters stages_;

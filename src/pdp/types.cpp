@@ -6,7 +6,6 @@ const char* to_string(DropReason reason) {
   switch (reason) {
     case DropReason::kNone: return "none";
     case DropReason::kRouteMiss: return "route-miss";
-    case DropReason::kPortDown: return "port-down";
     case DropReason::kAclDeny: return "acl-deny";
     case DropReason::kTtlExpired: return "ttl-expired";
     case DropReason::kMtuExceeded: return "mtu-exceeded";

@@ -3,19 +3,18 @@
 #include <cstdint>
 
 #include "util/ids.h"
-#include "util/time.h"
 
 namespace netseer::pdp {
 
 /// Why the data plane discarded a packet. Encoded into the 1-byte drop
-/// code of NetSeer drop events (§4 event formats), so it must stay small.
-/// The grouping mirrors Figure 4 of the paper.
+/// code of NetSeer drop events (§4 event formats), so it must stay small,
+/// and a reason's number never changes (2 is unassigned). The grouping
+/// mirrors Figure 4 of the paper.
 enum class DropReason : std::uint8_t {
   kNone = 0,
 
   // Pipeline drops (Figure 4 "Pipeline drop").
   kRouteMiss = 1,     // table lookup miss: blackhole or parity error
-  kPortDown = 2,      // target port / link is administratively down
   kAclDeny = 3,       // blocked by an ACL rule
   kTtlExpired = 4,    // forwarding loop protection
   kMtuExceeded = 5,   // frame larger than egress MTU
@@ -36,7 +35,6 @@ enum class DropReason : std::uint8_t {
 /// egress; never serialized.
 struct PipelineContext {
   util::PortId ingress_port = util::kInvalidPort;
-  util::SimTime ingress_time = 0;
   util::PortId egress_port = util::kInvalidPort;
   util::QueueId queue = 0;
   DropReason drop = DropReason::kNone;

@@ -120,9 +120,8 @@ class Segment {
   void set_file_id(std::uint32_t id) { file_id_ = id; }
 
   /// The row-chain index, built on the first call when the segment was
-  /// not sealed from the memtable. NOT thread-safe: the query planner
-  /// resolves indexes serially before any parallel scan fans out
-  /// (workers only read).
+  /// not sealed from the memtable. NOT thread-safe: only a QueryCursor
+  /// calls it, while planning on the querying thread.
   [[nodiscard]] const RowChains& chains() const {
     if (chains_.size() != rows_.size()) chains_.extend(rows_);
     return chains_;
@@ -157,7 +156,7 @@ class Segment {
   util::SimTime max_time_ = 0;
   std::uint32_t file_id_ = 0;
 
-  // Extended by chains() under the serial-planner contract.
+  // Extended by chains() when a query first plans on this segment.
   mutable RowChains chains_;
 };
 

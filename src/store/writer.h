@@ -21,8 +21,8 @@ namespace netseer::store {
 /// ingest thread never fsyncs inline; it blocks in sync_to() only when
 /// the caller explicitly asks for durability.
 ///
-/// Threading contract (model-checked as the group_commit_watermark /
-/// subscription_tail miniatures in src/mc):
+/// Threading contract (model-checked as the group_commit_watermark
+/// miniature in src/mc):
 ///   - exactly ONE producer (the store's ingest thread) calls submit(),
 ///     take_buffer(), drain(), sync_to();
 ///   - the internal thread is the only WAL appender while alive (the

@@ -28,9 +28,9 @@ void collect(Registry& registry, const pdp::Switch& sw) {
   // Drops, by reason plus the headline MMU series.
   registry.counter(kPdp, "mmu.drops", node).add(sw.drops(pdp::DropReason::kCongestion));
   for (const auto reason :
-       {pdp::DropReason::kRouteMiss, pdp::DropReason::kPortDown, pdp::DropReason::kAclDeny,
-        pdp::DropReason::kTtlExpired, pdp::DropReason::kMtuExceeded,
-        pdp::DropReason::kParserError, pdp::DropReason::kCongestion}) {
+       {pdp::DropReason::kRouteMiss, pdp::DropReason::kAclDeny, pdp::DropReason::kTtlExpired,
+        pdp::DropReason::kMtuExceeded, pdp::DropReason::kParserError,
+        pdp::DropReason::kCongestion}) {
     const auto count = sw.drops(reason);
     if (count == 0) continue;
     registry.counter(kPdp, std::string("drops.") + pdp::to_string(reason), node).add(count);

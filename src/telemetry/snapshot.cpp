@@ -1,7 +1,6 @@
 #include "telemetry/snapshot.h"
 
 #include <cstdio>
-#include <sstream>
 
 #include "util/json.h"
 #include "util/output.h"
@@ -21,10 +20,6 @@ void append_key(std::string& out, const MetricKey& key) {
   } else {
     out += std::to_string(key.node);
   }
-}
-
-std::string csv_node(const MetricKey& key) {
-  return key.node == util::kInvalidNode ? std::string() : std::to_string(key.node);
 }
 
 }  // namespace
@@ -89,29 +84,8 @@ std::string MetricsSnapshot::to_json() const {
   return out;
 }
 
-std::string MetricsSnapshot::to_csv() const {
-  std::ostringstream out;
-  out << "kind,subsystem,name,node,value,peak,count,mean,min,max\n";
-  for (const auto& [key, counter] : data_.counters()) {
-    out << "counter," << key.subsystem << ',' << key.name << ',' << csv_node(key) << ','
-        << counter.value() << ",,,,,\n";
-  }
-  for (const auto& [key, gauge] : data_.gauges()) {
-    out << "gauge," << key.subsystem << ',' << key.name << ',' << csv_node(key) << ','
-        << gauge.value() << ',' << gauge.peak() << ",,,,\n";
-  }
-  for (const auto& [key, histogram] : data_.histograms()) {
-    const auto& summary = histogram.summary();
-    out << "histogram," << key.subsystem << ',' << key.name << ',' << csv_node(key) << ",,,"
-        << summary.count() << ',' << summary.mean() << ',' << summary.min() << ','
-        << summary.max() << "\n";
-  }
-  return out.str();
-}
-
 bool MetricsSnapshot::write_file(const std::string& path) const {
-  const bool csv = path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-  return util::write_file(path, csv ? to_csv() : to_json());
+  return util::write_file(path, to_json());
 }
 
 int write_metrics(const Registry& registry, const std::string& path) {

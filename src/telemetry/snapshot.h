@@ -6,7 +6,7 @@
 
 namespace netseer::telemetry {
 
-/// Immutable copy of a Registry's state, exportable as JSON or CSV.
+/// Immutable copy of a Registry's state, exportable as JSON.
 /// Capture once at the end of a run; the registry keeps mutating.
 class MetricsSnapshot {
  public:
@@ -17,12 +17,8 @@ class MetricsSnapshot {
   /// parseable by any JSON reader (and `jq`); no external library used.
   [[nodiscard]] std::string to_json() const;
 
-  /// Flat CSV: kind,subsystem,name,node,value,peak,count,mean,min,max.
-  [[nodiscard]] std::string to_csv() const;
-
-  /// Write to `path` through util::write_file (so /dev/stdout follows
-  /// the program's own output); format chosen by extension (.csv => CSV,
-  /// else JSON). Returns false on I/O failure.
+  /// Write the JSON to `path` through util::write_file (so /dev/stdout
+  /// follows the program's own output). Returns false on I/O failure.
   bool write_file(const std::string& path) const;
 
   [[nodiscard]] const Registry& data() const { return data_; }
@@ -33,9 +29,9 @@ class MetricsSnapshot {
 };
 
 /// The --metrics-out writer of every program: capture `registry` and
-/// write it to `path` (.csv => CSV, else JSON). Returns main's exit
-/// status: 0 when written, or when `path` is empty (no snapshot was asked
-/// for); 1, after one message on stderr, when the file cannot be written.
+/// write it to `path` as JSON. Returns main's exit status: 0 when
+/// written, or when `path` is empty (no snapshot was asked for); 1, after
+/// one message on stderr, when the file cannot be written.
 [[nodiscard]] int write_metrics(const Registry& registry, const std::string& path);
 
 }  // namespace netseer::telemetry

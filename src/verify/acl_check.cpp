@@ -41,6 +41,7 @@ bool rules_intersect(const pdp::AclRule& a, const pdp::AclRule& b) {
 
 void check_acl(Report& report, const pdp::Switch& sw) {
   report.mark_pass(kPass);
+  const DiagnosticSource source{kPass, sw.name(), sw.id()};
   char buf[224];
 
   // AclTable evaluates rules in insertion order (first match wins), so
@@ -59,14 +60,7 @@ void check_acl(Report& report, const pdp::Switch& sw) {
         std::snprintf(buf, sizeof(buf),
                       "rule %u is dead: fully shadowed by higher-priority rule %u (%s)",
                       lo.rule_id, hi.rule_id, effect);
-        Diagnostic d;
-        d.severity = Severity::kError;
-        d.pass = kPass;
-        d.switch_name = sw.name();
-        d.switch_id = sw.id();
-        d.component = "acl rule " + std::to_string(lo.rule_id);
-        d.message = buf;
-        report.add(std::move(d));
+        report.add(source.make(Severity::kError, "acl rule " + std::to_string(lo.rule_id), buf));
         break;  // one shadowing witness per dead rule is enough
       }
       if (hi.permit != lo.permit && rules_intersect(hi, lo)) {
@@ -75,14 +69,7 @@ void check_acl(Report& report, const pdp::Switch& sw) {
                       "the intersection take rule %u's action",
                       hi.rule_id, hi.permit ? "permit" : "deny", lo.rule_id,
                       lo.permit ? "permit" : "deny", hi.rule_id);
-        Diagnostic d;
-        d.severity = Severity::kWarning;
-        d.pass = kPass;
-        d.switch_name = sw.name();
-        d.switch_id = sw.id();
-        d.component = "acl rule " + std::to_string(lo.rule_id);
-        d.message = buf;
-        report.add(std::move(d));
+        report.add(source.make(Severity::kWarning, "acl rule " + std::to_string(lo.rule_id), buf));
       }
     }
   }

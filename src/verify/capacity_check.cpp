@@ -13,20 +13,6 @@ namespace {
 constexpr char kPass[] = "capacity";
 constexpr std::uint32_t kNotifyFrameBytes = 64;  // notification packet incl. L2 overhead
 
-Diagnostic make(Severity severity, const pdp::Switch& sw, std::string component,
-                std::string message, double measured = 0.0, double limit = 0.0) {
-  Diagnostic d;
-  d.severity = severity;
-  d.pass = kPass;
-  d.switch_name = sw.name();
-  d.switch_id = sw.id();
-  d.component = std::move(component);
-  d.message = std::move(message);
-  d.measured = measured;
-  d.limit = limit;
-  return d;
-}
-
 }  // namespace
 
 double worst_case_event_rate_eps(const pdp::Switch& sw, const Assumptions& assumptions) {
@@ -42,6 +28,7 @@ double worst_case_event_rate_eps(const pdp::Switch& sw, const Assumptions& assum
 void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerConfig& config,
                     const VerifyOptions& options) {
   report.mark_pass(kPass);
+  const DiagnosticSource source{kPass, sw.name(), sw.id()};
   char buf[240];
   const Assumptions& a = options.assumptions;
 
@@ -76,17 +63,17 @@ void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerCo
                       "round trip — dropped flows become unrecoverable",
                       configured, worst_port, worst_required, a.consecutive_drops,
                       a.ring_pkt_bytes);
-        report.add(make(Severity::kError, sw, "iswitch.ring", buf,
-                        static_cast<double>(configured),
-                        static_cast<double>(worst_required)));
+        report.add(source.make(Severity::kError, "iswitch.ring", buf,
+                               static_cast<double>(configured),
+                               static_cast<double>(worst_required)));
       } else if (static_cast<double>(configured) * a.headroom <
                  static_cast<double>(worst_required)) {
         std::snprintf(buf, sizeof(buf),
                       "ring buffer within %.0f%% of its safety bound (%zu slots, %zu needed)",
                       100.0 * (1.0 - a.headroom), configured, worst_required);
-        report.add(make(Severity::kWarning, sw, "iswitch.ring", buf,
-                        static_cast<double>(configured),
-                        static_cast<double>(worst_required)));
+        report.add(source.make(Severity::kWarning, "iswitch.ring", buf,
+                               static_cast<double>(configured),
+                               static_cast<double>(worst_required)));
       }
     }
   }
@@ -95,18 +82,18 @@ void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerCo
   const double event_rate = worst_case_event_rate_eps(sw, a);
 
   if (config.event_stack_capacity == 0) {
-    report.add(make(Severity::kError, sw, "batch.stack",
-                    "event stack capacity is 0 — every extracted event overflows"));
+    report.add(source.make(Severity::kError, "batch.stack",
+                           "event stack capacity is 0 — every extracted event overflows"));
   }
   if (config.group_cache.report_interval == 0) {
-    report.add(make(Severity::kError, sw, "dedup.cache",
-                    "group-cache report interval C = 0 — aggregated counts are never "
-                    "re-reported, losing the paper's counter guarantee"));
+    report.add(source.make(Severity::kError, "dedup.cache",
+                           "group-cache report interval C = 0 — aggregated counts are never "
+                           "re-reported, losing the paper's counter guarantee"));
   }
   if (config.group_cache.entries == 0) {
-    report.add(make(Severity::kWarning, sw, "dedup.cache",
-                    "group cache disabled (0 entries): every event packet is reported "
-                    "individually, forfeiting the Fig. 13 dedup reduction"));
+    report.add(source.make(Severity::kWarning, "dedup.cache",
+                           "group cache disabled (0 entries): every event packet is reported "
+                           "individually, forfeiting the Fig. 13 dedup reduction"));
   }
 
   const auto& cebp = config.cebp;
@@ -117,12 +104,12 @@ void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerCo
                     "CEBP drain %.2g events/s cannot keep up with the worst-case event rate "
                     "%.2g events/s — the event stack overflows under sustained load",
                     drain, event_rate);
-      report.add(make(Severity::kError, sw, "cebp", buf, event_rate, drain));
+      report.add(source.make(Severity::kError, "cebp", buf, event_rate, drain));
     } else if (event_rate > drain * a.headroom) {
       std::snprintf(buf, sizeof(buf),
                     "CEBP drain within %.0f%% of the worst-case event rate",
                     100.0 * (1.0 - a.headroom));
-      report.add(make(Severity::kWarning, sw, "cebp", buf, event_rate, drain));
+      report.add(source.make(Severity::kWarning, "cebp", buf, event_rate, drain));
     }
 
     // Burst absorption: while a CEBP pays its flush latency it collects
@@ -135,8 +122,8 @@ void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerCo
                     "event stack (%zu entries) cannot absorb the %.0f events arriving during "
                     "one CEBP flush window",
                     config.event_stack_capacity, flush_burst);
-      report.add(make(Severity::kError, sw, "batch.stack", buf, flush_burst,
-                      static_cast<double>(config.event_stack_capacity)));
+      report.add(source.make(Severity::kError, "batch.stack", buf, flush_burst,
+                             static_cast<double>(config.event_stack_capacity)));
     }
 
     // PCIe: the pipeline-to-CPU channel must sustain the same rate.
@@ -147,7 +134,7 @@ void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerCo
                     "PCIe channel drains %.2g events/s at batch size %d, below the "
                     "worst-case event rate %.2g events/s",
                     pcie_drain, cebp.batch_size, event_rate);
-      report.add(make(Severity::kError, sw, "pcie", buf, event_rate, pcie_drain));
+      report.add(source.make(Severity::kError, "pcie", buf, event_rate, pcie_drain));
     }
   }
 
@@ -163,13 +150,13 @@ void check_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerCo
                     "worst-case event-packet traffic %.1f Gb/s exceeds the internal-port "
                     "budget %.1f Gb/s — events would be dropped at the internal port",
                     event_gbps, budget_gbps);
-      report.add(make(Severity::kError, sw, "internal_port", buf, event_gbps, budget_gbps));
+      report.add(source.make(Severity::kError, "internal_port", buf, event_gbps, budget_gbps));
     } else if (event_gbps > budget_gbps * a.headroom) {
       std::snprintf(buf, sizeof(buf),
                     "worst-case event-packet traffic within %.0f%% of the internal-port "
                     "budget",
                     100.0 * (1.0 - a.headroom));
-      report.add(make(Severity::kWarning, sw, "internal_port", buf, event_gbps, budget_gbps));
+      report.add(source.make(Severity::kWarning, "internal_port", buf, event_gbps, budget_gbps));
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/ids.h"
@@ -29,6 +30,20 @@ struct Diagnostic {
   /// (both 0 for purely structural findings).
   double measured = 0.0;
   double limit = 0.0;
+};
+
+/// The pass and switch a check reports on. Every pass builds its findings
+/// through make(), so all of them fill the same fields the same way.
+struct DiagnosticSource {
+  std::string pass;
+  std::string switch_name;
+  util::NodeId switch_id = util::kInvalidNode;
+
+  [[nodiscard]] Diagnostic make(Severity severity, std::string component, std::string message,
+                                double measured = 0.0, double limit = 0.0) const {
+    return Diagnostic{severity, pass, switch_name, switch_id, std::move(component),
+                      std::move(message), measured, limit};
+  }
 };
 
 /// The result of running one or more passes: an ordered list of

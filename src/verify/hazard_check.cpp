@@ -15,23 +15,12 @@ constexpr char kPass[] = "hazards";
 
 bool writes(AccessMode mode) { return mode != AccessMode::kRead; }
 
-Diagnostic make(Severity severity, const std::string& switch_name, util::NodeId switch_id,
-                std::string component, std::string message) {
-  Diagnostic d;
-  d.severity = severity;
-  d.pass = kPass;
-  d.switch_name = switch_name;
-  d.switch_id = switch_id;
-  d.component = std::move(component);
-  d.message = std::move(message);
-  return d;
-}
-
 }  // namespace
 
 void check_hazards(Report& report, const PipelineLayout& layout, const std::string& switch_name,
                    util::NodeId switch_id) {
   report.mark_pass(kPass);
+  const DiagnosticSource source{kPass, switch_name, switch_id};
   char buf[224];
 
   // Group accesses per register array — the nodes of the dependency graph.
@@ -43,7 +32,7 @@ void check_hazards(Report& report, const PipelineLayout& layout, const std::stri
       std::snprintf(buf, sizeof(buf),
                     "placed in stage %d but the pipeline has %d stages (actor '%s')",
                     access.stage, layout.num_stages, access.actor.c_str());
-      report.add(make(Severity::kError, switch_name, switch_id, access.array, buf));
+      report.add(source.make(Severity::kError, access.array, buf));
     }
   }
 
@@ -62,13 +51,13 @@ void check_hazards(Report& report, const PipelineLayout& layout, const std::stri
                     "accessed from %zu different stages — a register array occupies exactly "
                     "one stage; later stages read a stale copy",
                     stages.size());
-      report.add(make(Severity::kError, switch_name, switch_id, array, buf));
+      report.add(source.make(Severity::kError, array, buf));
     }
     if (gresses.size() > 1) {
       std::snprintf(buf, sizeof(buf),
                     "aliased across ingress and egress pipelines — Tofino-class registers "
                     "are owned by one gress; cross-pipeline access is not coherent");
-      report.add(make(Severity::kError, switch_name, switch_id, array, buf));
+      report.add(source.make(Severity::kError, array, buf));
     }
 
     // Same-stage dependency edges between DISTINCT actors. Intra-stage
@@ -84,7 +73,7 @@ void check_hazards(Report& report, const PipelineLayout& layout, const std::stri
                         "same-stage WAW hazard in %s stage %d: actors '%s' and '%s' both "
                         "write with undefined ordering",
                         to_string(a.gress), a.stage, a.actor.c_str(), b.actor.c_str());
-          report.add(make(Severity::kError, switch_name, switch_id, array, buf));
+          report.add(source.make(Severity::kError, array, buf));
         } else if (writes(a.mode) || writes(b.mode)) {
           const auto& writer = writes(a.mode) ? a : b;
           const auto& reader = writes(a.mode) ? b : a;
@@ -93,7 +82,7 @@ void check_hazards(Report& report, const PipelineLayout& layout, const std::stri
                         "the read may observe either value",
                         to_string(a.gress), a.stage, reader.actor.c_str(),
                         writer.actor.c_str());
-          report.add(make(Severity::kError, switch_name, switch_id, array, buf));
+          report.add(source.make(Severity::kError, array, buf));
         }
       }
     }
@@ -111,11 +100,8 @@ void check_hazards(Report& report, const PipelineLayout& layout, const std::stri
                   "%s stage %d needs %zu stateful ALUs but the chip provides %d per stage",
                   to_string(slot.first), slot.second, arrays.size(),
                   layout.stateful_alus_per_stage);
-    Diagnostic d = make(Severity::kError, switch_name, switch_id,
-                        "stage " + std::to_string(slot.second), buf);
-    d.measured = static_cast<double>(arrays.size());
-    d.limit = layout.stateful_alus_per_stage;
-    report.add(std::move(d));
+    report.add(source.make(Severity::kError, "stage " + std::to_string(slot.second), buf,
+                           static_cast<double>(arrays.size()), layout.stateful_alus_per_stage));
   }
 }
 

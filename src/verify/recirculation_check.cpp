@@ -9,46 +9,32 @@ namespace {
 
 constexpr char kPass[] = "recirculation";
 
-Diagnostic make(Severity severity, const std::string& switch_name, util::NodeId switch_id,
-                std::string component, std::string message, double measured = 0.0,
-                double limit = 0.0) {
-  Diagnostic d;
-  d.severity = severity;
-  d.pass = kPass;
-  d.switch_name = switch_name;
-  d.switch_id = switch_id;
-  d.component = std::move(component);
-  d.message = std::move(message);
-  d.measured = measured;
-  d.limit = limit;
-  return d;
-}
-
 }  // namespace
 
 void check_recirculation(Report& report, const core::NetSeerConfig& config, std::uint32_t mtu,
                          const std::string& switch_name, util::NodeId switch_id) {
   report.mark_pass(kPass);
+  const DiagnosticSource source{kPass, switch_name, switch_id};
   char buf[224];
   const auto& cebp = config.cebp;
 
   // ---- Progress: the collection loop must be able to terminate ----------
   if (cebp.num_cebps < 1) {
-    report.add(make(Severity::kError, switch_name, switch_id, "cebp",
-                    "no CEBPs configured — events pushed onto the stack are never collected",
-                    cebp.num_cebps, 1));
+    report.add(source.make(Severity::kError, "cebp",
+                           "no CEBPs configured — events pushed onto the stack are never collected",
+                           cebp.num_cebps, 1));
   }
   if (cebp.batch_size < 1) {
-    report.add(make(Severity::kError, switch_name, switch_id, "cebp",
-                    "batch_size < 1 — a CEBP can never fill and flush, so collection "
-                    "livelocks",
-                    cebp.batch_size, 1));
+    report.add(source.make(Severity::kError, "cebp",
+                           "batch_size < 1 — a CEBP can never fill and flush, so collection "
+                           "livelocks",
+                           cebp.batch_size, 1));
   }
   if (cebp.recirc_latency <= 0) {
-    report.add(make(Severity::kError, switch_name, switch_id, "cebp",
-                    "recirculation latency must be positive — a zero-latency loop recirculates "
-                    "unboundedly within one simulated instant",
-                    static_cast<double>(cebp.recirc_latency), 1));
+    report.add(source.make(Severity::kError, "cebp",
+                           "recirculation latency must be positive — a zero-latency loop "
+                           "recirculates unboundedly within one simulated instant",
+                           static_cast<double>(cebp.recirc_latency), 1));
   }
 
   // ---- Termination: a CEBP must survive its trip around the pipeline ----
@@ -64,31 +50,30 @@ void check_recirculation(Report& report, const core::NetSeerConfig& config, std:
                   "a full CEBP is %zu B but the MTU is %u B — the batch would be dropped "
                   "mid-recirculation and its events lost",
                   cebp_bytes, mtu);
-    report.add(make(Severity::kError, switch_name, switch_id, "cebp", buf,
-                    static_cast<double>(cebp_bytes), mtu));
+    report.add(source.make(Severity::kError, "cebp", buf, static_cast<double>(cebp_bytes), mtu));
   }
 
   // ---- Loss-notification loop bounds ------------------------------------
   if (config.interswitch.notify_copies < 1) {
-    report.add(make(Severity::kError, switch_name, switch_id, "iswitch.notify",
-                    "notify_copies < 1 — gaps detected downstream are never reported "
-                    "upstream, so inter-switch drops go unrecovered",
-                    config.interswitch.notify_copies, 1));
+    report.add(source.make(Severity::kError, "iswitch.notify",
+                           "notify_copies < 1 — gaps detected downstream are never reported "
+                           "upstream, so inter-switch drops go unrecovered",
+                           config.interswitch.notify_copies, 1));
   } else if (config.interswitch.notify_copies > 8) {
-    report.add(make(Severity::kWarning, switch_name, switch_id, "iswitch.notify",
-                    "more than 8 redundant notification copies per gap wastes reverse-path "
-                    "bandwidth (the paper uses 3)",
-                    config.interswitch.notify_copies, 8));
+    report.add(source.make(Severity::kWarning, "iswitch.notify",
+                           "more than 8 redundant notification copies per gap wastes reverse-path "
+                           "bandwidth (the paper uses 3)",
+                           config.interswitch.notify_copies, 8));
   }
   if (config.interswitch.max_gap == 0) {
-    report.add(make(Severity::kError, switch_name, switch_id, "iswitch.rx",
-                    "max_gap = 0 — every out-of-order arrival resynchronizes silently and "
-                    "no loss is ever reported"));
+    report.add(source.make(Severity::kError, "iswitch.rx",
+                           "max_gap = 0 — every out-of-order arrival resynchronizes silently and "
+                           "no loss is ever reported"));
   } else if (config.interswitch.max_gap > (1u << 30)) {
-    report.add(make(Severity::kWarning, switch_name, switch_id, "iswitch.rx",
-                    "max_gap exceeds a quarter of the sequence space — a peer restart is "
-                    "indistinguishable from a giant loss and queues unbounded lookups",
-                    config.interswitch.max_gap, static_cast<double>(1u << 30)));
+    report.add(source.make(Severity::kWarning, "iswitch.rx",
+                           "max_gap exceeds a quarter of the sequence space — a peer restart is "
+                           "indistinguishable from a giant loss and queues unbounded lookups",
+                           config.interswitch.max_gap, static_cast<double>(1u << 30)));
   }
 
   // ---- Internal-port bandwidth fit ---------------------------------------
@@ -102,8 +87,7 @@ void check_recirculation(Report& report, const core::NetSeerConfig& config, std:
                     "steady-state CEBP batch output %.1f Gb/s exceeds the internal-port "
                     "budget %.1f Gb/s",
                     batch_gbps, budget_gbps);
-      report.add(make(Severity::kError, switch_name, switch_id, "internal_port", buf,
-                      batch_gbps, budget_gbps));
+      report.add(source.make(Severity::kError, "internal_port", buf, batch_gbps, budget_gbps));
     }
   }
 
@@ -115,9 +99,9 @@ void check_recirculation(Report& report, const core::NetSeerConfig& config, std:
                   "MMU redirect ceiling %.0f Gb/s exceeds the internal-port rate %.0f Gb/s",
                   config.mmu_redirect_rate.gbps_value(),
                   config.internal_port_rate.gbps_value());
-    report.add(make(Severity::kError, switch_name, switch_id, "mmu_redirect", buf,
-                    config.mmu_redirect_rate.gbps_value(),
-                    config.internal_port_rate.gbps_value()));
+    report.add(source.make(Severity::kError, "mmu_redirect", buf,
+                           config.mmu_redirect_rate.gbps_value(),
+                           config.internal_port_rate.gbps_value()));
   }
 }
 

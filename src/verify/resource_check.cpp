@@ -96,6 +96,7 @@ pdp::ResourceModel build_resource_model(const pdp::Switch& sw,
 void check_resources(Report& report, const pdp::Switch& sw, const core::NetSeerConfig& config,
                      const VerifyOptions& options) {
   report.mark_pass(kPass);
+  const DiagnosticSource source{kPass, sw.name(), sw.id()};
   const pdp::ResourceModel model = build_resource_model(sw, config);
 
   for (std::size_t r = 0; r < pdp::kNumResources; ++r) {
@@ -113,30 +114,22 @@ void check_resources(Report& report, const pdp::Switch& sw, const core::NetSeerC
       }
     }
 
-    Diagnostic d;
-    d.pass = kPass;
-    d.switch_name = sw.name();
-    d.switch_id = sw.id();
-    d.component = pdp::to_string(resource);
-    d.measured = usage;
-    d.limit = 1.0;
+    Severity severity = Severity::kWarning;
     char buf[192];
     if (usage > 1.0) {
-      d.severity = Severity::kError;
+      severity = Severity::kError;
       std::snprintf(buf, sizeof(buf),
                     "%s budget exceeded: %.1f%% of chip (largest consumer: %s at %.1f%%)",
                     pdp::to_string(resource), 100.0 * usage, dominant.c_str(),
                     100.0 * dominant_usage);
     } else {
-      d.severity = Severity::kWarning;
       std::snprintf(buf, sizeof(buf),
                     "%s within %.0f%% of budget: %.1f%% of chip (largest consumer: %s)",
                     pdp::to_string(resource),
                     100.0 * (1.0 - options.assumptions.headroom), 100.0 * usage,
                     dominant.c_str());
     }
-    d.message = buf;
-    report.add(std::move(d));
+    report.add(source.make(severity, pdp::to_string(resource), buf, usage, 1.0));
   }
 }
 

@@ -20,21 +20,6 @@ constexpr char kPassReach[] = "symbolic.reachability";
 constexpr char kPassMeta[] = "symbolic.metadata";
 constexpr char kPassCapacity[] = "symbolic.capacity";
 
-Diagnostic make(Severity severity, const char* pass, const pdp::Switch& sw,
-                std::string component, std::string message, double measured = 0.0,
-                double limit = 0.0) {
-  Diagnostic d;
-  d.severity = severity;
-  d.pass = pass;
-  d.switch_name = sw.name();
-  d.switch_id = sw.id();
-  d.component = std::move(component);
-  d.message = std::move(message);
-  d.measured = measured;
-  d.limit = limit;
-  return d;
-}
-
 [[nodiscard]] pdp::Stage terminal_stage(const SymbolicPath& path) {
   return path.steps.empty() ? pdp::Stage::kWire : path.steps.back().stage;
 }
@@ -91,14 +76,14 @@ void fold_path(Folded& f, const SymbolicPath& path) {
 void report_coverage(Report& report, const pdp::Switch& sw, const core::NetSeerConfig& config,
                      const Folded& f, const ExecNotes& notes) {
   report.mark_pass(kPassCoverage);
+  const DiagnosticSource source{kPassCoverage, sw.name(), sw.id()};
   char buf[240];
   if (notes.truncated) {
     std::snprintf(buf, sizeof(buf),
                   "path enumeration truncated at %zu paths — coverage cannot be proven for "
                   "this deployed state",
                   notes.paths);
-    report.add(make(Severity::kError, kPassCoverage, sw, "executor", buf,
-                    static_cast<double>(notes.paths)));
+    report.add(source.make(Severity::kError, "executor", buf, static_cast<double>(notes.paths)));
     return;
   }
   for (const auto& [key, count] : f.silent) {
@@ -109,17 +94,17 @@ void report_coverage(Report& report, const pdp::Switch& sw, const core::NetSeerC
                   "%zu reachable drop path(s) with reason %s cross no event-emission "
                   "point — a false negative by construction",
                   count, pdp::to_string(reason));
-    report.add(make(Severity::kError, kPassCoverage, sw, std::move(component), buf,
-                    static_cast<double>(count)));
+    report.add(source.make(Severity::kError, std::move(component), buf,
+                           static_cast<double>(count)));
   }
   for (const auto& [port, count] : f.blackholes) {
     std::snprintf(buf, sizeof(buf),
-                  "%zu reachable path(s) forward into port %u, which is up but unwired: the "
+                  "%zu reachable path(s) forward into port %u, which is unwired: the "
                   "frame is enqueued and never transmitted, with no drop point crossed — "
                   "silent loss",
                   count, port);
-    report.add(make(Severity::kError, kPassCoverage, sw, "path.blackhole", buf,
-                    static_cast<double>(count), static_cast<double>(port)));
+    report.add(source.make(Severity::kError, "path.blackhole", buf, static_cast<double>(count),
+                           static_cast<double>(port)));
   }
   if (!config.monitored_prefixes.empty()) {
     std::snprintf(buf, sizeof(buf),
@@ -127,13 +112,14 @@ void report_coverage(Report& report, const pdp::Switch& sw, const core::NetSeerC
                   "unmonitored flows are recovered but not reported, so zero-FN holds only "
                   "for monitored traffic",
                   config.monitored_prefixes.size());
-    report.add(make(Severity::kWarning, kPassCoverage, sw, "deploy.monitored_prefixes", buf,
-                    static_cast<double>(config.monitored_prefixes.size())));
+    report.add(source.make(Severity::kWarning, "deploy.monitored_prefixes", buf,
+                           static_cast<double>(config.monitored_prefixes.size())));
   }
 }
 
 void report_duplicate(Report& report, const pdp::Switch& sw, const Folded& f) {
   report.mark_pass(kPassDuplicate);
+  const DiagnosticSource source{kPassDuplicate, sw.name(), sw.id()};
   char buf[240];
   for (const auto& [points, count] : f.doubles) {
     std::snprintf(buf, sizeof(buf),
@@ -141,21 +127,20 @@ void report_duplicate(Report& report, const pdp::Switch& sw, const Folded& f) {
                   "packet is reported twice before dedup — a false positive the CPU cannot "
                   "reconcile",
                   count, points.first.c_str(), points.second.c_str());
-    report.add(make(Severity::kError, kPassDuplicate, sw, points.second, buf,
-                    static_cast<double>(count), 1.0));
+    report.add(source.make(Severity::kError, points.second, buf, static_cast<double>(count), 1.0));
   }
   for (const auto& [point, count] : f.spurious) {
     std::snprintf(buf, sizeof(buf),
                   "emission point %s fires on %zu path(s) where the packet is delivered or "
                   "consumed — events reported for packets that were never lost",
                   point.c_str(), count);
-    report.add(make(Severity::kError, kPassDuplicate, sw, point, buf,
-                    static_cast<double>(count)));
+    report.add(source.make(Severity::kError, point, buf, static_cast<double>(count)));
   }
 }
 
 void report_reachability(Report& report, const pdp::Switch& sw, const ExecNotes& notes) {
   report.mark_pass(kPassReach);
+  const DiagnosticSource source{kPassReach, sw.name(), sw.id()};
   char buf[240];
   const auto& entries = sw.routes().entries();
   for (const int index : notes.dead_lpm_entries) {
@@ -164,8 +149,7 @@ void report_reachability(Report& report, const pdp::Switch& sw, const ExecNotes&
                   "LPM entry %s is dead: every address it covers is claimed by "
                   "longer-prefix entries, so no packet can ever match it",
                   entry.prefix.to_string().c_str());
-    report.add(make(Severity::kWarning, kPassReach, sw, "lpm." + entry.prefix.to_string(),
-                    buf));
+    report.add(source.make(Severity::kWarning, "lpm." + entry.prefix.to_string(), buf));
   }
   for (const int index : notes.corrupted_lpm_entries) {
     const auto& entry = entries[static_cast<std::size_t>(index)];
@@ -173,16 +157,14 @@ void report_reachability(Report& report, const pdp::Switch& sw, const ExecNotes&
                   "LPM entry %s is parity-corrupted and skipped by lookups: its flows now "
                   "take the route-miss drop path (covered, but a service outage)",
                   entry.prefix.to_string().c_str());
-    report.add(make(Severity::kWarning, kPassReach, sw, "lpm." + entry.prefix.to_string(),
-                    buf));
+    report.add(source.make(Severity::kWarning, "lpm." + entry.prefix.to_string(), buf));
   }
   for (const std::uint16_t rule_id : notes.dead_acl_rules) {
     std::snprintf(buf, sizeof(buf),
                   "ACL rule %u is unreachable on every enumerated path (shadowed by an "
                   "earlier rule or outside all routed destinations)",
                   rule_id);
-    report.add(make(Severity::kWarning, kPassReach, sw, "acl.rule." + std::to_string(rule_id),
-                    buf));
+    report.add(source.make(Severity::kWarning, "acl.rule." + std::to_string(rule_id), buf));
   }
   if (notes.admit_unreachable) {
     std::snprintf(buf, sizeof(buf),
@@ -190,28 +172,29 @@ void report_reachability(Report& report, const pdp::Switch& sw, const ExecNotes&
                   "ever be admitted — forwarding is structurally impossible",
                   static_cast<long long>(sw.config().mmu.queue_capacity_bytes),
                   packet::kMinFrameBytes);
-    report.add(make(Severity::kWarning, kPassReach, sw, "mmu.capacity", buf,
-                    static_cast<double>(sw.config().mmu.queue_capacity_bytes),
-                    static_cast<double>(packet::kMinFrameBytes)));
+    report.add(source.make(Severity::kWarning, "mmu.capacity", buf,
+                           static_cast<double>(sw.config().mmu.queue_capacity_bytes),
+                           static_cast<double>(packet::kMinFrameBytes)));
   }
 }
 
 void report_metadata(Report& report, const pdp::Switch& sw, const Folded& f) {
   report.mark_pass(kPassMeta);
+  const DiagnosticSource source{kPassMeta, sw.name(), sw.id()};
   char buf[240];
   for (const auto& [read, count] : f.uninit) {
     std::snprintf(buf, sizeof(buf),
                   "uninitialized metadata read on %zu reachable path(s): %s — the consumer "
                   "observes a stale or sentinel value",
                   count, read.c_str());
-    report.add(make(Severity::kError, kPassMeta, sw, "meta." + read, buf,
-                    static_cast<double>(count)));
+    report.add(source.make(Severity::kError, "meta." + read, buf, static_cast<double>(count)));
   }
 }
 
 void report_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerConfig& config,
                      const VerifyOptions& options, SymbolicSummary& summary) {
   report.mark_pass(kPassCapacity);
+  const DiagnosticSource source{kPassCapacity, sw.name(), sw.id()};
   char buf[240];
   const Assumptions& a = options.assumptions;
 
@@ -238,8 +221,8 @@ void report_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerC
                   "event rate to %.3g events/s — downstream drains are checked against the "
                   "inflated rate",
                   summary.max_emissions_per_packet, rate);
-    report.add(make(Severity::kWarning, kPassCapacity, sw, "emissions", buf,
-                    static_cast<double>(summary.max_emissions_per_packet), 1.0));
+    report.add(source.make(Severity::kWarning, "emissions", buf,
+                           static_cast<double>(summary.max_emissions_per_packet), 1.0));
   }
 
   const auto& cebp = config.cebp;
@@ -251,7 +234,7 @@ void report_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerC
                     "drain %.3g events/s — the event stack overflows on the proven "
                     "worst-case path mix",
                     rate, drain);
-      report.add(make(Severity::kError, kPassCapacity, sw, "cebp", buf, rate, drain));
+      report.add(source.make(Severity::kError, "cebp", buf, rate, drain));
     }
     const double flush_burst = rate * static_cast<double>(cebp.flush_latency) / 1e9;
     if (config.event_stack_capacity > 0 &&
@@ -260,8 +243,8 @@ void report_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerC
                     "event stack (%zu entries) cannot absorb the %.0f events arriving during "
                     "one CEBP flush window at the path-sensitive rate",
                     config.event_stack_capacity, flush_burst);
-      report.add(make(Severity::kError, kPassCapacity, sw, "batch.stack", buf, flush_burst,
-                      static_cast<double>(config.event_stack_capacity)));
+      report.add(source.make(Severity::kError, "batch.stack", buf, flush_burst,
+                             static_cast<double>(config.event_stack_capacity)));
     }
     const double pcie_drain = core::PcieChannel::throughput_eps(
         config.pcie, static_cast<std::size_t>(cebp.batch_size));
@@ -270,7 +253,7 @@ void report_capacity(Report& report, const pdp::Switch& sw, const core::NetSeerC
                     "path-sensitive worst-case event rate %.3g events/s exceeds the PCIe "
                     "drain %.3g events/s at batch size %d",
                     rate, pcie_drain, cebp.batch_size);
-      report.add(make(Severity::kError, kPassCapacity, sw, "pcie", buf, rate, pcie_drain));
+      report.add(source.make(Severity::kError, "pcie", buf, rate, pcie_drain));
     }
   }
 }

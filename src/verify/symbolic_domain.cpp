@@ -96,7 +96,7 @@ std::string PrefixSet::to_string() const {
 std::uint32_t mtu_check_bytes(const packet::Packet& pkt) {
   // Mirrors the expression in Switch::run_pipeline exactly.
   return pkt.wire_bytes() - packet::kEthHeaderBytes - packet::kEthFcsBytes -
-         (pkt.vlan ? packet::kVlanTagBytes : 0) - (pkt.seq_tag ? packet::kSeqTagBytes : 0);
+         (pkt.seq_tag ? packet::kSeqTagBytes : 0);
 }
 
 bool SymPacket::admits(const packet::Packet& pkt) const {

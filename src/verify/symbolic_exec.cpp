@@ -306,18 +306,6 @@ class Walker {
     SymbolicPath path = base;
     if (!path.packet.ip_bytes.intersect(Interval{0, view_.mtu})) return;
     path.steps.push_back({pdp::Stage::kMtu, ""});
-    enumerate_port_health(path);
-  }
-
-  void enumerate_port_health(const SymbolicPath& base) {
-    // Static per (view, egress port): no packet field influences it.
-    if (!view_.port_healthy(base.egress_port)) {
-      SymbolicPath path = base;
-      drop_leaf(path, pdp::Stage::kPortHealth, pdp::DropReason::kPortDown, "egress unhealthy");
-      return;
-    }
-    SymbolicPath path = base;
-    path.steps.push_back({pdp::Stage::kPortHealth, "healthy"});
     path.steps.push_back({pdp::Stage::kQueueSelect, "dscp -> queue"});
     enumerate_mmu(path);
   }
@@ -341,9 +329,9 @@ class Walker {
     if (view_.ports[path.egress_port].wired) {
       path.verdict = PathVerdict::kForward;
     } else {
-      // An up-but-unwired egress passes the health check and enqueues,
-      // but the TxPort can never transmit: the packet is lost with no
-      // drop point ever crossed. The coverage pass flags this.
+      // An unwired egress enqueues, but the TxPort can never transmit:
+      // the packet is lost with no drop point ever crossed. The coverage
+      // pass flags this.
       path.verdict = PathVerdict::kBlackhole;
       path.steps.back().note = "unwired egress: frame never leaves";
     }

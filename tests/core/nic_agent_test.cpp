@@ -36,13 +36,36 @@ FlowKey flow(std::uint16_t sport = 1000) {
                  sport, 80};
 }
 
+/// The ToR's view of the uplink: the ID each frame from the host carries
+/// when it reaches the ToR's MAC.
+class UplinkTags final : public pdp::SwitchAgent {
+ public:
+  void on_mac_rx(pdp::Switch& /*sw*/, const packet::Packet& pkt, util::PortId port,
+                 bool /*corrupted*/) override {
+    if (port != 0) return;
+    ++frames;
+    if (pkt.seq_tag) tags.push_back(*pkt.seq_tag);
+  }
+  int frames = 0;
+  std::vector<std::uint32_t> tags;
+};
+
+class CountingApp final : public net::HostApp {
+ public:
+  void on_receive(net::Host& /*host*/, const packet::Packet& /*pkt*/) override { ++frames; }
+  int frames = 0;
+};
+
 TEST(NicAgent, TagsOutgoingPackets) {
   Rig rig;
-  for (std::uint32_t i = 0; i < 5; ++i) {
-    rig.host->send(packet::make_tcp(flow(), 100));
-  }
-  EXPECT_EQ(rig.agent.tx_module().packets_sent(), 5u);
-  EXPECT_EQ(rig.agent.tx_module().next_seq(), 5u);
+  UplinkTags tor;
+  rig.sw->add_agent(&tor);
+  for (int i = 0; i < 5; ++i) rig.host->send(packet::make_tcp(flow(), 100));
+  rig.net.simulator().run();
+  // Every frame is numbered, consecutively from 0, as the ToR's gap
+  // detector expects.
+  EXPECT_EQ(tor.frames, 5);
+  EXPECT_EQ(tor.tags, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(NicAgent, StripsIncomingTags) {
@@ -69,30 +92,26 @@ TEST(NicAgent, GapTriggersNotificationUpstream) {
   EXPECT_EQ(rig.agent.rx_module().gaps(), 1u);
 }
 
-TEST(NicAgent, ConsumesNotificationsAndLogsLocally) {
+TEST(NicAgent, ConsumesUplinkNotificationsWithoutAnswering) {
   Rig rig;
-  // The NIC transmitted seqs 0..4; the peer reports 2..3 missing.
+  CountingApp app;
+  rig.host->add_app(&app);
   for (int i = 0; i < 5; ++i) rig.host->send(packet::make_tcp(flow(), 100));
-  auto notify = make_loss_notification(2, 3, 0);
-  rig.host->receive(packet::Pool::local().acquire(std::move(notify)), 0);
-  // One lookup fired on notification arrival; the next TX drains the rest.
-  rig.host->send(packet::make_tcp(flow(), 100));
-  ASSERT_EQ(rig.agent.local_log().size(), 2u);
-  for (const auto& ev : rig.agent.local_log()) {
-    EXPECT_EQ(ev.type, EventType::kDrop);
-    EXPECT_EQ(ev.flow, flow());
-    EXPECT_EQ(ev.switch_id, rig.host->id());  // logged at the NIC itself
-  }
-}
+  rig.net.simulator().run();
+  ASSERT_EQ(rig.host->nic().tx_packets(), 5u);
 
-TEST(NicAgent, DuplicateNotificationsIgnored) {
-  Rig rig;
-  for (int i = 0; i < 5; ++i) rig.host->send(packet::make_tcp(flow(), 100));
-  for (int copy = 0; copy < 3; ++copy) {
-    auto notify = make_loss_notification(1, 1, static_cast<std::uint8_t>(copy));
+  // The ToR reports uplink IDs 2..3 lost, in three copies numbered like
+  // the rest of its downlink stream.
+  for (std::uint8_t copy = 0; copy < 3; ++copy) {
+    auto notify = make_loss_notification(2, 3, copy);
+    notify.seq_tag = copy;
     rig.host->receive(packet::Pool::local().acquire(std::move(notify)), 0);
   }
-  EXPECT_EQ(rig.agent.local_log().size(), 1u);
+  rig.net.simulator().run();
+  EXPECT_EQ(app.frames, 0);                     // the host's apps see nothing
+  EXPECT_EQ(rig.host->rx_packets(), 0u);        // the NIC consumed all three
+  EXPECT_EQ(rig.host->nic().tx_packets(), 5u);  // and sent nothing back
+  EXPECT_EQ(rig.agent.rx_module().gaps(), 0u);
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ bool has_class(const std::vector<CoverageClass>& classes, std::string_view name,
 // Replicas of the netseer_verify CLI fixtures, seeded directly.
 bool seed_silent_drop(pdp::Switch& sw) {
   for (util::PortId p = 0; p < sw.config().num_ports; ++p) {
-    if (sw.link(p) == nullptr && sw.port_up(p)) {
+    if (sw.link(p) == nullptr) {
       sw.routes().insert(packet::Ipv4Prefix{packet::Ipv4Addr::from_octets(99, 0, 0, 0), 8},
                          pdp::EcmpGroup{{p}});
       return true;

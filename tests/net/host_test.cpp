@@ -54,7 +54,6 @@ TEST(Host, SendFillsDefaultsAndTransmits) {
   ASSERT_EQ(f.peer.packets.size(), 1u);
   EXPECT_EQ(f.peer.packets[0].ip->src, f.host.addr());
   EXPECT_EQ(f.peer.packets[0].eth.src, f.host.mac());
-  EXPECT_EQ(f.peer.packets[0].meta.origin_node, f.host.id());
 }
 
 TEST(Host, DeliversToApp) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "net/tx_port.h"
 #include "packet/builder.h"
 #include "packet/pool.h"
 
@@ -102,56 +101,15 @@ TEST(Link, CorruptionDeliversMarkedFrames) {
   EXPECT_NEAR(corrupt / 5000.0, 0.2, 0.03);
 }
 
-TEST(Link, DownLinkDropsEverything) {
-  sim::Simulator sim;
-  CaptureNode peer;
-  CountingObserver observer;
-  Link link(sim, util::Rng(3), peer, 0, 0, 1);
-  link.set_observer(&observer);
-  link.set_up(false);
-  for (int i = 0; i < 10; ++i) link.send(packet::Pool::local().acquire(data()));
-  sim.run();
-  EXPECT_TRUE(peer.packets.empty());
-  EXPECT_EQ(observer.drops, 10);
-}
-
-TEST(Link, GoingDownLosesFramesStillSerializingButNotFramesInFlight) {
-  // The link reads its up state when a frame's serialization ends. Frame
-  // A finishes at 8368 ns and propagates until 11368 ns; the link goes
-  // down at 9000 ns, while frame B is still serializing (until 16736).
-  sim::Simulator sim;
-  CaptureNode peer;
-  CountingObserver observer;
-  Link link(sim, util::Rng(6), peer, 0, util::microseconds(3), 1);
-  link.set_observer(&observer);
-  TxPort port(sim, util::BitRate::gbps(1));
-  port.set_out(&link);
-  auto a = data();
-  a.payload_bytes = 1000;  // 1046 bytes: 8368 ns at 1 Gbps
-  auto b = a;
-  b.l4.sport = 9;
-  port.enqueue(packet::Pool::local().acquire(std::move(a)), 0);
-  port.enqueue(packet::Pool::local().acquire(std::move(b)), 0);
-
-  sim.run_until(9000);
-  link.set_up(false);
-  sim.run();
-
-  ASSERT_EQ(peer.packets.size(), 1u);  // A, already in flight, arrives
-  EXPECT_EQ(peer.packets[0].l4.sport, 1);
-  EXPECT_EQ(observer.drops, 1);  // B, still serializing, is lost and reported
-  EXPECT_EQ(link.packets_dropped(), 1u);
-  EXPECT_EQ(link.packets_carried(), 1u);
-}
-
 TEST(Link, ObserverSeesEndpoints) {
   sim::Simulator sim;
   CaptureNode peer;
   CountingObserver observer;
   Link link(sim, util::Rng(4), peer, 0, 0, /*from=*/42);
   link.set_observer(&observer);
-  link.set_up(false);
+  link.set_fault_model(LinkFaultModel{.drop_prob = 1.0});
   link.send(packet::Pool::local().acquire(data()));
+  EXPECT_EQ(observer.drops, 1);
   EXPECT_EQ(observer.last_from, 42u);
   EXPECT_EQ(observer.last_to, 2u);
 }

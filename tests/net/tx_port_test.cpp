@@ -139,20 +139,6 @@ TEST(TxPort, ResumeUnblocksImmediately) {
   EXPECT_EQ(sink.packets.size(), 1u);
 }
 
-TEST(TxPort, DownPortHoldsTraffic) {
-  sim::Simulator sim;
-  CaptureSink sink;
-  TxPort port(sim, util::BitRate::gbps(1));
-  port.set_out(&sink);
-  port.set_up(false);
-  port.enqueue(packet::Pool::local().acquire(data()), 0);
-  sim.run_until(util::microseconds(100));
-  EXPECT_TRUE(sink.packets.empty());
-  port.set_up(true);
-  sim.run();
-  EXPECT_EQ(sink.packets.size(), 1u);
-}
-
 TEST(TxPort, DequeueHookObservesDelay) {
   sim::Simulator sim;
   CaptureSink sink;
@@ -225,15 +211,15 @@ TEST(TxPort, StrictPrioritySkipsAPausedTopClassUntilItResumes) {
   sim::Simulator sim;
   CaptureSink sink;
   TxPort port(sim, util::BitRate::gbps(1));
-  port.set_out(&sink);
 
-  port.set_up(false);  // hold every frame until all four are queued
+  // No sink yet: every frame waits until all four are queued.
   port.apply_pause(7, 0xffff);
   port.enqueue(packet::Pool::local().acquire(data(1000, 56, 70)), 7);
   port.enqueue(packet::Pool::local().acquire(data(1000, 56, 71)), 7);
   port.enqueue(packet::Pool::local().acquire(data(1000, 24, 30)), 3);
   port.enqueue(packet::Pool::local().acquire(data(1000, 24, 31)), 3);
-  port.set_up(true);  // class 7 is paused: class 3 goes first
+  port.set_out(&sink);
+  port.apply_pause(3, 0);  // kicks the scheduler; class 7 is paused: class 3 goes first
   sim.run_until(4000);
   port.apply_pause(7, 0);  // while frame 30 serializes
   sim.run();

@@ -34,10 +34,8 @@ TEST(Packet, MinimumFramePadding) {
 TEST(Packet, ShimsAddBytes) {
   auto pkt = make_tcp(sample_flow(), 1000);
   const auto base = pkt.wire_bytes();
-  pkt.vlan = VlanTag{3, false, 100};
-  EXPECT_EQ(pkt.wire_bytes(), base + 4);
   pkt.seq_tag = 12345;  // 4-byte ID + 2-byte encapsulated ethertype
-  EXPECT_EQ(pkt.wire_bytes(), base + 10);
+  EXPECT_EQ(pkt.wire_bytes(), base + 6);
 }
 
 TEST(Packet, FlowExtraction) {
@@ -151,11 +149,6 @@ TEST(Packet, StampedLengthPadsLikeTheHeadersJustUnderTheMinimum) {
     tagged->seq_tag.reset();
     EXPECT_EQ(tagged->wire_bytes(), kMinFrameBytes) << "payload " << payload;
   }
-}
-
-TEST(Packet, VlanTciRoundTrip) {
-  const VlanTag tag{5, true, 0xabc};
-  EXPECT_EQ(VlanTag::from_tci(tag.tci()), tag);
 }
 
 }  // namespace

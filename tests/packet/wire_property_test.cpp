@@ -13,11 +13,12 @@ namespace {
 // gtest prints a parameter's raw bytes into the test name, so Shape has
 // no implicit padding: an unnamed gap would print whatever the stack held
 // at registration and the name would differ from one build to the next.
+// The explicit pads also keep each shape's bytes, and so its name, fixed.
 struct Shape {
   bool tcp = false;
-  bool vlan = false;
+  std::uint8_t pad0 = 0;
   bool seq_tag = false;
-  std::uint8_t pad = 0;
+  std::uint8_t pad1 = 0;
   std::uint32_t max_payload = 0;
 };
 static_assert(sizeof(Shape) == 8, "Shape must stay free of implicit padding");
@@ -39,16 +40,12 @@ Packet random_packet(util::Rng& rng, const Shape& shape) {
   pkt.ip->dscp = static_cast<std::uint8_t>(rng.uniform(64));
   pkt.ip->ecn = static_cast<std::uint8_t>(rng.uniform(4));
   pkt.ip->ident = static_cast<std::uint16_t>(rng.next());
-  if (shape.vlan) {
-    pkt.vlan = VlanTag{static_cast<std::uint8_t>(rng.uniform(8)), rng.chance(0.5),
-                       static_cast<std::uint16_t>(rng.uniform(4096))};
-  }
   if (shape.seq_tag) pkt.seq_tag = static_cast<std::uint32_t>(rng.next());
   return pkt;
 }
 
 TEST_P(WireProperty, RoundTripPreservesEverything) {
-  util::Rng rng(GetParam().max_payload + GetParam().tcp * 7 + GetParam().vlan * 13);
+  util::Rng rng(GetParam().max_payload + GetParam().tcp * 7);
   for (int i = 0; i < 200; ++i) {
     const Packet pkt = random_packet(rng, GetParam());
     const auto bytes = serialize(pkt);
@@ -62,7 +59,6 @@ TEST_P(WireProperty, RoundTripPreservesEverything) {
     EXPECT_EQ(parsed->packet.ip->dscp, pkt.ip->dscp);
     EXPECT_EQ(parsed->packet.ip->ecn, pkt.ip->ecn);
     EXPECT_EQ(parsed->packet.ip->ident, pkt.ip->ident);
-    EXPECT_EQ(parsed->packet.vlan, pkt.vlan);
     EXPECT_EQ(parsed->packet.seq_tag, pkt.seq_tag);
     EXPECT_EQ(parsed->packet.payload_bytes, pkt.payload_bytes);
     if (pkt.is_tcp()) {
@@ -92,16 +88,14 @@ INSTANTIATE_TEST_SUITE_P(Shapes, WireProperty,
                          ::testing::Values(Shape{.tcp = true, .max_payload = 64},
                                            Shape{.tcp = true, .max_payload = 1460},
                                            Shape{.max_payload = 1460},
-                                           Shape{.tcp = true, .vlan = true, .max_payload = 512},
+                                           Shape{.tcp = true, .max_payload = 512},
                                            Shape{.tcp = true, .seq_tag = true, .max_payload = 512},
-                                           Shape{.tcp = true, .vlan = true, .seq_tag = true,
-                                                 .max_payload = 1452},
-                                           Shape{.vlan = true, .seq_tag = true, .max_payload = 0}),
+                                           Shape{.tcp = true, .seq_tag = true, .max_payload = 1452},
+                                           Shape{.seq_tag = true, .max_payload = 0}),
                          [](const auto& info) {
                            const auto& s = info.param;
-                           return std::string(s.tcp ? "tcp" : "udp") +
-                                  (s.vlan ? "_vlan" : "") + (s.seq_tag ? "_seq" : "") + "_p" +
-                                  std::to_string(s.max_payload);
+                           return std::string(s.tcp ? "tcp" : "udp") + (s.seq_tag ? "_seq" : "") +
+                                  "_p" + std::to_string(s.max_payload);
                          });
 
 }  // namespace

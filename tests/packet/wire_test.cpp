@@ -47,14 +47,13 @@ TEST(Wire, UdpRoundTrip) {
   EXPECT_EQ(parsed->packet.payload_bytes, 512u);
 }
 
-TEST(Wire, VlanAndSeqTagRoundTrip) {
+TEST(Wire, SeqTagRoundTrip) {
   auto pkt = make_tcp(sample_flow(), 64);
-  pkt.vlan = VlanTag{2, false, 0x123};
   pkt.seq_tag = 0xdeadbeef;
   const auto parsed = parse(serialize(pkt));
   ASSERT_TRUE(parsed.has_value());
-  ASSERT_TRUE(parsed->packet.vlan.has_value());
-  EXPECT_EQ(*parsed->packet.vlan, (VlanTag{2, false, 0x123}));
+  EXPECT_TRUE(parsed->fcs_ok);
+  EXPECT_EQ(parsed->packet.flow(), pkt.flow());
   ASSERT_TRUE(parsed->packet.seq_tag.has_value());
   EXPECT_EQ(*parsed->packet.seq_tag, 0xdeadbeefu);
 }
@@ -82,8 +81,7 @@ TEST(Wire, CorruptedFlagBreaksFcs) {
 TEST(Wire, BitFlipBreaksFcs) {
   const auto pkt = make_tcp(sample_flow(), 100);
   auto bytes = serialize(pkt);
-  std::uint64_t rng = 42;
-  flip_random_bits(std::span(bytes).first(bytes.size() - 4), 1, rng);
+  bytes[40] ^= std::byte{0x08};  // one bit of the TCP header
   const auto parsed = parse(bytes);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_FALSE(parsed->fcs_ok);
@@ -124,17 +122,6 @@ TEST(Wire, ChecksumOfHeaderWithChecksumIsZero) {
 TEST(Wire, MinFramePadding) {
   const auto pkt = make_udp(sample_flow(), 0);
   EXPECT_EQ(serialize(pkt).size(), 64u);
-}
-
-TEST(Wire, FlipRandomBitsReportsPositions) {
-  std::vector<std::byte> buf(100, std::byte{0});
-  std::uint64_t rng = 7;
-  const auto positions = flip_random_bits(buf, 5, rng);
-  EXPECT_EQ(positions.size(), 5u);
-  int set_bits = 0;
-  for (auto b : buf) set_bits += std::popcount(static_cast<unsigned>(b));
-  EXPECT_LE(set_bits, 5);  // could overlap
-  EXPECT_GT(set_bits, 0);
 }
 
 }  // namespace

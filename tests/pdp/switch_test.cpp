@@ -173,20 +173,6 @@ TEST_F(SwitchTest, MaxMtuPacketForwards) {
   EXPECT_EQ(capture_.packets.size(), 1u);
 }
 
-TEST_F(SwitchTest, PortDownDrops) {
-  sw_.set_port_up(1, false);
-  deliver_and_run(data_packet());
-  EXPECT_TRUE(capture_.packets.empty());
-  EXPECT_EQ(sw_.drops(DropReason::kPortDown), 1u);
-}
-
-TEST_F(SwitchTest, LinkDownDrops) {
-  link_.set_up(false);
-  deliver_and_run(data_packet());
-  EXPECT_TRUE(capture_.packets.empty());
-  EXPECT_EQ(sw_.drops(DropReason::kPortDown), 1u);
-}
-
 TEST_F(SwitchTest, NonIpDataIsParserError) {
   Packet pkt;
   pkt.uid = packet::next_packet_uid();

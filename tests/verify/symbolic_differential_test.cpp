@@ -87,7 +87,7 @@ struct Expected {
 };
 
 /// Random packet soup: routed/unrouted dsts, short TTLs, oversized
-/// frames, corrupted frames, PFC, non-IP, VLAN shims, TCP and UDP.
+/// frames, corrupted frames, PFC, non-IP, TCP and UDP.
 packet::Packet random_packet(std::mt19937_64& rng,
                              const std::vector<Ipv4Addr>& routed_dsts) {
   const auto u32 = [&rng]() { return static_cast<std::uint32_t>(rng()); };
@@ -123,7 +123,6 @@ packet::Packet random_packet(std::mt19937_64& rng,
   static constexpr std::uint8_t kTtls[] = {0, 1, 2, 3, 64, 255};
   pkt.ip->ttl = kTtls[u32() % 6];
   pkt.ip->dscp = static_cast<std::uint8_t>(u32() % 64);
-  if (u32() % 8 == 0) pkt.vlan = packet::VlanTag{};
   if (roll < 10) pkt.corrupted = true;
   return pkt;
 }

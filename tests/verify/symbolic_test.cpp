@@ -116,10 +116,8 @@ TEST(PrefixSetTest, RandomizedSubtractionMatchesReferencePredicate) {
 TEST(SymPacketTest, MtuCheckBytesMatchesPipelineFormula) {
   packet::Packet pkt = packet::make_tcp(FlowKey{Ipv4Addr{1}, Ipv4Addr{2}, 6, 1, 2}, 1000);
   EXPECT_EQ(mtu_check_bytes(pkt), 1040u);  // 20 IP + 20 TCP + 1000 payload
-  pkt.vlan = packet::VlanTag{};
-  EXPECT_EQ(mtu_check_bytes(pkt), 1040u);  // VLAN overhead excluded from L3 length
   pkt.seq_tag = 7;
-  EXPECT_EQ(mtu_check_bytes(pkt), 1040u);
+  EXPECT_EQ(mtu_check_bytes(pkt), 1040u);  // shim overhead excluded from L3 length
 }
 
 TEST(SymPacketTest, AdmitsChecksEveryConstrainedField) {
@@ -199,9 +197,8 @@ TEST(SymbolicExecTest, ReachableReasonsMatchTopologyStructure) {
   EXPECT_TRUE(reachable(pdp::DropReason::kMtuExceeded));
   EXPECT_TRUE(reachable(pdp::DropReason::kCongestion));
   EXPECT_TRUE(reachable(pdp::DropReason::kCorruption));
-  // No ACL rules and no down ports on the shipped testbed.
+  // No ACL rules on the shipped testbed.
   EXPECT_FALSE(reachable(pdp::DropReason::kAclDeny));
-  EXPECT_FALSE(reachable(pdp::DropReason::kPortDown));
   EXPECT_GT(summary.paths, 0u);
   EXPECT_EQ(summary.silent_drop_paths, 0u);
   EXPECT_EQ(summary.max_emissions_per_packet, 1);
@@ -232,25 +229,12 @@ TEST(SymbolicExecTest, AclDenyBranchesAreEnumeratedPerRoute) {
   }
 }
 
-TEST(SymbolicExecTest, PortDownBecomesReachableWhenALinkGoesDown) {
-  const fabric::Testbed tb = fabric::make_testbed();
-  pdp::Switch& sw = *tb.tors[0];
-  sw.set_port_up(0, false);
-  Report report;
-  const SymbolicSummary summary =
-      check_symbolic(report, sw, core::NetSeerConfig{}, VerifyOptions{});
-  EXPECT_TRUE(summary.reason_reachable[static_cast<std::size_t>(pdp::DropReason::kPortDown)]);
-  EXPECT_TRUE(report.ok(true)) << report.render_text();  // covered, so still clean
-}
-
-// ---- Invariant passes: each must fire on its seeded defect ------------------
-
 TEST(SymbolicPassTest, BlackholeRouteIsACoverageError) {
   const fabric::Testbed tb = fabric::make_testbed();
-  pdp::Switch& sw = *tb.aggs[0];  // aggs have up-but-unwired spare ports
+  pdp::Switch& sw = *tb.aggs[0];  // aggs have unwired spare ports
   util::PortId spare = util::kInvalidPort;
   for (util::PortId p = 0; p < sw.config().num_ports; ++p) {
-    if (sw.link(p) == nullptr && sw.port_up(p)) {
+    if (sw.link(p) == nullptr) {
       spare = p;
       break;
     }

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       .flag("checkpoint", &options.checkpoint_path,
             "resume-LSN checkpoint file: a restart resumes after the last consumed row")
       .flag("from-lsn", &from_lsn, "start after this LSN (a checkpoint file wins)")
-      .flag("metrics-out", &metrics_out, "write a metrics snapshot (.json or .csv) on exit")
+      .flag("metrics-out", &metrics_out, "write a JSON metrics snapshot on exit")
       .parse(argc, argv);
   if (store_dir.empty()) cli.fail("--store-dir is required");
 

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
       .flag("fixture-mode", &options.fixture_mode, "treat every file as first-party src/ code")
       .flag("check-expectations", &expectations,
             "findings must exactly match LINT-EXPECT comments (implies --fixture-mode)")
-      .flag("metrics-out", &metrics_out, "export lint.* counters (.json or .csv)")
+      .flag("metrics-out", &metrics_out, "export lint.* counters as JSON")
       .flag("quiet", &quiet, "suppress per-finding lines")
       .positionals(&inputs, "<file-or-dir>...")
       .parse(argc, argv);

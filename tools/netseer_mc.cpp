@@ -1,6 +1,6 @@
 // netseer_mc — run the exhaustive-interleaving model-check harnesses
 // (src/mc) and report per-harness exploration statistics through the
-// telemetry registry, exportable as a MetricsSnapshot (JSON/CSV).
+// telemetry registry, exportable as a JSON MetricsSnapshot.
 //
 // A correctness harness passes only when the schedule space is
 // EXHAUSTED with no failure; a seeded-bug harness passes only when the
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
             "override the exploration budget; 0 keeps the harness's own")
       .flag("max-steps", &max_steps,
             "override the per-schedule op budget; 0 keeps the harness's own")
-      .flag("metrics-out", &metrics_out, "write a metrics snapshot (.json or .csv) on exit")
+      .flag("metrics-out", &metrics_out, "write a JSON metrics snapshot on exit")
       .flag("trace", &trace, "print the failing schedule for every failure")
       .parse(argc, argv);
 

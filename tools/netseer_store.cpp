@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
       "  gen <dir> [events] [torn] [group]  synthesize a store; `torn` cuts the WAL after\n"
       "                                     that many bytes, `group` ingests through group\n"
       "                                     commit"};
-  cli.flag("metrics-out", &metrics_out, "tail: write a metrics snapshot (.json or .csv) on exit")
+  cli.flag("metrics-out", &metrics_out, "tail: write a JSON metrics snapshot on exit")
       .positionals(&args, "<command> <dir> [args]")
       .parse(argc, argv);
 

@@ -79,12 +79,12 @@ verify::PipelineLayout seed_stage_hazard(const core::NetSeerConfig& config) {
   return layout;
 }
 
-/// A route into a port that is administratively up but has no cable: the
-/// packet passes the health check, enqueues, and is never transmitted —
-/// silent loss with no drop point crossed (symbolic.coverage catches it).
+/// A route into a port that has no cable: the packet enqueues and is
+/// never transmitted — silent loss with no drop point crossed
+/// (symbolic.coverage catches it).
 bool seed_silent_drop(pdp::Switch& sw) {
   for (util::PortId p = 0; p < sw.config().num_ports; ++p) {
-    if (sw.link(p) == nullptr && sw.port_up(p)) {
+    if (sw.link(p) == nullptr) {
       sw.routes().insert(
           packet::Ipv4Prefix{packet::Ipv4Addr::from_octets(99, 0, 0, 0), 8},
           pdp::EcmpGroup{{p}});
@@ -170,7 +170,7 @@ int main(int argc, char** argv) {
     hazard_fixture = true;
   } else if (args.fixture == "silent-drop") {
     if (!seed_silent_drop(*tb.aggs[0])) {
-      std::fprintf(stderr, "silent-drop: no up-but-unwired port on %s\n",
+      std::fprintf(stderr, "silent-drop: no unwired port on %s\n",
                    tb.aggs[0]->name().c_str());
       return 2;
     }
