@@ -7,6 +7,7 @@
 
 #include "core/event.h"
 #include "packet/packet.h"
+#include "util/annotations.h"
 
 namespace netseer::core {
 
@@ -204,7 +205,7 @@ class InterSwitchRx {
 
   /// Inspect an arriving packet. Strips the shim. Returns the missing
   /// range when a gap is detected.
-  std::optional<Gap> on_rx(packet::Packet& pkt) {
+  NETSEER_HOT std::optional<Gap> on_rx(packet::Packet& pkt) {
     if (!pkt.seq_tag) return std::nullopt;
     const std::uint32_t seq = *pkt.seq_tag;
     pkt.seq_tag.reset();

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/event.h"
+#include "util/annotations.h"
 
 namespace netseer::core {
 
@@ -36,7 +37,7 @@ class GroupCache {
   /// Algorithm 1: offer one event packet's event; calls `emit` zero, one,
   /// or two times (evicted residual + new-flow report).
   template <typename Emit>
-  void offer(const FlowEvent& event, const Emit& emit) {
+  NETSEER_HOT void offer(const FlowEvent& event, const Emit& emit) {
     ++offered_;
     if (slots_.empty()) {  // degenerate config: report everything
       emit(event);

@@ -8,8 +8,8 @@
 
 namespace netseer::mc {
 
-/// One model-check harness: a small fixed-thread-count program over the
-/// engine's real concurrency primitives, explored exhaustively by
+/// One model-check harness: a small fixed-thread-count miniature of one
+/// of the engine's concurrency protocols, explored exhaustively by
 /// mc::explore. Seeded-bug harnesses (expect_failure) exist to prove the
 /// checker's teeth: the run "passes" only if the checker finds the
 /// planted bug.

@@ -25,10 +25,9 @@
 /// The memory model, precisely: values are sequentially consistent (a
 /// load observes the latest store in the explored schedule), and
 /// release/acquire synchronization is tracked with vector clocks so
-/// every non-atomic access instrumented via race_read()/race_write() (or
-/// the NETSEER_MC_READ/WRITE hooks production code carries) is checked
-/// for happens-before data races — the same race relation TSan checks,
-/// but over EVERY schedule instead of the ones the OS happens to
+/// every non-atomic access instrumented via race_read()/race_write() is
+/// checked for happens-before data races — the same race relation TSan
+/// checks, but over EVERY schedule instead of the ones the OS happens to
 /// produce. Plain relaxed stores publish no view, release stores publish
 /// the writer's clock, RMWs continue release sequences per C++20. What
 /// this model deliberately does not cover: stale-value reads of atomics
@@ -147,8 +146,7 @@ void await(const std::function<bool()>& pred);
 
 /// Non-atomic-access instrumentation: declare a read/write of the cell
 /// at `addr` so the checker can verify every conflicting pair is ordered
-/// by happens-before in every schedule. Compiled into production code
-/// through the NETSEER_MC_READ/WRITE macros (no-ops in normal builds).
+/// by happens-before in every schedule.
 void race_read(const void* addr, const char* what);
 void race_write(const void* addr, const char* what);
 

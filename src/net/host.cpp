@@ -4,7 +4,14 @@ namespace netseer::net {
 
 Host::Host(sim::Simulator& sim, util::NodeId id, std::string name, packet::Ipv4Addr addr,
            util::BitRate nic_rate)
-    : Node(id, std::move(name)), sim_(sim), addr_(addr), tx_(sim, nic_rate) {}
+    : Node(id, std::move(name)), sim_(sim), addr_(addr), tx_(sim, nic_rate) {
+  // The NIC numbers frames as they depart, as a switch does in its
+  // egress pipeline, so the IDs the ToR sees stay consecutive when a
+  // higher class overtakes frames queued earlier.
+  tx_.set_dequeue_hook([this](packet::Packet& pkt, util::QueueId, util::SimDuration) {
+    if (nic_agent_) nic_agent_->on_tx(*this, pkt);
+  });
+}
 
 void Host::send(packet::Packet&& frame) {
   // Defaults first: the pool stamps the flow hash from the final 5-tuple.
@@ -12,9 +19,7 @@ void Host::send(packet::Packet&& frame) {
   if (frame.ip && frame.ip->src == packet::Ipv4Addr{}) frame.ip->src = addr_;
   frame.meta.created_time = sim_.now();
   packet::PooledPacket slot = packet::Pool::local().acquire(std::move(frame));
-  packet::Packet& pkt = *slot;
-  if (nic_agent_) nic_agent_->on_tx(*this, pkt);
-  const util::QueueId queue = queue_for(pkt);
+  const util::QueueId queue = queue_for(*slot);
   tx_.enqueue(std::move(slot), queue);
 }
 

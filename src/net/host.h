@@ -9,6 +9,7 @@
 #include "net/node.h"
 #include "net/tx_port.h"
 #include "sim/simulator.h"
+#include "util/annotations.h"
 
 namespace netseer::net {
 
@@ -24,9 +25,10 @@ class HostApp {
 };
 
 /// NIC-level extension hooks — where NetSeer's inter-switch drop
-/// detection modules run at the network edge (§4 "NIC"). on_rx returning
-/// false consumes the packet (e.g. a loss notification addressed to the
-/// NIC itself).
+/// detection modules run at the network edge (§4 "NIC"). on_tx sees each
+/// frame as it leaves the NIC's queues, in departure order; on_rx
+/// returning false consumes the packet (e.g. a loss notification
+/// addressed to the NIC itself).
 class NicAgent {
  public:
   virtual ~NicAgent() = default;
@@ -54,9 +56,9 @@ class Host : public Node {
   /// Queue a new frame for transmission: gives it the pool slot it keeps
   /// until its last hop. Fills in source MAC/IP defaults if unset and
   /// maps DSCP to the egress priority queue.
-  void send(packet::Packet&& pkt);
+  NETSEER_HOT void send(packet::Packet&& pkt);
 
-  void receive(packet::PooledPacket slot, util::PortId in_port) override;
+  NETSEER_HOT void receive(packet::PooledPacket slot, util::PortId in_port) override;
 
   [[nodiscard]] TxPort& nic() { return tx_; }
 

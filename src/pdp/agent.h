@@ -29,9 +29,6 @@ class SwitchAgent {
  public:
   virtual ~SwitchAgent() = default;
 
-  /// Called once when the agent is added to a switch.
-  virtual void attach(Switch& sw) { (void)sw; }
-
   /// A frame arrived at a MAC. If `corrupted`, the MAC discards it right
   /// after this call and nothing else ever sees it.
   virtual void on_mac_rx(Switch& sw, const packet::Packet& pkt, util::PortId port,

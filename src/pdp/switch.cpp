@@ -28,11 +28,6 @@ void Switch::connect(util::PortId port, net::Link* link) {
   ports_[port]->set_out(link);
 }
 
-void Switch::add_agent(SwitchAgent* agent) {
-  agents_.push_back(agent);
-  agent->attach(*this);
-}
-
 std::uint64_t Switch::total_drops() const {
   std::uint64_t total = 0;
   for (auto c : drop_counters_) total += c;

@@ -15,6 +15,7 @@
 #include "pdp/table.h"
 #include "pdp/types.h"
 #include "sim/simulator.h"
+#include "util/annotations.h"
 #include "util/rate.h"
 
 namespace netseer::pdp {
@@ -83,11 +84,11 @@ class Switch : public net::Node {
   [[nodiscard]] Mmu& mmu() { return mmu_; }
   [[nodiscard]] const Mmu& mmu() const { return mmu_; }
 
-  void add_agent(SwitchAgent* agent);
+  void add_agent(SwitchAgent* agent) { agents_.push_back(agent); }
 
 
   // ---- Data path ----------------------------------------------------------
-  void receive(packet::PooledPacket slot, util::PortId in_port) override;
+  NETSEER_HOT void receive(packet::PooledPacket slot, util::PortId in_port) override;
 
   /// Agent backdoor: enqueue a locally generated packet (loss
   /// notification, mirror copy...) directly on an egress queue, skipping
@@ -108,10 +109,10 @@ class Switch : public net::Node {
   }
 
  private:
-  void run_pipeline(packet::PooledPacket slot, PipelineContext ctx);
-  void enqueue(packet::PooledPacket slot, const PipelineContext& ctx);
-  void handle_egress(packet::Packet& pkt, util::PortId port, util::QueueId queue,
-                     util::SimDuration queue_delay);
+  NETSEER_HOT void run_pipeline(packet::PooledPacket slot, PipelineContext ctx);
+  NETSEER_HOT void enqueue(packet::PooledPacket slot, const PipelineContext& ctx);
+  NETSEER_HOT void handle_egress(packet::Packet& pkt, util::PortId port, util::QueueId queue,
+                                 util::SimDuration queue_delay);
   void handle_pfc(const packet::Packet& pkt, util::PortId in_port);
   void send_pfc(util::PortId port, util::QueueId cls, bool pause);
   void drop(const packet::Packet& pkt, PipelineContext& ctx, DropReason reason);

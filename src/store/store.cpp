@@ -366,14 +366,6 @@ void FlowEventStore::checkpoint() {
   compact_locked();
   enforce_retention_locked();
   wal_gc_locked();
-  const std::uint64_t watermark = sealed_durable_watermark_locked();
-  if (!legacy_wal_files_.empty() && watermark >= legacy_wal_max_lsn_) {
-    for (const auto& path : legacy_wal_files_) {
-      std::error_code ec;
-      if (fs::remove(path, ec) && !ec) ++legacy_wal_deleted_;
-    }
-    legacy_wal_files_.clear();
-  }
 }
 
 sim::TaskHandle FlowEventStore::start_maintenance(sim::Simulator& sim,
@@ -453,15 +445,12 @@ void FlowEventStore::recover_from_dir() {
   durable_lsn_ = recovery_.max_lsn;
   append_seq_ = 0;
 
-  for (const auto& ref : list_wal_files(options_.dir)) {
-    legacy_wal_files_.push_back(ref.path);
-  }
-  legacy_wal_max_lsn_ = replay.max_lsn;
-
+  // The writer inherits the replayed files and reclaims each one as it
+  // does its own, once sealed durable segments cover the file.
   WalWriter::Options wal_options;
   wal_options.dir = options_.dir;
   wal_options.segment_bytes = options_.wal_segment_bytes;
-  wal_ = std::make_unique<WalWriter>(wal_options, replay.last_file_index + 1);
+  wal_ = std::make_unique<WalWriter>(wal_options, replay.wal_files);
   // Rows replayed out of the WAL are on disk already: seed the group
   // commit watermark at the recovered LSN so they count as durable.
   writer_ = std::make_unique<GroupCommitWriter>(*wal_, options_.sync_every_batch, durable_lsn_,
@@ -482,7 +471,7 @@ const StoreStats& FlowEventStore::stats() const {
     stats_.wal_records = wal_->records_written();
     stats_.wal_bytes = wal_->bytes_written();
     stats_.wal_syncs = wal_->syncs();
-    stats_.wal_files_deleted = wal_->files_deleted() + legacy_wal_deleted_;
+    stats_.wal_files_deleted = wal_->files_deleted();
   }
   if (writer_) {
     stats_.groups_committed = writer_->groups_committed();

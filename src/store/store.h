@@ -58,8 +58,8 @@ struct StoreOptions {
   /// it; it goes once that assignment does.
   std::size_t query_threads = 1;
 
-  /// Group-commit handoff depth, in shard batches. A full ring blocks
-  /// ingest (bounded memory) until the writer thread drains.
+  /// Group-commit handoff depth, in shard batches. Ingest blocks
+  /// (bounded memory) while this many wait for the writer thread.
   std::size_t writer_queue = 64;
 };
 
@@ -82,7 +82,7 @@ struct StoreStats {
   std::uint64_t groups_committed = 0;    // fsync rounds that advanced the watermark
   std::uint64_t group_batches = 0;       // shard batches through the writer
   std::uint64_t max_group_batches = 0;   // largest single commit group
-  std::uint64_t writer_queue_waits = 0;  // times ingest blocked on a full handoff ring
+  std::uint64_t writer_queue_waits = 0;  // times ingest blocked on a full handoff
 
   // Storage lifecycle.
   std::uint64_t segments_sealed = 0;
@@ -359,7 +359,6 @@ class FlowEventStore final : public backend::EventSink {
   std::uint64_t next_lsn_ = 1;
   std::uint64_t durable_lsn_ = 0;
   std::uint64_t generation_ = 0;  // mutation counter for cursor validity
-  std::uint64_t legacy_wal_deleted_ = 0;  // checkpoint-deleted legacy files
 
   std::vector<Row> memtable_;
   /// Indexes memtable_ as rows arrive; seal_active() hands it over.
@@ -375,11 +374,6 @@ class FlowEventStore final : public backend::EventSink {
   std::uint32_t next_segment_file_ NETSEER_GUARDED_BY(maint_mu_) = 1;
   /// Max LSN of evicted durable segments: the WAL-GC walk resumes here.
   std::uint64_t sealed_watermark_floor_ NETSEER_GUARDED_BY(maint_mu_) = 0;
-
-  /// WAL files found at recovery (not owned by the current writer);
-  /// deletable once checkpoint() has sealed everything they cover.
-  std::vector<std::string> legacy_wal_files_ NETSEER_GUARDED_BY(maint_mu_);
-  std::uint64_t legacy_wal_max_lsn_ NETSEER_GUARDED_BY(maint_mu_) = 0;
 };
 
 /// Parse a compact query spec, shared by `netseer_sim --store-query` and

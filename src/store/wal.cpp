@@ -68,11 +68,13 @@ std::vector<WalFileRef> list_wal_files(const std::string& dir) {
 WalReplayResult replay_wal_dir(const std::string& dir, std::uint64_t watermark,
                                const std::function<void(Row&&)>& emit, bool repair) {
   WalReplayResult result;
-  for (const auto& ref : list_wal_files(dir)) {
-    result.last_file_index = ref.index;
+  result.wal_files = list_wal_files(dir);
+  std::vector<WalFileRef*> unreadable;
+  for (WalFileRef& ref : result.wal_files) {
     std::FILE* f = std::fopen(ref.path.c_str(), "rb");
     if (f == nullptr) {
       result.torn_tail = true;
+      unreadable.push_back(&ref);
       continue;
     }
     ++result.files;
@@ -141,6 +143,7 @@ WalReplayResult replay_wal_dir(const std::string& dir, std::uint64_t watermark,
       ++result.records;
       valid_bytes += header.size() + payload.size();
       for (Row& row : batch) {
+        ref.max_lsn = std::max(ref.max_lsn, row.lsn);
         if (row.lsn > result.max_lsn) result.max_lsn = row.lsn;
         if (row.lsn <= watermark) {
           ++result.skipped_rows;
@@ -160,11 +163,18 @@ WalReplayResult replay_wal_dir(const std::string& dir, std::uint64_t watermark,
       }
     }
   }
+  // Nothing is known of what an unreadable file holds: it waits until
+  // everything replayed is covered.
+  for (WalFileRef* ref : unreadable) ref->max_lsn = result.max_lsn;
   return result;
 }
 
-WalWriter::WalWriter(const Options& options, std::uint32_t first_file_index)
-    : options_(options), next_index_(first_file_index) {
+WalWriter::WalWriter(const Options& options, const std::vector<WalFileRef>& recovered)
+    : options_(options) {
+  for (const WalFileRef& ref : recovered) {
+    files_.push_back(FileInfo{ref.index, ref.path, ref.max_lsn, /*open=*/false});
+  }
+  if (!recovered.empty()) next_index_ = recovered.back().index + 1;
   if (enabled()) {
     fs::create_directories(options_.dir);
     util::MutexLock lock(mu_);

@@ -18,6 +18,9 @@ struct WalFileRef {
   std::uint32_t index = 0;
   std::string path;
   std::uint64_t bytes = 0;
+  /// Highest LSN replay_wal_dir read from the file (0 when none); the
+  /// LSN a WalWriter that inherits the file waits on to reclaim it.
+  std::uint64_t max_lsn = 0;
 };
 
 /// WAL files under `dir`, sorted by file index.
@@ -31,8 +34,11 @@ struct WalReplayResult {
   std::uint64_t skipped_rows = 0;  // rows at or below the segment watermark
   std::uint64_t max_lsn = 0;       // highest LSN seen (0 when empty)
   std::uint64_t repaired_files = 0;  // torn files truncated in place (repair mode)
-  std::uint32_t last_file_index = 0;  // max file index on disk, torn or not
   bool torn_tail = false;  // some file ended at an incomplete/corrupt record
+  /// Every file listed, torn or not, in index order, each with the
+  /// highest LSN replayed from it. A file that could not be opened
+  /// counts as holding max_lsn.
+  std::vector<WalFileRef> wal_files;
 };
 
 /// Replay every WAL file under `dir` in file order, delivering each row
@@ -57,7 +63,8 @@ WalReplayResult replay_wal_dir(const std::string& dir, std::uint64_t watermark,
 /// sync() fsyncs it to stable storage, which is the store's
 /// acknowledgement point. Files rotate at `segment_bytes` so
 /// checkpointing can reclaim whole files once their rows are sealed
-/// into durable segments (remove_obsolete).
+/// into durable segments (remove_obsolete) — its own files and the ones
+/// a recovery replayed and handed it alike.
 ///
 /// Crash fault injection for the recovery property tests: after
 /// fail_after_bytes(n), only the next n bytes reach the file — a write
@@ -77,8 +84,11 @@ class WalWriter {
   };
 
   WalWriter() = default;
+  /// `recovered` lists the files already in `options.dir`, in index
+  /// order (WalReplayResult::wal_files): the writer numbers its own
+  /// files after them and reclaims them like its own.
   NETSEER_BLOCKING explicit WalWriter(const Options& options,
-                                      std::uint32_t first_file_index = 1);
+                                      const std::vector<WalFileRef>& recovered = {});
   NETSEER_BLOCKING ~WalWriter();
 
   WalWriter(const WalWriter&) = delete;

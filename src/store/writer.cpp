@@ -8,11 +8,13 @@ GroupCommitWriter::GroupCommitWriter(WalWriter& wal, bool sync_every_batch,
                                      std::uint64_t initial_watermark, std::size_t queue_depth)
     : wal_(wal),
       sync_every_batch_(sync_every_batch),
-      ring_(queue_depth),
-      recycle_(queue_depth),
+      queue_depth_(queue_depth),
       watermark_(initial_watermark),
-      appended_lsn_(initial_watermark),
-      thread_([this] { run(); }) {}
+      appended_lsn_(initial_watermark) {
+  pending_.reserve(queue_depth_);
+  free_.reserve(queue_depth_);
+  thread_ = std::thread([this] { run(); });
+}
 
 GroupCommitWriter::~GroupCommitWriter() {
   {
@@ -25,42 +27,35 @@ GroupCommitWriter::~GroupCommitWriter() {
 
 void GroupCommitWriter::submit(std::vector<Row> batch) {
   if (batch.empty()) return;
-  while (!ring_.try_push(batch)) {
-    queue_full_waits_.fetch_add(1, std::memory_order_relaxed);
-    util::CondMutexLock lock(mu_);
-    work_cv_.notify_one();  // make sure the writer is draining
-    while (ring_.full()) state_cv_.wait(lock);
-  }
-  submitted_batches_.fetch_add(1, std::memory_order_relaxed);
   util::CondMutexLock lock(mu_);
+  if (pending_.size() >= queue_depth_) {
+    ++queue_full_waits_;
+    while (pending_.size() >= queue_depth_) state_cv_.wait(lock);
+  }
+  pending_.push_back(std::move(batch));
+  ++submitted_batches_;
   work_cv_.notify_one();
 }
 
 std::vector<Row> GroupCommitWriter::take_buffer() {
-  std::vector<Row> buffer;
-  (void)recycle_.try_pop(buffer);
-  buffer.clear();
+  util::CondMutexLock lock(mu_);
+  if (free_.empty()) return {};
+  std::vector<Row> buffer = std::move(free_.back());
+  free_.pop_back();
   return buffer;
 }
 
 void GroupCommitWriter::drain() {
-  // Everything this (the only) producer submitted, counted by itself.
-  const std::uint64_t goal = submitted_batches_.load(std::memory_order_relaxed);
-  if (appended_batches_.load(std::memory_order_acquire) >= goal) return;
   util::CondMutexLock lock(mu_);
-  work_cv_.notify_one();
-  while (appended_batches_.load(std::memory_order_acquire) < goal) state_cv_.wait(lock);
+  while (appended_batches_ < submitted_batches_) state_cv_.wait(lock);
 }
 
 bool GroupCommitWriter::sync_to(std::uint64_t lsn) {
+  // The one lock-free read: acquire pairs with commit_group's release
+  // store, so the rows the watermark covers are on disk.
   if (watermark_.load(std::memory_order_acquire) >= lsn) return true;
   util::CondMutexLock lock(mu_);
-  // Publish the goal under the mutex so the writer either sees it in
-  // its sleep predicate or gets the notify.
-  std::uint64_t goal = sync_goal_.load(std::memory_order_relaxed);
-  while (goal < lsn &&
-         !sync_goal_.compare_exchange_weak(goal, lsn, std::memory_order_release)) {
-  }
+  sync_goal_ = std::max(sync_goal_, lsn);
   work_cv_.notify_one();
   while (watermark_.load(std::memory_order_acquire) < lsn) {
     if (wal_.dead()) return false;
@@ -69,69 +64,60 @@ bool GroupCommitWriter::sync_to(std::uint64_t lsn) {
   return true;
 }
 
-std::size_t GroupCommitWriter::drain_available() {
-  std::size_t drained = 0;
-  std::vector<Row> batch;
-  while (ring_.try_pop(batch)) {
-    ++drained;
-    if (!batch.empty()) {
-      const std::uint64_t last_lsn = batch.back().lsn;
-      if (!wal_.dead() && wal_.append(batch)) {
-        appended_lsn_ = last_lsn;
-      } else {
-        append_failures_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    batch.clear();
-    (void)recycle_.try_push(batch);  // full recycle ring: just drop it
-    appended_batches_.fetch_add(1, std::memory_order_release);
-    if (sync_every_batch_) (void)commit_group(1);
-  }
-  return drained;
-}
-
 bool GroupCommitWriter::commit_group(std::size_t group_batches) {
-  bool ok = true;
-  if (appended_lsn_ > watermark_.load(std::memory_order_relaxed)) {
-    ok = !wal_.dead() && wal_.sync();
-    if (ok) {
-      watermark_.store(appended_lsn_, std::memory_order_release);
-      groups_committed_.fetch_add(1, std::memory_order_relaxed);
-      std::uint64_t seen = max_group_batches_.load(std::memory_order_relaxed);
-      while (seen < group_batches && !max_group_batches_.compare_exchange_weak(
-                                         seen, group_batches, std::memory_order_relaxed)) {
-      }
-    }
-  } else {
-    ok = !wal_.dead();
+  const bool fresh = appended_lsn_ > watermark_.load(std::memory_order_relaxed);
+  const bool ok = !wal_.dead() && (!fresh || wal_.sync());
+  util::CondMutexLock lock(mu_);
+  if (ok && fresh) {
+    watermark_.store(appended_lsn_, std::memory_order_release);
+    ++groups_committed_;
+    max_group_batches_ = std::max<std::uint64_t>(max_group_batches_, group_batches);
   }
-  if (!ok) {
-    // A dead WAL can never meet an outstanding durability goal: abandon
-    // it so the loop can sleep instead of spinning. sync_to waiters are
-    // notified at the end of the round and observe dead() themselves.
-    sync_goal_.store(watermark_.load(std::memory_order_relaxed), std::memory_order_release);
-  }
+  // A dead WAL can never meet an outstanding durability goal: abandon
+  // it so the loop can sleep instead of spinning. sync_to waiters wake
+  // and observe dead() themselves.
+  if (!ok) sync_goal_ = watermark_.load(std::memory_order_relaxed);
+  state_cv_.notify_all();
   return ok;
 }
 
 void GroupCommitWriter::run() {
+  std::vector<std::vector<Row>> group;
+  group.reserve(queue_depth_);
   for (;;) {
-    bool stopping = false;
+    bool sync_wanted = false;
     {
       util::CondMutexLock lock(mu_);
-      while (ring_.empty() && !stop_ && !sync_pending()) work_cv_.wait(lock);
-      stopping = stop_;
+      while (pending_.empty() && !stop_ && !sync_pending()) work_cv_.wait(lock);
+      if (pending_.empty() && stop_) return;
+      group.swap(pending_);
+      sync_wanted = sync_pending();
     }
-    // Drain outside the mutex: the ring keeps filling while we append,
-    // and whatever accumulates during the fsync below becomes the next
-    // commit group — that is the whole amortization.
-    const std::size_t drained = drain_available();
-    if ((drained > 0 && !sync_every_batch_) || sync_pending()) (void)commit_group(drained);
+    // Append and fsync outside the mutex: batches submitted meanwhile
+    // collect in pending_ and become the next commit group — that is
+    // the whole amortization.
+    std::uint64_t failures = 0;
+    for (std::vector<Row>& batch : group) {
+      if (!wal_.dead() && wal_.append(batch)) {
+        appended_lsn_ = batch.back().lsn;
+      } else {
+        ++failures;
+      }
+      if (sync_every_batch_) (void)commit_group(1);
+      batch.clear();
+    }
     {
       util::CondMutexLock lock(mu_);
+      appended_batches_ += group.size();
+      append_failures_ += failures;
+      for (std::vector<Row>& batch : group) {
+        if (free_.size() < queue_depth_) free_.push_back(std::move(batch));
+      }
       state_cv_.notify_all();
     }
-    if (stopping && ring_.empty()) return;
+    // A round with nothing taken was woken by a sync goal alone.
+    if (!sync_every_batch_ || sync_wanted) (void)commit_group(group.size());
+    group.clear();
   }
 }
 

@@ -5,7 +5,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/spsc.h"
 #include "store/format.h"
 #include "store/wal.h"
 #include "util/annotations.h"
@@ -14,9 +13,9 @@
 
 namespace netseer::store {
 
-/// Group-commit WAL writer: a background thread that drains whole shard
-/// batches off an SPSC ring, appends them to the WAL, and amortizes one
-/// fsync over everything drained in a round. Acknowledgements are the
+/// Group-commit WAL writer: a background thread that takes every shard
+/// batch submitted since its last round, appends them to the WAL, and
+/// amortizes one fsync over the round. Acknowledgements are the
 /// durable-LSN watermark it publishes after each successful fsync — the
 /// ingest thread never fsyncs inline; it blocks in sync_to() only when
 /// the caller explicitly asks for durability.
@@ -28,100 +27,104 @@ namespace netseer::store {
 ///   - the internal thread is the only WAL appender while alive (the
 ///     WalWriter itself is mutex-serialized, so maintenance-side calls
 ///     like remove_obsolete stay safe);
-///   - watermark() is release-published after fsync and may be read from
-///     any thread.
+///   - every field both threads touch is guarded by mu_, except the
+///     watermark, which is release-published after fsync and may be read
+///     from any thread without the lock.
 ///
-/// Batches ride the data ring producer->writer; their emptied vectors
-/// ride the recycle ring back, so steady-state ingest allocates nothing
-/// per batch. A full data ring blocks submit() (bounded memory), which
-/// is the only backpressure ingest ever sees — and only when the disk
-/// cannot keep up with the event rate at all.
+/// Batches go to the writer in pending_ and their emptied vectors come
+/// back in free_, both reserved to the queue depth, so steady-state
+/// ingest allocates nothing per batch. A full pending_ blocks submit()
+/// (bounded memory), which is the only backpressure ingest ever sees —
+/// and only when the disk cannot keep up with the event rate at all.
 class GroupCommitWriter {
  public:
   /// `initial_watermark` seeds the durable LSN from recovery (rows
   /// replayed out of the WAL are on disk already). With
-  /// `sync_every_batch`, every batch is its own commit group.
+  /// `sync_every_batch`, every batch is its own commit group. At most
+  /// `queue_depth` submitted batches wait for the writer thread.
   GroupCommitWriter(WalWriter& wal, bool sync_every_batch, std::uint64_t initial_watermark,
-                    std::size_t queue_depth = 64);
+                    std::size_t queue_depth);
   ~GroupCommitWriter();
 
   GroupCommitWriter(const GroupCommitWriter&) = delete;
   GroupCommitWriter& operator=(const GroupCommitWriter&) = delete;
 
   /// Hand one shard batch (consecutive pre-assigned LSNs, ascending
-  /// across calls) to the writer thread. Blocks only when the ring is
-  /// full. Producer thread only.
-  void submit(std::vector<Row> batch);
+  /// across calls) to the writer thread. Blocks only while `queue_depth`
+  /// batches are pending. Producer thread only.
+  void submit(std::vector<Row> batch) NETSEER_EXCLUDES(mu_);
 
   /// A recycled batch vector (capacity retained) or a fresh one.
   /// Producer thread only.
-  [[nodiscard]] std::vector<Row> take_buffer();
+  [[nodiscard]] std::vector<Row> take_buffer() NETSEER_EXCLUDES(mu_);
 
   /// Wait until every batch submitted so far has been appended to the
   /// WAL (not necessarily fsynced) — the async equivalent of the old
   /// inline append, used by flush(). Producer thread only.
-  void drain();
+  void drain() NETSEER_EXCLUDES(mu_);
 
   /// Block until the durable watermark covers `lsn` (requesting an
   /// immediate commit of anything still buffered) or the WAL dies.
   /// Returns whether the watermark got there. Producer thread only.
-  [[nodiscard]] bool sync_to(std::uint64_t lsn);
+  [[nodiscard]] bool sync_to(std::uint64_t lsn) NETSEER_EXCLUDES(mu_);
 
   /// Highest LSN guaranteed on stable storage. Any thread.
   [[nodiscard]] std::uint64_t watermark() const {
     return watermark_.load(std::memory_order_acquire);
   }
 
-  // Counters for StoreStats (any thread; relaxed).
-  [[nodiscard]] std::uint64_t groups_committed() const {
-    return groups_committed_.load(std::memory_order_relaxed);
+  // Counters for StoreStats (any thread).
+  [[nodiscard]] std::uint64_t groups_committed() const NETSEER_EXCLUDES(mu_) {
+    util::CondMutexLock lock(mu_);
+    return groups_committed_;
   }
-  [[nodiscard]] std::uint64_t batches_appended() const {
-    return appended_batches_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t batches_appended() const NETSEER_EXCLUDES(mu_) {
+    util::CondMutexLock lock(mu_);
+    return appended_batches_;
   }
-  [[nodiscard]] std::uint64_t append_failures() const {
-    return append_failures_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t append_failures() const NETSEER_EXCLUDES(mu_) {
+    util::CondMutexLock lock(mu_);
+    return append_failures_;
   }
-  [[nodiscard]] std::uint64_t max_group_batches() const {
-    return max_group_batches_.load(std::memory_order_relaxed);
+  [[nodiscard]] std::uint64_t max_group_batches() const NETSEER_EXCLUDES(mu_) {
+    util::CondMutexLock lock(mu_);
+    return max_group_batches_;
   }
-  /// Times submit() found the ring full and had to wait (producer-side
-  /// counter, but exposed with the rest for telemetry).
-  [[nodiscard]] std::uint64_t queue_full_waits() const {
-    return queue_full_waits_.load(std::memory_order_relaxed);
+  /// Times submit() found `queue_depth` batches pending and had to wait.
+  [[nodiscard]] std::uint64_t queue_full_waits() const NETSEER_EXCLUDES(mu_) {
+    util::CondMutexLock lock(mu_);
+    return queue_full_waits_;
   }
 
  private:
-  void run();
-  /// Drain everything currently in the ring; returns batches processed.
-  std::size_t drain_available();
+  void run() NETSEER_EXCLUDES(mu_);
   /// fsync and publish the watermark; false once the WAL is dead.
-  [[nodiscard]] NETSEER_BLOCKING bool commit_group(std::size_t group_batches);
-  [[nodiscard]] bool sync_pending() const {
-    return sync_goal_.load(std::memory_order_acquire) >
-           watermark_.load(std::memory_order_relaxed);
+  [[nodiscard]] NETSEER_BLOCKING bool commit_group(std::size_t group_batches)
+      NETSEER_EXCLUDES(mu_);
+  [[nodiscard]] bool sync_pending() const NETSEER_REQUIRES(mu_) {
+    return sync_goal_ > watermark_.load(std::memory_order_relaxed);
   }
 
   WalWriter& wal_;
   const bool sync_every_batch_;
+  const std::size_t queue_depth_;
 
-  sim::SpscRing<std::vector<Row>> ring_;     // producer -> writer
-  sim::SpscRing<std::vector<Row>> recycle_;  // writer -> producer
-
-  util::CondMutex mu_;
+  mutable util::CondMutex mu_;
   util::CondVar work_cv_;   // writer sleeps; producer signals work/stop
   util::CondVar state_cv_;  // producer sleeps; writer signals progress
+
+  std::vector<std::vector<Row>> pending_ NETSEER_GUARDED_BY(mu_);  // submitted, not yet taken
+  std::vector<std::vector<Row>> free_ NETSEER_GUARDED_BY(mu_);     // emptied batch vectors
   bool stop_ NETSEER_GUARDED_BY(mu_) = false;
+  std::uint64_t sync_goal_ NETSEER_GUARDED_BY(mu_) = 0;
+  std::uint64_t submitted_batches_ NETSEER_GUARDED_BY(mu_) = 0;
+  std::uint64_t appended_batches_ NETSEER_GUARDED_BY(mu_) = 0;
+  std::uint64_t groups_committed_ NETSEER_GUARDED_BY(mu_) = 0;
+  std::uint64_t append_failures_ NETSEER_GUARDED_BY(mu_) = 0;
+  std::uint64_t max_group_batches_ NETSEER_GUARDED_BY(mu_) = 0;
+  std::uint64_t queue_full_waits_ NETSEER_GUARDED_BY(mu_) = 0;
 
   std::atomic<std::uint64_t> watermark_;
-  std::atomic<std::uint64_t> sync_goal_{0};
-  std::atomic<std::uint64_t> submitted_batches_{0};
-  std::atomic<std::uint64_t> appended_batches_{0};
-
-  std::atomic<std::uint64_t> groups_committed_{0};
-  std::atomic<std::uint64_t> append_failures_{0};
-  std::atomic<std::uint64_t> max_group_batches_{0};
-  std::atomic<std::uint64_t> queue_full_waits_{0};
 
   /// Highest LSN successfully appended; writer thread only.
   std::uint64_t appended_lsn_;

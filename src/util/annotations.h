@@ -14,7 +14,8 @@
 ///     container mutation through any same-TU call chain, and it must
 ///     never call a NETSEER_BLOCKING function or block under a lock. The
 ///     event engine's fire loop, the packet pool's acquire/release, the
-///     group-commit drain, and the detect window rollover carry this.
+///     switch and host per-hop path, and the detect window rollover
+///     carry this.
 ///     Not caught: an implicit conversion of a lambda to std::function,
 ///     which allocates once the capture outgrows the library's inline
 ///     buffer — take a per-call callback as a template parameter.

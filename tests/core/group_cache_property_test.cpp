@@ -12,12 +12,17 @@
 namespace netseer::core {
 namespace {
 
+// gtest prints a parameter's raw bytes into the test name, so Params
+// has no implicit padding: the tail gap would print whatever the stack
+// held at registration, and the names would differ from build to build.
 struct Params {
   std::size_t entries;
   std::uint32_t report_interval;
   int flows;
   int packets;
+  std::uint32_t pad = 0;
 };
+static_assert(sizeof(Params) == 24, "Params must stay free of implicit padding");
 
 class GroupCacheProperty : public ::testing::TestWithParam<Params> {};
 

@@ -68,6 +68,26 @@ TEST(NicAgent, TagsOutgoingPackets) {
   EXPECT_EQ(tor.tags, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
+TEST(NicAgent, NumbersFramesInDepartureOrder) {
+  Rig rig;
+  UplinkTags tor;
+  rig.sw->add_agent(&tor);
+  // Class-0 data backlogs on the NIC; then a downlink gap makes the NIC
+  // send its loss notifications, which leave on class 7 ahead of the
+  // data still queued.
+  for (int i = 0; i < 5; ++i) rig.host->send(packet::make_tcp(flow(), 1000));
+  for (const std::uint32_t seq : {0u, 2u}) {
+    auto pkt = packet::make_tcp(flow().reversed(), 100);
+    pkt.seq_tag = seq;
+    rig.host->receive(packet::Pool::local().acquire(std::move(pkt)), 0);
+  }
+  rig.net.simulator().run();
+  ASSERT_EQ(rig.agent.rx_module().gaps(), 1u);
+  // The ToR's gap detector sees every ID in order: no false gap.
+  EXPECT_EQ(tor.frames, 8);
+  EXPECT_EQ(tor.tags, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
 TEST(NicAgent, StripsIncomingTags) {
   Rig rig;
   auto pkt = packet::make_tcp(flow().reversed(), 100);

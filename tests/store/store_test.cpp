@@ -223,6 +223,72 @@ TEST_F(StoreTest, ReopenWithoutCheckpointReplaysWal) {
   }
 }
 
+TEST_F(StoreTest, FullHandoffBlocksIngestWithoutLosingBatches) {
+  // One pending batch at most: ingest outruns the fsyncs, so submit()
+  // waits for the writer thread on nearly every batch.
+  StoreOptions options;
+  options.dir = dir_;
+  options.shard_batch = 10;
+  options.segment_events = 1u << 20u;
+  options.writer_queue = 1;
+  {
+    FlowEventStore store(options);
+    for (std::uint64_t i = 0; i < 2000; ++i) {
+      const auto ev = event_at(i);
+      store.add(ev, ev.detected_at);
+    }
+    ASSERT_TRUE(store.sync());
+    EXPECT_EQ(store.durable_lsn(), 2000u);
+    EXPECT_EQ(store.stats().group_batches, 200u);
+    EXPECT_EQ(store.stats().wal_append_failures, 0u);
+  }
+  FlowEventStore store(options);
+  EXPECT_EQ(store.recovery().wal_rows_replayed, 2000u);
+  const auto rows = scan_rows(store);
+  ASSERT_EQ(rows.size(), 2000u);
+  for (std::uint64_t i = 0; i < 2000; ++i) EXPECT_EQ(rows[i].event, event_at(i)) << "row " << i;
+}
+
+TEST_F(StoreTest, MaintainReclaimsRecoveredWalFilesOnceSegmentsCoverThem) {
+  StoreOptions options;
+  options.dir = dir_;
+  options.shard_batch = 10;
+  options.segment_events = 1u << 20u;  // nothing seals: rows live in the WAL
+  options.wal_segment_bytes = 1;       // one 10-row record per WAL file
+  {
+    FlowEventStore store(options);
+    for (std::uint64_t i = 0; i < 60; ++i) {
+      const auto ev = event_at(i);
+      store.add(ev, ev.detected_at);
+    }
+    ASSERT_TRUE(store.sync());
+  }
+  // A segment written by someone else covers LSNs 1-20, the first two
+  // record-holding files; the files after them hold LSNs above it.
+  std::vector<Row> covered;
+  (void)replay_wal_dir(dir_, 0, [&](Row&& row) {
+    if (row.lsn <= 20) covered.push_back(row);
+  });
+  ASSERT_EQ(covered.size(), 20u);
+  ASSERT_TRUE(Segment::build(covered).save(segment_path(dir_, 1)));
+  const auto recovered = list_wal_files(dir_);
+  ASSERT_EQ(recovered.size(), 7u);  // a header-only first file, then 6 records
+
+  FlowEventStore store(options);
+  ASSERT_EQ(store.recovery().wal_rows_replayed, 40u);
+  store.maintain();
+  for (std::size_t i = 0; i < recovered.size(); ++i) {
+    EXPECT_EQ(fs::exists(recovered[i].path), i >= 3) << recovered[i].path;
+  }
+  EXPECT_EQ(store.stats().wal_files_deleted, 3u);
+
+  store.seal_active();
+  store.maintain();
+  for (const auto& ref : recovered) EXPECT_FALSE(fs::exists(ref.path)) << ref.path;
+  EXPECT_EQ(store.stats().wal_files_deleted, recovered.size());
+  EXPECT_EQ(scan_rows(store).size(), 60u);
+}
+
 TEST_F(StoreTest, OpeningACheckpointedStoreLeavesItsFilesAsTheyWere) {
   StoreOptions options;
   options.dir = dir_;

@@ -138,8 +138,8 @@ TEST_F(WalTest, TornTailStopsReplayCleanly) {
 TEST_F(WalTest, TornFileDoesNotHideLaterFiles) {
   // Crash cycle 1 tears wal-1; a recovered writer then fills wal-2 with
   // acknowledged rows. Replay must deliver wal-1's valid prefix AND all
-  // of wal-2, and last_file_index must cover wal-2 so the next writer
-  // never truncates it.
+  // of wal-2, and list wal-2 with its highest LSN so the next writer
+  // numbers past it and reclaims it only once those rows are sealed.
   {
     WalWriter writer({dir_});
     ASSERT_TRUE(writer.append(rows(1, 4)));
@@ -149,7 +149,7 @@ TEST_F(WalTest, TornFileDoesNotHideLaterFiles) {
   ASSERT_EQ(files.size(), 1u);
   fs::resize_file(files[0].path, files[0].bytes - 30);  // tear the second record
   {
-    WalWriter writer({dir_}, /*first_file_index=*/2);
+    WalWriter writer({dir_}, list_wal_files(dir_));
     ASSERT_TRUE(writer.append(rows(5, 6)));  // LSNs 5..10 reissued post-recovery
     ASSERT_TRUE(writer.sync());
   }
@@ -157,7 +157,10 @@ TEST_F(WalTest, TornFileDoesNotHideLaterFiles) {
   std::vector<Row> replayed;
   const auto result = replay_wal_dir(dir_, 0, [&](Row&& r) { replayed.push_back(r); });
   EXPECT_TRUE(result.torn_tail);
-  EXPECT_EQ(result.last_file_index, 2u);
+  ASSERT_EQ(result.wal_files.size(), 2u);
+  EXPECT_EQ(result.wal_files[0].max_lsn, 4u);  // the valid prefix
+  EXPECT_EQ(result.wal_files[1].index, 2u);
+  EXPECT_EQ(result.wal_files[1].max_lsn, 10u);
   ASSERT_EQ(replayed.size(), 10u);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(replayed[i].lsn, i + 1);
 }
@@ -201,7 +204,9 @@ TEST_F(WalTest, ZeroByteFileReplaysAsCleanEmpty) {
   std::vector<Row> replayed;
   const auto result = replay_wal_dir(dir_, 0, [&](Row&& r) { replayed.push_back(r); });
   EXPECT_FALSE(result.torn_tail);
-  EXPECT_EQ(result.last_file_index, 2u);
+  ASSERT_EQ(result.wal_files.size(), 2u);
+  EXPECT_EQ(result.wal_files[1].index, 2u);
+  EXPECT_EQ(result.wal_files[1].max_lsn, 0u);
   EXPECT_EQ(replayed.size(), 4u);
 }
 

@@ -8,7 +8,7 @@
 //                  lock is held, unless the caller is NETSEER_BLOCKING
 //   nodiscard / metric-name / raw-sync
 //                  discipline checks on status returns, telemetry metric
-//                  literals, and raw std::mutex/std::atomic in src/
+//                  literals, and raw std::mutex in src/
 //
 // The frontend is a self-contained token-level scanner, which builds with
 // any C++20 toolchain and needs no clang libraries.

@@ -259,8 +259,6 @@ class Builder {
       if (p2 == kNpos || !is_ident(p2, "std")) continue;
       if (is_mutex_family(t.text)) {
         out_.raw_sync.push_back(RawSyncUse{"std::" + std::string(t.text), t.line});
-      } else if (t.text == "atomic" || t.text == "atomic_flag") {
-        out_.raw_atomic.push_back(RawSyncUse{"std::" + std::string(t.text), t.line});
       }
     }
   }

@@ -64,7 +64,7 @@ struct MetricCall {
 };
 
 struct RawSyncUse {
-  std::string type;  // "std::mutex", "std::atomic", ...
+  std::string type;  // "std::mutex", "std::shared_mutex", ...
   int line = 0;
 };
 
@@ -73,8 +73,7 @@ struct FileModel {
   std::string path;
   std::vector<FunctionModel> functions;
   std::vector<MetricCall> metric_calls;
-  std::vector<RawSyncUse> raw_sync;    // std::mutex family (util::Mutex required)
-  std::vector<RawSyncUse> raw_atomic;  // std::atomic in model-checked sources
+  std::vector<RawSyncUse> raw_sync;  // std::mutex family (util::Mutex required)
   std::vector<std::string> includes;   // quoted #include targets, as written
 
   /// line -> pass names silenced there (NETSEER_LINT_ALLOW(pass): why).

@@ -33,13 +33,6 @@ bool raw_sync_exempt(const std::string& path, const PassOptions& opt) {
          contains(path, "/mc/") || path.rfind("mc/", 0) == 0;
 }
 
-/// Sources compiled into netseer_mc_core (src/mc/CMakeLists.txt): their
-/// atomics must go through mc_shim::atomic so the model checker can
-/// interpose; raw std::atomic would silently escape exploration.
-bool mc_protocol_file(const std::string& path, const PassOptions& opt) {
-  return opt.fixture_mode || ends_with(path, "sim/spsc.h");
-}
-
 bool pass_enabled(const PassOptions& opt, const char* pass) {
   return opt.only.empty() || opt.only.count(pass) > 0;
 }
@@ -417,22 +410,12 @@ void metric_name_pass(const FileModel& file, std::vector<Finding>& out) {
 
 void raw_sync_pass(const FileModel& file, const PassOptions& opt,
                    std::vector<Finding>& out) {
-  if (!in_src(file.path, opt)) return;
-  if (!raw_sync_exempt(file.path, opt)) {
-    for (const RawSyncUse& u : file.raw_sync) {
-      if (is_suppressed(file, u.line, kPassRawSync)) continue;
-      out.push_back(Finding{kPassRawSync, file.path, u.line,
-                            u.type + " in src/; use util::Mutex / util::MutexLock so "
-                                     "thread-safety analysis sees it"});
-    }
-  }
-  if (mc_protocol_file(file.path, opt)) {
-    for (const RawSyncUse& u : file.raw_atomic) {
-      if (is_suppressed(file, u.line, kPassRawSync)) continue;
-      out.push_back(Finding{kPassRawSync, file.path, u.line,
-                            u.type + " in a model-checked source; use mc_shim::atomic so "
-                                     "NETSEER_MC builds can interpose"});
-    }
+  if (!in_src(file.path, opt) || raw_sync_exempt(file.path, opt)) return;
+  for (const RawSyncUse& u : file.raw_sync) {
+    if (is_suppressed(file, u.line, kPassRawSync)) continue;
+    out.push_back(Finding{kPassRawSync, file.path, u.line,
+                          u.type + " in src/; use util::Mutex / util::MutexLock so "
+                                   "thread-safety analysis sees it"});
   }
 }
 
