@@ -157,6 +157,7 @@ int main(int argc, char** argv) {
         "  gc  ingest rep %d: %.3fs (%.2fM events/s, %llu fsync groups, max %llu batches)\n",
         rep, wall, eps / 1e6, static_cast<unsigned long long>(s.groups_committed),
         static_cast<unsigned long long>(s.max_group_batches));
+    if (cli.metrics_enabled()) telemetry::collect(cli.registry(), fs);
     if (eps > best_gc) {
       best_gc = eps;
       gc_groups = s.groups_committed;

@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
     std::printf("\nstore tail: %zu rows replayed, %llu lagged, cursor at LSN %llu "
                 "(watermark %llu)\n",
                 tail_rows, static_cast<unsigned long long>(sub.lagged()),
-                static_cast<unsigned long long>(sub.cursor_lsn()),
+                static_cast<unsigned long long>(sub.last_lsn()),
                 static_cast<unsigned long long>(harness.store().durable_watermark()));
   }
   if (!args.store_dir.empty()) {

@@ -109,7 +109,6 @@ class InterSwitchTx {
     for (int i = 0; i < budget && !pending_.empty(); ++i) drain_one(emit);
   }
 
-  [[nodiscard]] std::uint32_t next_seq() const { return next_seq_; }
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t drops_reported() const { return reported_; }
   [[nodiscard]] std::uint64_t lookup_misses() const { return lookup_misses_; }

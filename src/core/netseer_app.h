@@ -16,6 +16,7 @@
 #include "core/reliable.h"
 #include "core/report.h"
 #include "pdp/switch.h"
+#include "util/annotations.h"
 
 namespace netseer::core {
 
@@ -88,14 +89,16 @@ class NetSeerApp final : public pdp::SwitchAgent {
              util::NodeId backend);
 
   // ---- SwitchAgent hooks ---------------------------------------------------
-  bool on_ingress(pdp::Switch& sw, packet::Packet& pkt, pdp::PipelineContext& ctx) override;
-  void on_pipeline_drop(pdp::Switch& sw, const packet::Packet& pkt,
-                        const pdp::PipelineContext& ctx) override;
-  void on_mmu_drop(pdp::Switch& sw, const packet::Packet& pkt,
-                   const pdp::PipelineContext& ctx) override;
-  void on_enqueue(pdp::Switch& sw, const packet::Packet& pkt, const pdp::PipelineContext& ctx,
-                  bool queue_paused) override;
-  void on_egress(pdp::Switch& sw, packet::Packet& pkt, const pdp::EgressInfo& info) override;
+  NETSEER_HOT bool on_ingress(pdp::Switch& sw, packet::Packet& pkt,
+                              pdp::PipelineContext& ctx) override;
+  NETSEER_HOT void on_pipeline_drop(pdp::Switch& sw, const packet::Packet& pkt,
+                                    const pdp::PipelineContext& ctx) override;
+  NETSEER_HOT void on_mmu_drop(pdp::Switch& sw, const packet::Packet& pkt,
+                               const pdp::PipelineContext& ctx) override;
+  NETSEER_HOT void on_enqueue(pdp::Switch& sw, const packet::Packet& pkt,
+                              const pdp::PipelineContext& ctx, bool queue_paused) override;
+  NETSEER_HOT void on_egress(pdp::Switch& sw, packet::Packet& pkt,
+                             const pdp::EgressInfo& info) override;
 
   /// Flush all residual state (group caches, CEBPs, CPU buffer) so
   /// end-of-run totals reconcile. Call once when traffic has drained.

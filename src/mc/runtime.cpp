@@ -30,8 +30,6 @@ const char* kind_name(OpKind kind) {
       return "load";
     case OpKind::kAtomicStore:
       return "store";
-    case OpKind::kAtomicRmw:
-      return "rmw";
     case OpKind::kMutexLock:
       return "lock";
     case OpKind::kMutexUnlock:
@@ -117,11 +115,8 @@ bool ops_dependent(int ta, OpKind ka, std::uint32_t oa, int tgta,
     if (ka == OpKind::kJoin && kb == OpKind::kJoin) return false;
     return ka == OpKind::kJoin ? tgta == tb : tgtb == ta;
   }
-  auto write_like = [](OpKind k) {
-    return k == OpKind::kAtomicStore || k == OpKind::kAtomicRmw;
-  };
   if (ka == OpKind::kAwait || kb == OpKind::kAwait) {
-    return ka == OpKind::kAwait ? write_like(kb) : write_like(ka);
+    return (ka == OpKind::kAwait ? kb : ka) == OpKind::kAtomicStore;
   }
   if (oa != ob) return false;
   return !(ka == OpKind::kAtomicLoad && kb == OpKind::kAtomicLoad);
@@ -299,7 +294,6 @@ std::string Runtime::describe(int tid, OpKind kind, std::uint32_t obj, std::memo
   switch (kind) {
     case OpKind::kAtomicLoad:
     case OpKind::kAtomicStore:
-    case OpKind::kAtomicRmw:
       out += "atomic#" + std::to_string(obj) + "." + kind_name(kind) + "(" + order_name(mo) + ")";
       break;
     case OpKind::kMutexLock:
@@ -356,15 +350,6 @@ void Runtime::apply_effect_locked(int tid, const Op& op, bool traced) {
       }
       break;
     }
-    case OpKind::kAtomicRmw: {
-      AtomicState& state = atomics_[op.obj];
-      if (acquire_like(op.mo)) me.clock.join(state.released);
-      if (op.effect != nullptr) op.effect(op.ctx);
-      // RMWs continue the existing release sequence; a release RMW also
-      // contributes its own view.
-      if (release_like(op.mo)) state.released.join(me.clock);
-      break;
-    }
     case OpKind::kMutexLock: {
       MutexState& state = mutexes_[op.obj];
       state.held = true;
@@ -407,11 +392,6 @@ void Runtime::perform(const void* objptr, OpKind kind, std::memory_order mo, voi
     // with no side effects; anything else in a predicate is a harness
     // bug surfaced as a failed run elsewhere.
     if (kind == OpKind::kAtomicLoad && effect != nullptr) effect(ctx);
-    return;
-  }
-  const bool modeled = active() && tls_tid >= 0;
-  if (!modeled) {
-    if (effect != nullptr) effect(ctx);  // outside explore(): plain behavior
     return;
   }
   if (tls_mode == Mode::kImmediate || std::uncaught_exceptions() > 0) {
@@ -794,8 +774,6 @@ void assert_fail(const char* expr, const char* file, int line) {
 
 }  // namespace detail
 
-bool in_model() { return Runtime::inst().active() && tls_tid >= 0; }
-
 Result explore(const Options& options, const std::function<void()>& body) {
   return Runtime::inst().explore(options, body);
 }
@@ -827,31 +805,12 @@ void race_write(const void* addr, const char* what) {
   Runtime::inst().race_access(addr, what, /*is_write=*/true);
 }
 
-// Inside a model run lock and unlock are scheduling points; outside one
-// the real std::mutex takes them.
-Mutex::Mutex() : real_(new std::mutex()) {}
-
-Mutex::~Mutex() {
-  Runtime::inst().forget(this);
-  delete static_cast<std::mutex*>(real_);
-}
-
 void Mutex::lock() {
-  if (in_model()) {
-    Runtime::inst().perform(this, OpKind::kMutexLock, std::memory_order_seq_cst, nullptr, nullptr,
-                            nullptr, -1);
-    return;
-  }
-  static_cast<std::mutex*>(real_)->lock();
+  detail::perform(this, OpKind::kMutexLock, std::memory_order_seq_cst, nullptr, nullptr);
 }
 
 void Mutex::unlock() {
-  if (in_model()) {
-    Runtime::inst().perform(this, OpKind::kMutexUnlock, std::memory_order_seq_cst, nullptr, nullptr,
-                            nullptr, -1);
-    return;
-  }
-  static_cast<std::mutex*>(real_)->unlock();
+  detail::perform(this, OpKind::kMutexUnlock, std::memory_order_seq_cst, nullptr, nullptr);
 }
 
 }  // namespace netseer::mc

@@ -28,9 +28,9 @@
 /// every non-atomic access instrumented via race_read()/race_write() is
 /// checked for happens-before data races — the same race relation TSan
 /// checks, but over EVERY schedule instead of the ones the OS happens to
-/// produce. Plain relaxed stores publish no view, release stores publish
-/// the writer's clock, RMWs continue release sequences per C++20. What
-/// this model deliberately does not cover: stale-value reads of atomics
+/// produce. Relaxed stores publish no view, release stores publish the
+/// writer's clock; the model has no read-modify-writes. What this model
+/// deliberately does not cover: stale-value reads of atomics
 /// (a relaxed load here still returns the newest value; the missing
 /// synchronization is caught as a race on the data it was meant to
 /// publish, not as a stale read) and fences (unused in this codebase).
@@ -71,7 +71,6 @@ namespace detail {
 enum class OpKind : std::uint8_t {
   kAtomicLoad,
   kAtomicStore,
-  kAtomicRmw,
   kMutexLock,
   kMutexUnlock,
   kAwait,
@@ -80,10 +79,10 @@ enum class OpKind : std::uint8_t {
   kYield,
 };
 
-/// Run one visible operation: outside a model run the effect applies
-/// directly; inside, the calling thread parks at the scheduling point
-/// and applies `effect` (under the runtime lock) once granted. `pred`
-/// and `target` ride along for kAwait / kJoin enabledness.
+/// Run one visible operation: the calling model thread parks at the
+/// scheduling point and applies `effect` (under the runtime lock) once
+/// granted. `pred` and `target` ride along for kAwait / kJoin
+/// enabledness. Only code running inside explore() may call it.
 void perform(const void* obj, OpKind kind, std::memory_order mo, void* ctx, void (*effect)(void*),
              const std::function<bool()>* pred = nullptr, int target = -1);
 
@@ -96,9 +95,6 @@ int spawn_thread(std::function<void()> fn);
 [[nodiscard]] bool failing();
 
 }  // namespace detail
-
-/// True while the calling thread is a model thread inside explore().
-[[nodiscard]] bool in_model();
 
 /// Explore every interleaving of the threads `body` spawns. `body` runs
 /// as model thread 0; it typically builds fresh state on its stack,
@@ -151,8 +147,9 @@ void race_read(const void* addr, const char* what);
 void race_write(const void* addr, const char* what);
 
 /// Sequentially-consistent-valued atomic with release/acquire
-/// happens-before tracking. API mirrors the std::atomic subset the
-/// engine uses; every call is a scheduling point.
+/// happens-before tracking, for use inside explore() only. API mirrors
+/// the std::atomic subset the harnesses use; every call is a scheduling
+/// point.
 template <typename T>
 class Atomic {
  public:
@@ -176,39 +173,6 @@ class Atomic {
                     [](void* p) { static_cast<Ctx*>(p)->self->value_ = static_cast<Ctx*>(p)->arg; });
   }
 
-  T exchange(T v, std::memory_order mo = std::memory_order_seq_cst) {
-    T out{};
-    Ctx ctx{this, &out, v};
-    detail::perform(this, detail::OpKind::kAtomicRmw, mo, &ctx, [](void* p) {
-      auto* c = static_cast<Ctx*>(p);
-      *c->out = c->self->value_;
-      c->self->value_ = c->arg;
-    });
-    return out;
-  }
-
-  T fetch_add(T v, std::memory_order mo = std::memory_order_seq_cst) {
-    T out{};
-    Ctx ctx{this, &out, v};
-    detail::perform(this, detail::OpKind::kAtomicRmw, mo, &ctx, [](void* p) {
-      auto* c = static_cast<Ctx*>(p);
-      *c->out = c->self->value_;
-      c->self->value_ = static_cast<T>(c->self->value_ + c->arg);
-    });
-    return out;
-  }
-
-  T fetch_sub(T v, std::memory_order mo = std::memory_order_seq_cst) {
-    T out{};
-    Ctx ctx{this, &out, v};
-    detail::perform(this, detail::OpKind::kAtomicRmw, mo, &ctx, [](void* p) {
-      auto* c = static_cast<Ctx*>(p);
-      *c->out = c->self->value_;
-      c->self->value_ = static_cast<T>(c->self->value_ - c->arg);
-    });
-    return out;
-  }
-
  private:
   struct Ctx {
     Atomic* self;
@@ -220,23 +184,19 @@ class Atomic {
 };
 
 /// Instrumented mutex, annotated as a capability so the clang
-/// thread-safety analysis sees straight through model-checked builds.
-/// Inside a run, lock() is a scheduling point that is simply not
-/// runnable while another thread holds the mutex (the scheduler reports
-/// a deadlock when no thread is runnable); outside a run it falls back
-/// to a real mutex.
+/// thread-safety analysis sees straight through model-checked builds;
+/// for use inside explore() only. lock() is a scheduling point that is
+/// simply not runnable while another thread holds the mutex (the
+/// scheduler reports a deadlock when no thread is runnable).
 class NETSEER_CAPABILITY("mutex") Mutex {
  public:
-  Mutex();
-  ~Mutex();
+  Mutex() = default;
+  ~Mutex() { detail::forget_object(this); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
   void lock() NETSEER_ACQUIRE();
   void unlock() NETSEER_RELEASE();
-
- private:
-  void* real_ = nullptr;  // std::mutex, opaque to keep this header light
 };
 
 /// RAII lock for mc::Mutex, mirroring util::MutexLock. The destructor

@@ -132,7 +132,6 @@ class NetSightMonitor final : public pdp::SwitchAgent {
     return set;
   }
 
-  [[nodiscard]] const std::vector<Postcard>& postcards() const { return postcards_; }
   [[nodiscard]] std::uint64_t overhead_bytes() const { return overhead_bytes_; }
 
  private:

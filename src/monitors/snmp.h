@@ -33,8 +33,6 @@ class SnmpMonitor {
   /// Cancel the polling task (required before draining the simulator).
   void stop() { task_.cancel(); }
 
-  [[nodiscard]] const std::vector<Poll>& polls() const { return polls_; }
-
   /// Did any poll show new drops at `node`? (Existence-level detection.)
   [[nodiscard]] bool saw_drops_at(util::NodeId node) const {
     for (const auto& poll : polls_) {

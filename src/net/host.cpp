@@ -44,7 +44,6 @@ void Host::receive(packet::PooledPacket slot, util::PortId in_port) {
   }
 
   ++rx_packets_;
-  rx_bytes_ += pkt.wire_bytes();
 
   if (pkt.kind == packet::PacketKind::kProbe && pkt.ip && pkt.ip->dst == addr_) {
     reply_to_probe(pkt);

@@ -64,7 +64,6 @@ class Host : public Node {
 
   // Counters.
   [[nodiscard]] std::uint64_t rx_packets() const { return rx_packets_; }
-  [[nodiscard]] std::uint64_t rx_bytes() const { return rx_bytes_; }
   [[nodiscard]] std::uint64_t rx_corrupt_discards() const { return rx_corrupt_; }
 
  private:
@@ -76,7 +75,6 @@ class Host : public Node {
   std::vector<HostApp*> apps_;
   NicAgent* nic_agent_ = nullptr;
   std::uint64_t rx_packets_ = 0;
-  std::uint64_t rx_bytes_ = 0;
   std::uint64_t rx_corrupt_ = 0;
 };
 

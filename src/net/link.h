@@ -48,8 +48,6 @@ class Link : public PacketSink {
   void set_observer(LinkObserver* observer) { observer_ = observer; }
 
   [[nodiscard]] util::SimDuration delay() const { return delay_; }
-  [[nodiscard]] Node& peer() const { return peer_; }
-  [[nodiscard]] util::PortId peer_port() const { return peer_port_; }
 
   [[nodiscard]] std::uint64_t packets_carried() const { return carried_; }
   [[nodiscard]] std::uint64_t bytes_carried() const { return bytes_carried_; }

@@ -117,9 +117,6 @@ class Harness {
   /// chip budget.
   void collect_metrics(telemetry::Registry& registry) const;
 
-  /// Wall-clock seconds spent inside run_and_settle so far.
-  [[nodiscard]] double wall_seconds() const { return wall_seconds_; }
-
  private:
   HarnessOptions options_;
   fabric::Testbed testbed_;

@@ -44,10 +44,14 @@ void Simulator::release_slot(std::uint32_t index) {
   free_slot_ = index;
 }
 
-void Simulator::append(Bucket& bucket, std::uint32_t slot) {
-  slot_ref(slot).next = kNoSlot;
+void Simulator::append(std::uint32_t slot) {
+  Slot& cell = slot_ref(slot);
+  cell.next = kNoSlot;
+  const std::size_t index = bucket_of(cell.when);
+  Bucket& bucket = ring_[index];
   if (bucket.tail == kNoSlot) {
     bucket.head = slot;
+    mark(index);
   } else {
     slot_ref(bucket.tail).next = slot;
   }
@@ -57,23 +61,9 @@ void Simulator::append(Bucket& bucket, std::uint32_t slot) {
 void Simulator::push_slot(std::uint32_t slot) {
   ++size_;
   const Slot& cell = slot_ref(slot);
-  const auto epoch = epoch_of(cell.when);
-  if (epoch <= cursor_epoch_) {
-    // current_ is the catch-all for everything at or before the cursor.
-    // During a normal drain appends are same-instant with monotonic seq,
-    // so FIFO tail order holds; but a run_until() that claimed a bucket
-    // beyond its limit and broke early leaves the cursor ahead of now,
-    // and a later schedule can land before the stranded chain — detect
-    // that and re-sort (rare: only a paused/idle port re-armed between
-    // runs hits it).
-    const bool out_of_order =
-        current_.tail != kNoSlot && slot_ref(current_.tail).when > cell.when;
-    append(current_, slot);
-    if (out_of_order) sort_current();
-  } else if (epoch < cursor_epoch_ + kBucketCount) {
-    const std::size_t index = epoch % kBucketCount;
-    append(ring_[index], slot);
-    mark(index);
+  // when >= now_ >= cursor_, so an in-horizon instant has its own bucket.
+  if (cell.when - cursor_ < static_cast<SimTime>(kBucketCount)) {
+    append(slot);
   } else {
     overflow_.push_back(Entry{cell.when, cell.seq, slot});
     std::push_heap(overflow_.begin(), overflow_.end(), Later{});
@@ -81,22 +71,11 @@ void Simulator::push_slot(std::uint32_t slot) {
 }
 
 void Simulator::migrate_overflow() {
-  const std::uint64_t horizon = cursor_epoch_ + kBucketCount;
-  while (!overflow_.empty() && epoch_of(overflow_.front().when) < horizon) {
+  const SimTime horizon = cursor_ + static_cast<SimTime>(kBucketCount);
+  while (!overflow_.empty() && overflow_.front().when < horizon) {
     std::pop_heap(overflow_.begin(), overflow_.end(), Later{});
-    const Entry entry = overflow_.back();
+    append(overflow_.back().slot);
     overflow_.pop_back();
-    const std::size_t index = epoch_of(entry.when) % kBucketCount;
-    Bucket& bucket = ring_[index];
-    // A cursor jump can expose this epoch to direct pushes before the
-    // overflow entries for it migrate in; appending an older seq after a
-    // newer one breaks the chain's FIFO order, so flag the bucket for a
-    // claim-time sort.
-    if (bucket.tail != kNoSlot && slot_ref(bucket.tail).seq > entry.seq) {
-      mark_disorder(index);
-    }
-    append(bucket, entry.slot);
-    mark(index);
   }
 }
 
@@ -114,53 +93,21 @@ std::size_t Simulator::next_occupied(std::size_t base) const {
   }
 }
 
-void Simulator::sort_current() {
-  scratch_.clear();
-  for (std::uint32_t s = current_.head; s != kNoSlot; s = slot_ref(s).next) {
-    scratch_.push_back(s);
+bool Simulator::advance(SimTime limit) {
+  // Every overflow entry lies at or past the horizon, so the ring, when
+  // it holds anything, holds the earliest instant.
+  SimTime next;
+  if (size_ > overflow_.size()) {
+    next = cursor_ + static_cast<SimTime>(next_occupied(bucket_of(cursor_)));
+  } else if (!overflow_.empty()) {
+    next = overflow_.front().when;
+  } else {
+    return false;
   }
-  std::sort(scratch_.begin(), scratch_.end(), [this](std::uint32_t a, std::uint32_t b) {
-    const Slot& sa = slot_ref(a);
-    const Slot& sb = slot_ref(b);
-    return sa.when != sb.when ? sa.when < sb.when : sa.seq < sb.seq;
-  });
-  current_ = Bucket{};
-  for (const std::uint32_t s : scratch_) append(current_, s);
-}
-
-bool Simulator::prepare() {
-  if (current_.head != kNoSlot) return true;
-  current_.tail = kNoSlot;
-  if (size_ == 0) return false;
-  // Pull newly-in-horizon overflow entries into the ring BEFORE picking
-  // the next bucket: after a jump, the overflow minimum can precede the
-  // ring minimum, and claiming the ring bucket first would fire events
-  // out of order.
-  if (!overflow_.empty()) {
-    migrate_overflow();
-    if (size_ == overflow_.size()) {
-      // Everything pending sits beyond the ring horizon: slide the
-      // window so the earliest overflow epoch migrates in.
-      cursor_epoch_ = epoch_of(overflow_.front().when) - 1;
-      migrate_overflow();
-    }
-  }
-  const std::size_t dist = next_occupied((cursor_epoch_ + 1) % kBucketCount);
-  cursor_epoch_ += 1 + dist;
-  const std::size_t index = cursor_epoch_ % kBucketCount;
-  current_ = ring_[index];
-  ring_[index] = Bucket{};
-  unmark(index);
-  if (take_disorder(index)) sort_current();
+  if (next > limit) return false;
+  cursor_ = next;
+  migrate_overflow();
   return true;
-}
-
-std::uint32_t Simulator::pop_current() {
-  const std::uint32_t slot = current_.head;
-  current_.head = slot_ref(slot).next;
-  if (current_.head == kNoSlot) current_.tail = kNoSlot;
-  --size_;
-  return slot;
 }
 
 void Simulator::fire(std::uint32_t index) {
@@ -173,12 +120,10 @@ void Simulator::fire(std::uint32_t index) {
   }
   ++processed_;
   cell.fn();
-  if (cell.oneshot) {
+  if (cell.interval == 0 || cell.cancelled) {
     // One-shot handles report inactive after firing, so owners can re-arm
-    // timers by checking handle.active().
-    release_slot(index);
-  } else if (cell.cancelled) {
-    // Periodic cancelled from inside its own firing: retire the slot.
+    // timers by checking handle.active(); a periodic cancelled from inside
+    // its own firing retires here too.
     release_slot(index);
   } else {
     cell.when = now_ + cell.interval;
@@ -187,23 +132,27 @@ void Simulator::fire(std::uint32_t index) {
   }
 }
 
-void Simulator::run() {
+void Simulator::drain(SimTime limit) {
   stopped_ = false;
-  while (!stopped_ && prepare()) {
-    const std::uint32_t slot = pop_current();
-    now_ = slot_ref(slot).when;  // cancelled entries still advance time (as before)
+  while (!stopped_ && advance(limit)) {
+    // Drain the cursor's bucket in place; a same-instant schedule from
+    // the callback appends to its tail.
+    const std::size_t index = bucket_of(cursor_);
+    Bucket& bucket = ring_[index];
+    const std::uint32_t slot = bucket.head;
+    bucket.head = slot_ref(slot).next;
+    if (bucket.head == kNoSlot) {
+      bucket.tail = kNoSlot;
+      unmark(index);
+    }
+    --size_;
+    now_ = cursor_;  // cancelled entries still advance time
     fire(slot);
   }
 }
 
 void Simulator::run_until(SimTime limit) {
-  stopped_ = false;
-  while (!stopped_ && prepare()) {
-    if (peek_when() > limit) break;
-    const std::uint32_t slot = pop_current();
-    now_ = slot_ref(slot).when;
-    fire(slot);
-  }
+  drain(limit);
   if (!stopped_ && now_ < limit) now_ = limit;
 }
 

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -49,20 +50,20 @@ class TaskHandle {
 /// captures live inline in a recycled slot slab (≤ Task::kInlineBytes, no
 /// per-event heap cell), cancellation state is a generation counter in the
 /// same slot instead of a shared_ptr per event, and the pending set is a
-/// two-level calendar queue — a ring of kBucketWidth-wide buckets for the
+/// two-level calendar queue — a ring of one-nanosecond buckets for the
 /// near-monotonic bulk of link/queue events, plus a binary-heap overflow
 /// for far-out timers (RTOs, pollers) that migrate into the ring as time
 /// advances. Each bucket is an intrusive FIFO threaded through the slab
 /// slots themselves (an 8-byte head/tail pair per bucket, a next link in
-/// each slot), so scheduling never allocates and claiming a bucket
-/// touches only the slots that are about to fire; the Task never moves
-/// while queued. With 1 ns buckets a claimed bucket is a single instant,
-/// and entries land in it in seq (scheduling) order, so the active chain
-/// drains front-to-back — no per-event heap sift. The one way a bucket
-/// can be out of seq order is an overflow migration into an epoch that a
-/// cursor jump already exposed to direct pushes; migration flags that
-/// bucket in a disorder bitmap and the claim re-sorts it, so pops stay
-/// bit-identical to a global priority queue including same-instant FIFO.
+/// each slot), so scheduling never allocates and the Task never moves
+/// while queued. Two rules keep every bucket in seq (scheduling) order by
+/// construction: the cursor moves only to the instant about to fire, and
+/// each move first migrates every overflow entry its new horizon covers.
+/// An overflow entry was scheduled while its instant lay past the horizon,
+/// so it reaches its bucket before any direct push to that instant, and
+/// heap pops append in (when, seq) order. The cursor's bucket then drains
+/// front to back, same-instant schedules append to its tail, and pops are
+/// bit-identical to a global (when, seq) priority queue.
 class Simulator {
  public:
   Simulator();
@@ -72,13 +73,12 @@ class Simulator {
   [[nodiscard]] SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  /// Entries currently queued (including cancelled-but-unreaped ones).
-  [[nodiscard]] std::size_t pending() const { return size_; }
 
   /// Tasks whose capture spilled to the heap (see Task::on_heap). Zero on
   /// the intended hot paths; the sim.alloc_per_event gauge watches it.
   [[nodiscard]] std::uint64_t task_heap_allocs() const { return task_heap_allocs_; }
-  /// Total schedule_* calls, the denominator for spill ratios.
+  /// Entries queued so far (schedule_* calls and periodic requeues), the
+  /// denominator for spill ratios.
   [[nodiscard]] std::uint64_t tasks_scheduled() const { return next_seq_; }
 
   /// Schedule `fn` at absolute time `when` (clamped to now for past times).
@@ -86,14 +86,13 @@ class Simulator {
   /// place in the slab cell (deduced so the capture never moves twice).
   template <typename F>
   [[nodiscard]] TaskHandle schedule_at(SimTime when, F&& fn) {
-    return schedule_task(when, std::forward<F>(fn), /*oneshot=*/true, 0);
+    return schedule_task(when, std::forward<F>(fn), 0);
   }
 
   /// Schedule `fn` `delay` after now.
   template <typename F>
   [[nodiscard]] TaskHandle schedule_after(SimDuration delay, F&& fn) {
-    return schedule_task(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn), /*oneshot=*/true,
-                         0);
+    return schedule_task(now_ + (delay < 0 ? 0 : delay), std::forward<F>(fn), 0);
   }
 
   /// Schedule `fn` every `interval`, first firing at now + interval.
@@ -103,12 +102,12 @@ class Simulator {
   template <typename F>
   [[nodiscard]] TaskHandle schedule_every(SimDuration interval, F&& fn) {
     if (interval < 1) interval = 1;
-    return schedule_task(now_ + interval, std::forward<F>(fn), /*oneshot=*/false, interval);
+    return schedule_task(now_ + interval, std::forward<F>(fn), interval);
   }
 
   /// Run until the queue drains or stop() is called. Must not be called
   /// re-entrantly from inside a callback.
-  void run();
+  void run() { drain(kNever); }
 
   /// Run all events with time <= `limit`; afterwards now() == limit (if
   /// the simulation reached it) and later events remain queued.
@@ -144,7 +143,6 @@ class Simulator {
     SimDuration interval = 0;  // > 0: periodic, requeued after firing
     std::uint64_t gen = 0;
     std::uint32_t next = kNoSlot;  // bucket chain when queued, free list when free
-    bool oneshot = true;
     bool cancelled = false;
     bool in_use = false;
   };
@@ -156,28 +154,24 @@ class Simulator {
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-  /// log2 of the bucket width in ns. 1 ns buckets make a bucket exactly
-  /// one instant, so the active bucket drains as a plain FIFO (see the
-  /// class comment); the occupancy bitmap makes skipping the empty
-  /// buckets in between nearly free, and anything past the 4.1 us
-  /// horizon rides the overflow heap until its window arrives. The FIFO
-  /// drain leans on one-instant buckets, so widening needs a re-think.
-  static constexpr int kBucketShift = 0;
-  /// Sized so store-and-forward hop delays (tens of ns to ~8 us of
-  /// serialization) stay in-ring; RTO/poller timers beyond the horizon
-  /// take the overflow heap, which is exactly what it is for.
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+  /// One-nanosecond buckets make a bucket exactly one instant, so it
+  /// drains as a plain FIFO (see the class comment); the occupancy bitmap
+  /// makes skipping the empty buckets in between nearly free. Sized so
+  /// store-and-forward hop delays (tens of ns to ~8 us of serialization)
+  /// stay in-ring; RTO/poller timers beyond the horizon take the overflow
+  /// heap, which is exactly what it is for.
   static constexpr std::size_t kBucketCount = 8192;  // ring horizon ≈ 8.2 us
 
-  [[nodiscard]] static std::uint64_t epoch_of(SimTime t) {
-    return static_cast<std::uint64_t>(t) >> kBucketShift;
-  }
-  [[nodiscard]] static bool earlier(const Entry& a, const Entry& b) {
-    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  [[nodiscard]] static std::size_t bucket_of(SimTime t) {
+    return static_cast<std::size_t>(t) % kBucketCount;
   }
   /// Heap comparator as a stateless functor so std::*_heap inlines the
   /// compare (a function pointer would cost an indirect call per sift).
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const { return earlier(b, a); }
+    bool operator()(const Entry& a, const Entry& b) const {
+      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+    }
   };
 
   static constexpr std::uint32_t kChunkShift = 8;  // 256 slots per chunk
@@ -191,14 +185,12 @@ class Simulator {
   }
 
   template <typename F>
-  [[nodiscard]] TaskHandle schedule_task(SimTime when, F&& fn, bool oneshot,
-                                         SimDuration interval) {
+  [[nodiscard]] TaskHandle schedule_task(SimTime when, F&& fn, SimDuration interval) {
     const std::uint32_t slot = acquire_slot();
     Slot& cell = slot_ref(slot);
     cell.fn = std::forward<F>(fn);  // in-place Task construction
     if (cell.fn.on_heap()) ++task_heap_allocs_;
     cell.interval = interval;
-    cell.oneshot = oneshot;
     return enqueue_slot(when, slot);
   }
 
@@ -206,47 +198,34 @@ class Simulator {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
 
-  void append(Bucket& bucket, std::uint32_t slot);
+  /// Append a slot to the ring bucket of its instant (FIFO tail).
+  void append(std::uint32_t slot);
   void push_slot(std::uint32_t slot);
   void migrate_overflow();
-  /// Re-chain current_ into (when, seq) order (rare: set-up by a
-  /// disorder-flagged migration, see push_slot/migrate_overflow).
-  void sort_current();
-  /// Ensure the head of current_ is the earliest pending entry; false
-  /// when the queue is empty.
-  bool prepare();
-  /// The earliest pending slot's fire time; valid only after prepare()
-  /// returned true.
-  [[nodiscard]] SimTime peek_when() { return slot_ref(current_.head).when; }
-  /// Detach the earliest slot from current_ (FIFO head advance).
-  std::uint32_t pop_current();
+  /// Move the cursor to the earliest pending instant if it is at most
+  /// `limit` (migrating what the new horizon covers); false otherwise.
+  bool advance(SimTime limit);
+  /// Fire every event with time <= `limit` until the queue drains or
+  /// stop() is called; run() and run_until() share it.
+  void drain(SimTime limit);
   void fire(std::uint32_t slot);
 
   static constexpr std::size_t kWords = kBucketCount / 64;
 
   void mark(std::size_t index) { occupied_[index >> 6] |= 1ull << (index & 63); }
   void unmark(std::size_t index) { occupied_[index >> 6] &= ~(1ull << (index & 63)); }
-  void mark_disorder(std::size_t index) { disorder_[index >> 6] |= 1ull << (index & 63); }
-  /// Read-and-clear the disorder bit for a bucket being claimed.
-  [[nodiscard]] bool take_disorder(std::size_t index) {
-    const std::uint64_t bit = 1ull << (index & 63);
-    const bool was_set = (disorder_[index >> 6] & bit) != 0;
-    disorder_[index >> 6] &= ~bit;
-    return was_set;
-  }
   /// Circular distance from ring index `base` to the first occupied
-  /// bucket (0 if `base` itself is occupied). Requires ring_size_ > 0.
+  /// bucket (0 if `base` itself is occupied). Requires a non-empty ring.
   [[nodiscard]] std::size_t next_occupied(std::size_t base) const;
 
-  // Two-level calendar queue.
+  // Two-level calendar queue. Every overflow entry lies at or past the
+  // horizon, cursor_ + kBucketCount; cursor_ is the instant firing (or
+  // last fired) and never passes now_.
   std::array<Bucket, kBucketCount> ring_;
   std::array<std::uint64_t, kWords> occupied_{};  // bitmap of non-empty buckets
-  std::array<std::uint64_t, kWords> disorder_{};  // buckets needing a claim-time sort
-  std::vector<Entry> overflow_;  // min-heap by (when, seq) via Later{}
-  Bucket current_;               // claimed chain being drained, FIFO
-  std::vector<std::uint32_t> scratch_;  // sort_current work buffer (rare)
-  std::uint64_t cursor_epoch_ = 0;      // epoch of the active bucket
-  std::size_t size_ = 0;                // all pending entries
+  std::vector<Entry> overflow_;                   // min-heap by (when, seq) via Later{}
+  SimTime cursor_ = 0;
+  std::size_t size_ = 0;  // all pending entries
 
   // Task + cancellation slab (chunked; cells have stable addresses).
   std::vector<std::unique_ptr<Slot[]>> chunks_;

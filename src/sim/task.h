@@ -1,8 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -11,32 +9,25 @@
 
 namespace netseer::sim {
 
-/// Move-only callable with small-buffer optimization, the scheduling
-/// payload of the event engine. Captures up to kInlineBytes live inline
-/// in the Entry itself — no heap allocation on the per-event hot path —
-/// while larger captures transparently spill to a single heap cell
+/// Type-erased void() callable with small-buffer optimization, the
+/// scheduling payload of the event engine. Captures up to kInlineBytes
+/// live inline in the slab cell itself — no heap allocation on the
+/// per-event hot path — while larger captures spill to a single heap cell
 /// (observable via on_heap(), which feeds the sim.alloc_per_event
 /// telemetry gauge so spills show up in snapshots instead of profiles).
 ///
-/// Inline storage additionally requires a nothrow move constructor so
-/// entries can relocate between calendar buckets without ever throwing
-/// mid-queue-surgery; throwing movers also spill.
+/// A Task is built in place in a slab cell that never moves, so it is
+/// neither copyable nor movable.
 class Task {
  public:
   static constexpr std::size_t kInlineBytes = 48;
 
   Task() noexcept = default;
+  Task(const Task&) = delete;
+  Task& operator=(const Task&) = delete;
+  ~Task() { reset(); }
 
-  template <typename F,
-            typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Task> &&
-                                        std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  // NOLINTNEXTLINE(google-explicit-constructor) — implicit like std::function
-  Task(F&& fn) {
-    construct(std::forward<F>(fn));
-  }
-
-  /// Assign a callable in place — no temporary Task, no extra relocate.
-  /// The scheduler hot path builds the capture directly in its slab cell.
+  /// Build a callable in place, replacing any previous one.
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, Task> &&
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
@@ -46,22 +37,9 @@ class Task {
     return *this;
   }
 
-  Task(Task&& other) noexcept { move_from(other); }
-  Task& operator=(Task&& other) noexcept {
-    if (this != &other) {
-      reset();
-      move_from(other);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { reset(); }
-
   NETSEER_HOT void operator()() { ops_->invoke(storage_); }
 
-  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
-  /// The capture spilled to the heap (too big / overaligned / throwing move).
+  /// The capture spilled to the heap (too big or overaligned).
   [[nodiscard]] bool on_heap() const noexcept { return ops_ != nullptr && ops_->heap; }
 
   NETSEER_HOT void reset() noexcept {
@@ -77,24 +55,16 @@ class Task {
  private:
   struct Ops {
     void (*invoke)(void*);
-    void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
-    void (*destroy)(void*);                  // null: trivially destructible
+    void (*destroy)(void*);  // null: trivially destructible
     bool heap;
   };
-
-  NETSEER_HOT void move_from(Task& other) noexcept {
-    ops_ = other.ops_;
-    if (ops_ != nullptr) ops_->relocate(storage_, other.storage_);
-    other.ops_ = nullptr;
-  }
 
   // ALLOW_INIT: the oversized-capture heap spill below is the documented
   // fallback path; on_heap() surfaces it in telemetry instead of the lint.
   template <typename F>
   NETSEER_HOT_ALLOW_INIT void construct(F&& fn) {
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
       ops_ = &kInlineOps<Fn>;
     } else {
@@ -106,11 +76,6 @@ class Task {
   template <typename Fn>
   static constexpr Ops kInlineOps = {
       [](void* p) { (*std::launder(reinterpret_cast<Fn*>(p)))(); },
-      [](void* dst, void* src) {
-        Fn* from = std::launder(reinterpret_cast<Fn*>(src));
-        ::new (dst) Fn(std::move(*from));
-        from->~Fn();
-      },
       std::is_trivially_destructible_v<Fn>
           ? nullptr
           : +[](void* p) { std::launder(reinterpret_cast<Fn*>(p))->~Fn(); },
@@ -119,12 +84,13 @@ class Task {
   template <typename Fn>
   static constexpr Ops kHeapOps = {
       [](void* p) { (**std::launder(reinterpret_cast<Fn**>(p)))(); },
-      [](void* dst, void* src) { ::new (dst) Fn*(*std::launder(reinterpret_cast<Fn**>(src))); },
       [](void* p) { delete *std::launder(reinterpret_cast<Fn**>(p)); },
       /*heap=*/true};
 
   alignas(std::max_align_t) std::byte storage_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+// Neither copy nor move: the callable operator= must not reopen either.
+static_assert(!std::is_move_constructible_v<Task> && !std::is_move_assignable_v<Task>);
 
 }  // namespace netseer::sim

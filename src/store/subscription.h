@@ -31,11 +31,10 @@ class Subscription {
   std::size_t poll(const std::function<void(const backend::StoredEvent&, std::uint64_t)>& fn,
                    std::size_t max_rows = SIZE_MAX);
 
-  /// Last LSN this subscription has consumed (delivered or skipped).
-  [[nodiscard]] std::uint64_t cursor_lsn() const { return cursor_; }
-  /// Alias of cursor_lsn(): the LSN to persist as a resume point —
-  /// `store.subscribe(query, last_lsn())` after a close/reopen delivers
-  /// exactly the rows this subscription never saw.
+  /// Last LSN this subscription has consumed (delivered or skipped): the
+  /// LSN to persist as a resume point — `store.subscribe(query,
+  /// last_lsn())` after a close/reopen delivers exactly the rows this
+  /// subscription never saw.
   [[nodiscard]] std::uint64_t last_lsn() const { return cursor_; }
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   /// Rows evicted by retention before this subscriber polled them.

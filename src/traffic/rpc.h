@@ -125,7 +125,6 @@ class RpcClient final : public net::HostApp {
   }
 
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
-  [[nodiscard]] std::size_t outstanding() const { return outstanding_.size(); }
 
   /// Finalize: everything still outstanding at the end is a timeout.
   void finish() {

@@ -61,7 +61,6 @@ class PrefixSet {
   [[nodiscard]] bool contains(packet::Ipv4Addr addr) const;
   /// Number of addresses covered (exact; the members are disjoint).
   [[nodiscard]] std::uint64_t address_count() const;
-  [[nodiscard]] const std::vector<packet::Ipv4Prefix>& prefixes() const { return prefixes_; }
 
   [[nodiscard]] std::string to_string() const;
 

@@ -244,20 +244,5 @@ TEST(McRuntime, ScheduleBudgetStopsWithoutExhaustion) {
   EXPECT_LE(result.schedules + result.pruned, 2u);
 }
 
-TEST(McRuntime, OutsideExploreThePrimitivesActPlain) {
-  // The same types work as ordinary atomics/mutexes outside a model
-  // run, so instrumented production code keeps running in normal tests.
-  Atomic<int> x{1};
-  x.store(5);
-  EXPECT_EQ(x.load(), 5);
-  EXPECT_EQ(x.fetch_add(2), 5);
-  EXPECT_EQ(x.load(), 7);
-  Mutex mu;
-  {
-    MutexLock lock(mu);
-  }
-  EXPECT_FALSE(in_model());
-}
-
 }  // namespace
 }  // namespace netseer::mc

@@ -130,7 +130,7 @@ TEST(SubscriptionTest, RetentionEvictionBecomesLagNotBlocking) {
     ASSERT_EQ(deliveries[i].lsn, deliveries[i - 1].lsn + 1);
   }
   EXPECT_EQ(deliveries.back().lsn, kEvents);
-  EXPECT_EQ(slow.cursor_lsn(), kEvents);
+  EXPECT_EQ(slow.last_lsn(), kEvents);
 }
 
 TEST(SubscriptionTest, DurableStoreTailsTheWatermarkOnly) {
@@ -153,7 +153,7 @@ TEST(SubscriptionTest, DurableStoreTailsTheWatermarkOnly) {
   }
   // Whatever the subscription saw is covered by the durable watermark
   // at the time of the poll — never rows the WAL hasn't acknowledged.
-  EXPECT_LE(sub.cursor_lsn(), fs.durable_watermark());
+  EXPECT_LE(sub.last_lsn(), fs.durable_watermark());
 
   ASSERT_TRUE(fs.sync());
   EXPECT_EQ(fs.durable_watermark(), 200u);
@@ -190,7 +190,7 @@ TEST(SubscriptionTest, FilteredSubscriptionStillAdvancesPastNonMatches) {
   }
   // The cursor still consumed the whole stream (non-matches are
   // consumed, not re-scanned next poll), and none of it counts as lag.
-  EXPECT_EQ(sub.cursor_lsn(), 300u);
+  EXPECT_EQ(sub.last_lsn(), 300u);
   EXPECT_EQ(sub.lagged(), 0u);
   EXPECT_EQ(drain(sub, &deliveries), 0u);
 }
@@ -242,7 +242,6 @@ TEST(SubscriptionTest, LastLsnSurvivesStoreCloseAndReopen) {
     ASSERT_TRUE(fs.sync());
     while (drain(sub, &deliveries, 32) > 0) {
     }
-    EXPECT_EQ(sub.last_lsn(), sub.cursor_lsn());
     EXPECT_EQ(sub.last_lsn(), kFirst);
     resume_lsn = sub.last_lsn();  // what a checkpoint would persist
   }

@@ -36,8 +36,8 @@ struct Comment {
 /// Lexed view of one source file. Owns the file contents; tokens and
 /// comments reference into it. This is deliberately a *lexer*, not a
 /// preprocessor: macros are matched by name (NETSEER_HOT stays a single
-/// identifier token), both arms of #if blocks are seen, and includes are
-/// surfaced for the model layer to resolve against the repo tree.
+/// identifier token), both arms of #if blocks are seen, and each
+/// preprocessor line is one kPreproc token the model layer skips.
 class TokenStream {
  public:
   /// Lex `contents` (as read from `path`). Never fails: unterminated

@@ -83,14 +83,6 @@ bool is_mutex_family(std::string_view s) {
   return kSync.count(s) > 0;
 }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t' || s.back() == '\r')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 std::string strip_quotes(std::string_view s) {
   if (s.size() >= 2 && s.front() == '"' && s.back() == '"') {
     return std::string(s.substr(1, s.size() - 2));
@@ -248,10 +240,6 @@ class Builder {
   void scan_file_tokens() {
     for (std::size_t i = 0; i < toks_.size(); ++i) {
       const Token& t = toks_[i];
-      if (t.kind == TokKind::kPreproc) {
-        record_include(t);
-        continue;
-      }
       if (t.kind != TokKind::kIdent) continue;
       const std::size_t p1 = prev(i);
       if (p1 == kNpos || !is_punct(p1, "::")) continue;
@@ -261,19 +249,6 @@ class Builder {
         out_.raw_sync.push_back(RawSyncUse{"std::" + std::string(t.text), t.line});
       }
     }
-  }
-
-  void record_include(const Token& t) {
-    std::string_view s = t.text;
-    const std::size_t hash = s.find('#');
-    if (hash == std::string_view::npos) return;
-    s = trim(s.substr(hash + 1));
-    if (s.substr(0, 7) != "include") return;
-    const std::size_t q1 = s.find('"');
-    if (q1 == std::string_view::npos) return;  // angle include: not ours
-    const std::size_t q2 = s.find('"', q1 + 1);
-    if (q2 == std::string_view::npos) return;
-    out_.includes.emplace_back(s.substr(q1 + 1, q2 - q1 - 1));
   }
 
   // ---- structural parse ----------------------------------------------------

@@ -74,7 +74,6 @@ struct FileModel {
   std::vector<FunctionModel> functions;
   std::vector<MetricCall> metric_calls;
   std::vector<RawSyncUse> raw_sync;  // std::mutex family (util::Mutex required)
-  std::vector<std::string> includes;   // quoted #include targets, as written
 
   /// line -> pass names silenced there (NETSEER_LINT_ALLOW(pass): why).
   /// Suppressed allocation/blocking facts are already dropped from the
