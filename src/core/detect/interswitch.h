@@ -72,11 +72,11 @@ class InterSwitchTx {
   /// Egress: stamp the packet's sequence shim and record it. Then use
   /// this packet as the trigger for one pending lookup.
   template <typename Emit>
-  void on_tx(packet::Packet& pkt, const Emit& emit) {
+  NETSEER_HOT void on_tx(packet::Packet& pkt, const Emit& emit) {
     const std::uint32_t seq = next_seq_++;
     pkt.seq_tag = seq;
     if (config_.ring_slots > 0) {
-      if (ring_.empty()) ring_.resize(config_.ring_slots);
+      if (ring_.empty()) materialize_ring();
       Slot& slot = ring_[seq % ring_.size()];
       slot.seq = seq;
       slot.flow = pkt.flow();
@@ -136,6 +136,9 @@ class InterSwitchTx {
     std::uint32_t next;
     std::uint32_t end;  // inclusive
   };
+
+  /// The port's first departure: allocate the ring it models.
+  NETSEER_HOT_ALLOW_INIT void materialize_ring() { ring_.resize(config_.ring_slots); }
 
   template <typename Emit>
   void drain_one(const Emit& emit) {

@@ -121,10 +121,4 @@ net::Node* Network::node(util::NodeId id) {
   return nullptr;
 }
 
-std::uint64_t Network::total_link_bytes_carried() const {
-  std::uint64_t total = 0;
-  for (const auto& link : links_) total += link->bytes_carried();
-  return total;
-}
-
 }  // namespace netseer::fabric

@@ -60,10 +60,6 @@ class Network {
   [[nodiscard]] net::Host* find_host(const std::string& name);
   [[nodiscard]] net::Node* node(util::NodeId id);
 
-  /// Total application-level bytes carried across all links (for overhead
-  /// ratio accounting in the benches).
-  [[nodiscard]] std::uint64_t total_link_bytes_carried() const;
-
  private:
   net::Link* make_link(net::Node& to, util::PortId to_port, util::SimDuration delay,
                        util::NodeId from);

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <unordered_map>
 
@@ -15,8 +16,10 @@ namespace netseer::net {
 /// transport in core/ is responsible for retransmission, exactly like the
 /// paper's TCP session from switch CPU to backend (§3.6).
 ///
-/// Message type T must be copyable; delivery invokes the destination's
-/// registered handler after `delay`.
+/// Delivery invokes the destination's registered handler after `delay`.
+/// Every message takes the same delay, so deliveries fire in send order:
+/// messages in flight wait in a FIFO and each delivery event takes the
+/// oldest, which keeps the event's capture to one pointer.
 template <typename T>
 class MgmtChannel {
  public:
@@ -37,10 +40,8 @@ class MgmtChannel {
       ++lost_;
       return;
     }
-    (void)sim_.schedule_after(delay_, [this, from, to, msg = std::move(msg)]() {
-      auto it = handlers_.find(to);
-      if (it != handlers_.end()) it->second(from, msg);
-    });
+    in_flight_.push_back(InFlight{from, to, std::move(msg)});
+    (void)sim_.schedule_after(delay_, [this] { deliver_oldest(); });
   }
 
   [[nodiscard]] std::uint64_t messages_sent() const { return sent_; }
@@ -48,11 +49,26 @@ class MgmtChannel {
   [[nodiscard]] util::SimDuration delay() const { return delay_; }
 
  private:
+  struct InFlight {
+    util::NodeId from;
+    util::NodeId to;
+    T msg;
+  };
+
+  void deliver_oldest() {
+    // Out of the FIFO first: the handler may send on this channel.
+    const InFlight next = std::move(in_flight_.front());
+    in_flight_.pop_front();
+    auto it = handlers_.find(next.to);
+    if (it != handlers_.end()) it->second(next.from, next.msg);
+  }
+
   sim::Simulator& sim_;
   util::Rng rng_;
   util::SimDuration delay_;
   double loss_prob_;
   std::unordered_map<util::NodeId, Handler> handlers_;
+  std::deque<InFlight> in_flight_;
   std::uint64_t sent_ = 0;
   std::uint64_t lost_ = 0;
 };

@@ -4,16 +4,19 @@
 
 #include "packet/pool.h"
 #include "util/ids.h"
+#include "util/time.h"
 
 namespace netseer::net {
 
 /// Anything that can accept a packet (a link endpoint, a port, a sink in a
 /// test). Decouples senders from the concrete receiver type. Frames move
 /// between hops as pool handles: the sink takes ownership of the slot.
+/// send() is called when the frame's first bit leaves; its last bit
+/// leaves `serialization` later.
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void send(packet::PooledPacket pkt) = 0;
+  virtual void send(packet::PooledPacket pkt, util::SimDuration serialization) = 0;
 };
 
 /// A device attached to the network: switch, host, or collector.

@@ -72,7 +72,11 @@ int TxPort::pick_queue() const {
 }
 
 void TxPort::maybe_start_transmission() {
-  if (busy_ || out_ == nullptr) return;
+  if (out_ == nullptr) return;
+  if (sim_.now() < busy_until_) {
+    kick_if_backlogged();
+    return;
+  }
   const int q = pick_queue();
   if (q < 0) return;
 
@@ -87,14 +91,22 @@ void TxPort::maybe_start_transmission() {
     dequeue_hook_(pkt, static_cast<util::QueueId>(q), sim_.now() - pkt.meta.enqueue_time);
   }
 
-  busy_ = true;
   const util::SimDuration ser = rate_.serialization_delay(pkt.wire_bytes());
+  busy_until_ = sim_.now() + ser;
   ++tx_packets_;
-  (void)sim_.schedule_after(ser, [this, slot = std::move(slot)]() mutable {
-    busy_ = false;
-    if (out_ != nullptr) out_->send(std::move(slot));
-    maybe_start_transmission();
-  });
+  out_->send(std::move(slot), ser);
+  kick_if_backlogged();
+}
+
+void TxPort::kick_if_backlogged() {
+  if (backlogged_ == 0 || kick_pending_) return;
+  kick_pending_ = true;
+  (void)sim_.schedule_at(busy_until_, [this] { kick(); });
+}
+
+void TxPort::kick() {
+  kick_pending_ = false;
+  maybe_start_transmission();
 }
 
 }  // namespace netseer::net

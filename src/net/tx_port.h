@@ -19,6 +19,12 @@ namespace netseer::net {
 /// the class's first enqueue and doubled when full, so a steady-state
 /// enqueue or dequeue never touches the allocator; a bitmask of backlogged
 /// classes lets the scheduler skip empty ones.
+///
+/// A frame goes to the sink as its first bit leaves, with its
+/// serialization time; the wire stays busy until its last bit has left.
+/// The port schedules a wake-up (a kick) for the instant the wire frees
+/// only while a class is backlogged, so an idle port costs no engine
+/// event.
 class TxPort {
  public:
   /// Called when a packet is dequeued for transmission, before it goes on
@@ -30,7 +36,6 @@ class TxPort {
   TxPort(sim::Simulator& sim, util::BitRate rate) : sim_(sim), rate_(rate) {}
 
   void set_out(PacketSink* out) { out_ = out; }
-  [[nodiscard]] PacketSink* out() const { return out_; }
   void set_dequeue_hook(DequeueHook hook) { dequeue_hook_ = std::move(hook); }
 
   [[nodiscard]] util::BitRate rate() const { return rate_; }
@@ -77,7 +82,11 @@ class TxPort {
     std::uint32_t size_ = 0;
   };
 
+  /// Start the next frame if the wire is free; while it is busy, make
+  /// sure a kick is due when it frees if a class is backlogged.
   NETSEER_HOT void maybe_start_transmission();
+  void kick_if_backlogged();
+  NETSEER_HOT void kick();
   [[nodiscard]] int pick_queue() const;
 
   sim::Simulator& sim_;
@@ -89,7 +98,9 @@ class TxPort {
   std::uint8_t backlogged_ = 0;
   std::array<std::int64_t, util::kNumQueues> queue_bytes_{};
   std::array<util::SimTime, util::kNumQueues> paused_until_{};
-  bool busy_ = false;
+  /// When the last bit of the frame on the wire leaves.
+  util::SimTime busy_until_ = 0;
+  bool kick_pending_ = false;
   std::uint64_t tx_packets_ = 0;
 };
 

@@ -14,8 +14,8 @@ class Pool;
 /// Move-only handle to a pooled in-flight Packet, and the unit every
 /// network hop passes: a frame gets one slot where it is created
 /// (Host::send, Switch::inject, a switch's PFC generator) and keeps it
-/// through every TX queue, link, pipeline-latency hop and TX completion
-/// until its last hop drops the handle. Two pointers (16 bytes), so a
+/// through every TX queue, link delivery and pipeline-latency hop until
+/// its last hop drops the handle. Two pointers (16 bytes), so a
 /// scheduled hop capturing `this` plus a PooledPacket stays inside
 /// sim::Task's inline buffer — the frame rides the event queue without a
 /// heap allocation or a Packet copy per hop. The slot returns to the pool

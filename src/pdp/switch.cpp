@@ -194,8 +194,9 @@ void Switch::send_pfc(util::PortId port, util::QueueId cls, bool pause) {
   frame->eth.src = packet::MacAddr::from_node_id(id());
   frame->meta.created_time = sim_.now();
   for (auto* agent : agents_) agent->on_pfc_tx(*this, port, cls, pause);
-  // PFC frames are MAC-generated: they bypass the egress queues.
-  links_[port]->send(std::move(frame));
+  // PFC frames are MAC-generated: they bypass the egress queues and pay
+  // no serialization.
+  links_[port]->send(std::move(frame), 0);
 }
 
 void Switch::inject(packet::Packet&& pkt, util::PortId egress_port, util::QueueId queue) {

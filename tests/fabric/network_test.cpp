@@ -179,15 +179,17 @@ TEST(Testbed, TopologyNamesParseStrictly) {
   EXPECT_TRUE(resolve_topology("fat2"));
 }
 
-TEST(Network, LinkBytesAccumulate) {
+TEST(Network, LinkPacketsAccumulate) {
   auto tb = make_testbed();
   auto* src = tb.hosts[0];
   auto* dst = tb.hosts[31];
   src->send(packet::make_tcp(FlowKey{src->addr(), dst->addr(), 6, 1, 2}, 1000));
   tb.net->simulator().run();
   // 6 links on the path (host->tor, tor->agg, agg->core, core->agg,
-  // agg->tor, tor->host), each carried ~1058 bytes.
-  EXPECT_GE(tb.net->total_link_bytes_carried(), 6u * 1058u);
+  // agg->tor, tor->host), each carrying the frame once.
+  std::uint64_t carried = 0;
+  for (const auto& link : tb.net->links()) carried += link->packets_carried();
+  EXPECT_EQ(carried, 6u);
 }
 
 }  // namespace

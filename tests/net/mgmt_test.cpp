@@ -62,5 +62,34 @@ TEST(MgmtChannel, MultipleEndpointsRouteIndependently) {
   EXPECT_EQ(b, 2);
 }
 
+TEST(MgmtChannel, DeliversInSendOrderWithoutHeapTasks) {
+  sim::Simulator sim;
+  MgmtChannel<Msg> channel(sim, util::Rng(1), util::microseconds(5), 0.0);
+  std::vector<int> at_backend;
+  std::vector<std::pair<int, util::SimTime>> acks;
+  // The backend acks each segment on the same channel, from its handler.
+  channel.register_endpoint(2, [&](util::NodeId from, const Msg& msg) {
+    at_backend.push_back(msg.id);
+    channel.send(2, from, Msg{msg.id, "ack"});
+  });
+  channel.register_endpoint(1, [&](util::NodeId, const Msg& msg) {
+    acks.push_back({msg.id, sim.now()});
+  });
+  for (int i = 0; i < 3; ++i) channel.send(1, 2, Msg{i, "segment"});
+  (void)sim.schedule_at(util::microseconds(2), [&channel] {
+    for (int i = 3; i < 6; ++i) channel.send(1, 2, Msg{i, "segment"});
+  });
+  sim.run();
+
+  EXPECT_EQ(at_backend, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  ASSERT_EQ(acks.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(acks[i].first, i);
+    EXPECT_EQ(acks[i].second, util::microseconds(i < 3 ? 10 : 12)) << "ack " << i;
+  }
+  // Each delivery event captures the channel alone.
+  EXPECT_EQ(sim.task_heap_allocs(), 0u);
+}
+
 }  // namespace
 }  // namespace netseer::net

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "net/link.h"
 #include "packet/builder.h"
 #include "packet/pool.h"
 
@@ -10,10 +11,23 @@ namespace {
 
 using packet::Packet;
 
+/// Records each frame as its first bit leaves, with the serialization
+/// time the port hands over.
 class CaptureSink final : public PacketSink {
  public:
-  void send(packet::PooledPacket pkt) override { packets.push_back(std::move(*pkt)); }
+  void send(packet::PooledPacket pkt, util::SimDuration serialization) override {
+    packets.push_back(std::move(*pkt));
+    serializations.push_back(serialization);
+  }
   std::vector<Packet> packets;
+  std::vector<util::SimDuration> serializations;
+};
+
+class CountingNode final : public Node {
+ public:
+  CountingNode() : Node(2, "counting") {}
+  void receive(packet::PooledPacket, util::PortId) override { ++received; }
+  int received = 0;
 };
 
 Packet data(std::uint32_t payload = 1000, std::uint8_t dscp = 0, std::uint16_t sport = 1) {
@@ -51,7 +65,9 @@ TEST(TxPort, TransmitsAtLineRate) {
   port.enqueue(packet::Pool::local().acquire(data()), 0);
   sim.run();
   EXPECT_EQ(sink.packets.size(), 2u);
-  EXPECT_EQ(sim.now(), 2 * 8368);
+  EXPECT_EQ(sink.serializations, (std::vector<util::SimDuration>{8368, 8368}));
+  // The second frame's first bit leaves as the first's last bit does.
+  EXPECT_EQ(sim.now(), 8368);
   EXPECT_EQ(port.tx_packets(), 2u);
 }
 
@@ -171,7 +187,7 @@ TEST(TxPort, HookMayGrowPacket) {
   ASSERT_EQ(sink.packets.size(), 1u);
   EXPECT_EQ(sink.packets[0].seq_tag, 7u);
   // Serialization paid for the grown frame: 1052 bytes -> 8416 ns.
-  EXPECT_EQ(sim.now(), 8416);
+  EXPECT_EQ(sink.serializations, (std::vector<util::SimDuration>{8416}));
 }
 
 TEST(TxPort, FifoOrderSurvivesRingGrowthAndWrap) {
@@ -193,8 +209,9 @@ TEST(TxPort, FifoOrderSurvivesRingGrowthAndWrap) {
   port.apply_pause(0, 0);  // RESUME
   sim.run_until(sim.now() + 9 * kFrame + kFrame / 2);
   port.apply_pause(0, 0xffff);
-  EXPECT_EQ(sink.packets.size(), 9u);
-  EXPECT_EQ(port.queue_depth(0), 2u);  // the tenth frame is on the wire
+  // The sink sees each frame from its first bit: the tenth is on the wire.
+  EXPECT_EQ(sink.packets.size(), 10u);
+  EXPECT_EQ(port.queue_depth(0), 2u);
 
   for (int i = 0; i < 30; ++i) enqueue_next();
   EXPECT_EQ(port.queue_depth(0), 32u);
@@ -242,6 +259,47 @@ TEST(TxPort, DrainEmptiesEveryQueue) {
   sim.run();
   EXPECT_EQ(sink.packets.size(), 20u * util::kNumQueues);
   expect_drained(port);
+}
+
+TEST(TxPort, KicksOnlyWhileBacklogged) {
+  constexpr int kFrames = 5;
+  {
+    // A lone frame on an idle port goes straight to the sink.
+    sim::Simulator sim;
+    CaptureSink sink;
+    TxPort port(sim, util::BitRate::gbps(1));
+    port.set_out(&sink);
+    port.enqueue(packet::Pool::local().acquire(data()), 0);
+    sim.run();
+    EXPECT_EQ(sink.packets.size(), 1u);
+    EXPECT_EQ(sim.events_processed(), 0u);
+  }
+  {
+    // Frames queued together: one kick per frame behind the first.
+    sim::Simulator sim;
+    CaptureSink sink;
+    TxPort port(sim, util::BitRate::gbps(1));
+    port.set_out(&sink);
+    for (int i = 0; i < kFrames; ++i) port.enqueue(packet::Pool::local().acquire(data()), 0);
+    sim.run();
+    EXPECT_EQ(sink.packets.size(), std::size_t{kFrames});
+    EXPECT_EQ(sim.events_processed(), std::uint64_t{kFrames - 1});
+  }
+  {
+    // Through a link, each traversal adds its one delivery.
+    sim::Simulator sim;
+    CountingNode peer;
+    Link link(sim, util::Rng(1), peer, 0, util::microseconds(1), 1);
+    TxPort port(sim, util::BitRate::gbps(1));
+    port.set_out(&link);
+    for (int i = 0; i < kFrames; ++i) port.enqueue(packet::Pool::local().acquire(data()), 0);
+    sim.run();
+    EXPECT_EQ(peer.received, kFrames);
+    EXPECT_EQ(sim.events_processed(), std::uint64_t{2 * kFrames - 1});
+    // The last frame started at 4 frame times and arrived one frame time
+    // and one propagation delay later.
+    EXPECT_EQ(sim.now(), kFrames * 8368 + util::microseconds(1));
+  }
 }
 
 TEST(TxPort, NoSinkNoTransmit) {
